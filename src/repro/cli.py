@@ -1135,8 +1135,8 @@ def _ingest_run_main(argv: list[str]) -> int:
         )
         if args.metrics_port is not None:
             http_server = IngestHttpServer(
-                ingester, "127.0.0.1", args.metrics_port
-            )
+                ingester, port=args.metrics_port
+            ).start()
             print(
                 f"ingest metrics on http://127.0.0.1:{http_server.port}",
                 flush=True,
@@ -1201,7 +1201,7 @@ def _ingest_run_main(argv: list[str]) -> int:
             exit_code = 1
         finally:
             if http_server is not None:
-                http_server.close()
+                http_server.stop()
             ingester.close()
             st = ingester.status()
             print(

@@ -39,26 +39,9 @@ from urllib.parse import quote
 
 import numpy as np
 
-from repro import __version__
 from repro.core.distance import preference_from_counts
-from repro.errors import (
-    AnalysisError,
-    GeoError,
-    OverloadError,
-    ServeError,
-)
-from repro.geo.regions import region_by_name
-from repro.obs.bus import TelemetryBus, publish as _bus_publish
-from repro.obs.export import CONTENT_TYPE as _METRICS_CONTENT_TYPE
+from repro.errors import AnalysisError, ServeError
 from repro.obs.export import merge_expositions, render_prometheus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (
-    TraceContext,
-    Tracer,
-    TraceSampler,
-    new_trace_id,
-    use_trace_context,
-)
 from repro.cluster.client import (
     HealthChecker,
     ReplicaSet,
@@ -68,24 +51,25 @@ from repro.cluster.client import (
     request_with_failover,
 )
 from repro.cluster.plan import ShardRange, partition_bounds, range_indices
-from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import LruCache
 from repro.serve.server import (
-    _JSON_TYPE,
-    _Handler,
-    _TcpServer,
-    encode_json,
-    endpoint_of,
+    FrontEnd,
     int_param,
     locate_miss_message,
+    overload_body,
     parse_address_list,
     parse_as_path,
     parse_near_query,
     parse_query,
+    parse_region,
     preference_payload,
 )
 
-_TEXT_METRICS_TYPE = _METRICS_CONTENT_TYPE.encode("latin-1")
+#: Threads fanning requests out to shard ranges.
+FAN_WORKERS = 8
+#: Threads running replica tries, hedges included.
+REPLICA_WORKERS = 16
+#: Seconds a replica may take to stage a new snapshot on reload.
+STAGE_TIMEOUT_S = 300.0
 
 
 class Routing:
@@ -110,7 +94,7 @@ class Routing:
         self.ranges = ranges
         self.replica_sets = replica_sets
         self.snapshot_hash = snapshot_hash
-        self.created_unix = time.time()
+        self.built_unix = time.time()
         self._inflight = 0
         self._lock = threading.Lock()
 
@@ -132,38 +116,29 @@ class Routing:
         return int(range_indices(self.ranges, np.array([address]))[0])
 
 
-class ClusterCoordinator:
-    """Scatter-gather front end over a fleet of :class:`ShardServer`."""
+class ClusterCoordinator(FrontEnd):
+    """Scatter-gather front end over a fleet of :class:`ShardServer`.
+
+    Keyword options not named here are :class:`FrontEnd`'s.
+    """
 
     # Cheap local reads (and admin) bypass admission control and the
     # response cache; "analytics" is store-backed, so caching on the
     # snapshot hash would hide newly analyzed generations anyway.
-    always_admit = ("healthz", "stats", "metrics", "admin", "analytics")
+    always_admit = FrontEnd.always_admit + ("admin", "analytics")
+    metric_prefix = "coord"
+    access_tags = {"component": "coordinator"}
 
     def __init__(
         self,
         routing: Routing,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        cache_size: int = 8192,
-        max_inflight: int = 64,
-        max_pending: int = 4096,
-        max_batch: int = 512,
-        batch_window_s: float = 0.002,
-        retry_after_s: int = 1,
         shard_timeout_s: float = 5.0,
         hedge_delay_s: float = 0.05,
-        stage_timeout_s: float = 300.0,
         health_interval_s: float = 0.5,
-        fan_workers: int = 8,
-        replica_workers: int = 16,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        bus: TelemetryBus | None = None,
-        trace_sampler: TraceSampler | None = None,
         analytics_db: str | Path | None = None,
         analytics_campaign: str = "ingest",
+        **frontend_kw,
     ) -> None:
         self._routing = routing
         self._analytics_db = (
@@ -171,55 +146,24 @@ class ClusterCoordinator:
         )
         self._analytics_campaign = analytics_campaign
         self._analytics_store = None
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer
-        self.bus = bus
-        self.trace_sampler = trace_sampler
-        self.cache = LruCache(cache_size)
-        self.batcher = MicroBatcher(
-            self._locate_lines_batch,
-            max_batch=max_batch,
-            max_wait_s=batch_window_s,
-            max_pending=max_pending,
-        )
-        self._max_inflight = max_inflight
-        self._retry_after_s = retry_after_s
         self._shard_timeout_s = shard_timeout_s
         self._hedge_delay_s = hedge_delay_s
-        self._stage_timeout_s = stage_timeout_s
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self._reload_lock = threading.Lock()
-        self._started_unix = time.time()
         # Two pools so range-level fan-out tasks never wait on workers
         # they themselves occupy: ranges fan on one, replica tries
         # (including hedges) run on the other.
         self._fan_pool = ThreadPoolExecutor(
-            max_workers=fan_workers, thread_name_prefix="coord-fan"
+            max_workers=FAN_WORKERS, thread_name_prefix="coord-fan"
         )
         self._replica_pool = ThreadPoolExecutor(
-            max_workers=replica_workers, thread_name_prefix="coord-replica"
+            max_workers=REPLICA_WORKERS, thread_name_prefix="coord-replica"
         )
         self._health = HealthChecker(
             lambda: self._routing, interval_s=health_interval_s
         )
-        self._httpd = _TcpServer((host, port), _Handler)
-        self._httpd.app = self  # type: ignore[assignment]
-        self._thread: threading.Thread | None = None
+        super().__init__(self._locate_lines_batch, **frontend_kw)
 
     # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     @property
     def routing(self) -> Routing:
@@ -227,192 +171,34 @@ class ClusterCoordinator:
         return self._routing
 
     def start(self) -> "ClusterCoordinator":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="coord-accept",
-            daemon=True,
-        )
-        self._thread.start()
+        super().start()
         self._health.start()
         return self
 
     def stop(self) -> None:
         self._health.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self.batcher.close()
+        super().stop()
         self._fan_pool.shutdown(wait=False)
         self._replica_pool.shutdown(wait=False)
         for rset in self._routing.replica_sets:
             rset.close()
 
-    def __enter__(self) -> "ClusterCoordinator":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- admission -----------------------------------------------------------
-
-    def _admit(self) -> bool:
-        with self._inflight_lock:
-            if self._inflight >= self._max_inflight:
-                return False
-            self._inflight += 1
-            return True
-
-    def _release(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    @property
-    def retry_after_s(self) -> int:
-        return self._retry_after_s
-
     # -- request handling ----------------------------------------------------
 
-    def handle_target(
-        self, target: str, trace_parent: str = ""
-    ) -> tuple[int, bytes, bytes]:
-        """Answer one GET target; the shared transport's entry point."""
-        path, _, raw_query = target.partition("?")
-        endpoint = endpoint_of(path)
-        start = time.perf_counter()
-        sampled = bool(trace_parent) or (
-            self.trace_sampler.should_sample()
-            if self.trace_sampler is not None
-            else True
-        )
-        if trace_parent:
-            trace_id = trace_parent
-        else:
-            trace_id = (
-                new_trace_id() if (sampled and self.tracer is not None) else ""
-            )
-        shed_able = endpoint not in self.always_admit
-        admitted = False
-        status = 500
-        try:
-            if endpoint == "metrics":
-                status = 200
-                return status, self._merged_metrics(), _TEXT_METRICS_TYPE
-            if shed_able:
-                admitted = self._admit()
-                if not admitted:
-                    status = 503
-                    self.metrics.counter("coord.shed").add(1)
-                    return (
-                        status,
-                        encode_json(
-                            {
-                                "error": "over capacity",
-                                "retry_after_s": self._retry_after_s,
-                            }
-                        ),
-                        _JSON_TYPE,
-                    )
-            routing = self._routing
-            if shed_able:
-                hit, cached = self.cache.get((target, routing.snapshot_hash))
-                if hit:
-                    status = 200
-                    self.metrics.counter("coord.cache.hits").add(1)
-                    return status, cached, _JSON_TYPE
-                self.metrics.counter("coord.cache.misses").add(1)
-            try:
-                with routing:
-                    if self.tracer is not None and sampled and shed_able:
-                        context = TraceContext(trace_id=trace_id)
-                        with use_trace_context(context), self.tracer.span(
-                            f"coord.{endpoint}"
-                        ):
-                            status, payload = self._dispatch(
-                                endpoint, path, raw_query, routing, trace_id
-                            )
-                    else:
-                        status, payload = self._dispatch(
-                            endpoint, path, raw_query, routing, trace_id
-                        )
-            except ShardShedding as exc:
-                # Every replica of some range is shedding: relay the
-                # shard's own 503 envelope so clients back off the same
-                # way they would against a single overloaded server.
-                status = 503
-                self.metrics.counter("coord.upstream_shed").add(1)
-                return status, exc.body, _JSON_TYPE
-            except ShardUnavailable as exc:
-                status = 503
-                self.metrics.counter("coord.unavailable").add(1)
-                return (
-                    status,
-                    encode_json(
-                        {
-                            "error": str(exc),
-                            "retry_after_s": self._retry_after_s,
-                        }
-                    ),
-                    _JSON_TYPE,
-                )
-            except OverloadError as exc:
-                status = 503
-                self.metrics.counter("coord.shed").add(1)
-                return (
-                    status,
-                    encode_json(
-                        {
-                            "error": str(exc),
-                            "retry_after_s": self._retry_after_s,
-                        }
-                    ),
-                    _JSON_TYPE,
-                )
-            except ServeError as exc:
-                status, payload = 400, {"error": str(exc)}
-            except (AnalysisError, GeoError) as exc:
-                status, payload = 404, {"error": str(exc)}
-            body = payload if isinstance(payload, bytes) else encode_json(payload)
-            if shed_able and status == 200:
-                self.cache.put((target, routing.snapshot_hash), body)
-            return status, body, _JSON_TYPE
-        finally:
-            if admitted:
-                self._release()
-            wall_ms = (time.perf_counter() - start) * 1e3
-            self.metrics.counter(f"coord.requests.{endpoint}").add(1)
-            self.metrics.histogram(f"coord.latency_ms.{endpoint}").observe(
-                wall_ms
-            )
-            self._publish_access(endpoint, target, status, wall_ms, trace_id)
+    def _snapshot(self) -> Routing:
+        return self._routing
 
-    def _publish_access(
-        self,
-        endpoint: str,
-        target: str,
-        status: int,
-        wall_ms: float,
-        trace_id: str,
-    ) -> None:
-        fields = {
-            "endpoint": endpoint,
-            "target": target,
-            "status": status,
-            "ms": round(wall_ms, 3),
-            "trace_id": trace_id,
-            "sampled": bool(trace_id),
-            "component": "coordinator",
-        }
-        if self.bus is not None:
-            self.bus.publish("access", **fields)
-        else:
-            _bus_publish("access", **fields)
+    def _error(self, exc):
+        if isinstance(exc, ShardShedding):
+            # Every replica of some range is shedding: relay the
+            # shard's own 503 envelope so clients back off the same
+            # way they would against a single overloaded server.
+            self.metrics.counter("coord.upstream_shed").add(1)
+            return 503, exc.body
+        if isinstance(exc, ShardUnavailable):
+            self.metrics.counter("coord.unavailable").add(1)
+            return 503, overload_body(str(exc))
+        return super()._error(exc)
 
     def _dispatch(
         self,
@@ -423,32 +209,24 @@ class ClusterCoordinator:
         trace_id: str,
     ):
         params = parse_query(raw_query)
-        if endpoint == "healthz":
-            return 200, {
-                "status": "ok",
-                "version": __version__,
-                "snapshot_hash": routing.snapshot_hash,
-                "gen": routing.gen,
-                "built_unix": round(routing.created_unix, 3),
-                "uptime_s": round(time.time() - self._started_unix, 3),
-            }
-        if endpoint == "stats":
-            return 200, self.stats()
         if endpoint == "admin":
             return self._handle_admin(path, params)
         if endpoint == "analytics":
             return self._handle_analytics(path, params, routing)
-        if endpoint == "locate":
-            return self._handle_locate(params, routing, trace_id)
-        if endpoint == "near":
-            return self._handle_near(
-                params, path, raw_query, routing, trace_id
-            )
-        if endpoint == "as":
-            return self._handle_as(path, raw_query, routing, trace_id)
-        if endpoint == "distance-preference":
-            return self._handle_preference(params, routing, trace_id)
-        return 404, {"error": f"unknown endpoint {path!r}"}
+        # Pin the generation for the fan-out: a reload retires it only
+        # after the pins drain.
+        with routing:
+            if endpoint == "locate":
+                return self._handle_locate(params, routing, trace_id)
+            if endpoint == "near":
+                return self._handle_near(
+                    params, path, raw_query, routing, trace_id
+                )
+            if endpoint == "as":
+                return self._handle_as(path, raw_query, routing, trace_id)
+            if endpoint == "distance-preference":
+                return self._handle_preference(params, routing, trace_id)
+        return super()._dispatch(endpoint, path, raw_query, routing, trace_id)
 
     # -- locate --------------------------------------------------------------
 
@@ -583,14 +361,9 @@ class ClusterCoordinator:
     def _handle_preference(
         self, params: dict[str, str], routing: Routing, trace_id: str
     ):
-        name = params.get("region")
-        if not name:
-            raise ServeError(
-                "distance-preference requires ?region= (e.g. US, Europe, Japan)"
-            )
-        region = region_by_name(name)
+        region = parse_region(params)
         target = (
-            f"/internal/pref-partial?region={quote(name, safe='')}"
+            f"/internal/pref-partial?region={quote(params['region'], safe='')}"
             f"&_gen={routing.gen}"
         )
         responses = self._fan_all(routing, target, trace_id)
@@ -617,7 +390,7 @@ class ClusterCoordinator:
 
     # -- observability -------------------------------------------------------
 
-    def _merged_metrics(self) -> bytes:
+    def _metrics_body(self) -> bytes:
         bodies = [render_prometheus(self.metrics)]
         routing = self._routing
         for rset in routing.replica_sets:
@@ -638,7 +411,7 @@ class ClusterCoordinator:
             "cluster": {
                 "gen": routing.gen,
                 "snapshot_hash": routing.snapshot_hash,
-                "built_unix": round(routing.created_unix, 3),
+                "built_unix": round(routing.built_unix, 3),
                 "inflight_pins": routing.inflight,
                 "ranges": [
                     {
@@ -651,14 +424,7 @@ class ClusterCoordinator:
                     )
                 ],
             },
-            "cache": self.cache.stats(),
-            "batcher": self.batcher.stats(),
-            "inflight": self.inflight,
-            "max_inflight": self._max_inflight,
-            "shed_requests": int(self.metrics.counter("coord.shed").value),
-            "queue_depth": self.batcher.queue_depth,
-            "uptime_s": round(time.time() - self._started_unix, 3),
-            "metrics": self.metrics.snapshot(),
+            **super().stats(),
         }
         analytics = self._analytics_stats()
         if analytics is not None:
@@ -802,7 +568,7 @@ class ClusterCoordinator:
                     target = _stage_target(path, new_gen, rng)
                     try:
                         status, body = client.get(
-                            target, timeout_s=self._stage_timeout_s
+                            target, timeout_s=STAGE_TIMEOUT_S
                         )
                     except ShardUnavailable as exc:
                         if rset.is_healthy(idx):

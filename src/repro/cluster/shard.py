@@ -33,7 +33,6 @@ import threading
 from pathlib import Path
 
 from repro.errors import OverloadError, ServeError
-from repro.geo.regions import region_by_name
 from repro.serve.batcher import MicroBatcher
 from repro.serve.index import DEFAULT_CELL_ARCMIN, SnapshotIndex
 from repro.serve.server import (
@@ -42,6 +41,7 @@ from repro.serve.server import (
     int_param,
     parse_address_list,
     parse_query,
+    parse_region,
 )
 
 
@@ -58,9 +58,6 @@ class ShardServer(SnapshotServer):
         *,
         gen: int = 1,
         cell_arcmin: float = DEFAULT_CELL_ARCMIN,
-        max_batch: int = 512,
-        batch_window_s: float = 0.002,
-        max_pending: int = 4096,
         sidecar_dir: str | Path | None = None,
         **server_kw,
     ) -> None:
@@ -71,18 +68,7 @@ class ShardServer(SnapshotServer):
         if self._sidecar_dir is not None:
             self._sidecar_dir.mkdir(parents=True, exist_ok=True)
         index = self._build_partition(source, addr_lo, addr_hi, gen)
-        super().__init__(
-            index,
-            max_batch=max_batch,
-            batch_window_s=batch_window_s,
-            max_pending=max_pending,
-            **server_kw,
-        )
-        self._batcher_conf = {
-            "max_batch": max_batch,
-            "max_wait_s": batch_window_s,
-            "max_pending": max_pending,
-        }
+        super().__init__(index, **server_kw)
         self._gen_lock = threading.Lock()  # serialises writers only
         self._active_gen = gen
         self._generations: dict[int, tuple[SnapshotIndex, MicroBatcher]] = {
@@ -135,7 +121,14 @@ class ShardServer(SnapshotServer):
             )
         return entry
 
-    def _dispatch(self, endpoint: str, path: str, raw_query: str):
+    def _dispatch(
+        self,
+        endpoint: str,
+        path: str,
+        raw_query: str,
+        index: SnapshotIndex,
+        trace_id: str,
+    ):
         params = parse_query(raw_query)
         if endpoint == "admin":
             return self._handle_admin(path, params)
@@ -159,11 +152,7 @@ class ShardServer(SnapshotServer):
             ]
             return 200, b"\n".join(lines)
         if verb == "pref-partial":
-            name = params.get("region")
-            if not name:
-                raise ServeError("pref-partial requires ?region=")
-            region = region_by_name(name)
-            return 200, index.preference_partial(region)
+            return 200, index.preference_partial(parse_region(params))
         return 404, {"error": f"unknown internal endpoint {path!r}"}
 
     # -- admin plane (hot snapshot swap) -------------------------------------

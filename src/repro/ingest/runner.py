@@ -28,7 +28,6 @@ import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.datasets.mapped import MappedDataset
@@ -40,6 +39,7 @@ from repro.ingest.wal import WriteAheadLog
 from repro.obs.bus import publish as bus_publish
 from repro.obs.metrics import current_metrics, incr, set_gauge
 from repro.serve.index import DEFAULT_CELL_ARCMIN, SnapshotIndex
+from repro.serve.server import FrontEnd
 
 #: Publish when this many batches are pending...
 DEFAULT_PUBLISH_BATCHES = 3
@@ -292,67 +292,39 @@ class Ingester:
         self.close()
 
 
-class IngestHttpServer:
-    """Tiny observability endpoint for a running ingester.
+class IngestHttpServer(FrontEnd):
+    """Observability endpoint for a running ingester.
 
-    Serves ``/metrics`` (Prometheus exposition of the ambient
-    registry), ``/healthz``, and ``/status`` (the ingester's status
-    dict) on a background thread — enough for the smoke gate and a
-    scrape target, deliberately not a query server.
+    Serves ``/metrics`` (the ambient metrics registry when one is
+    active), ``/healthz``, ``/stats``, and ``/status`` (the ingester's
+    status dict) — enough for the smoke gate and a scrape target,
+    deliberately not a query server.  ``/status`` is live state, so
+    nothing is cached.
     """
 
-    def __init__(self, ingester: Ingester, host: str, port: int) -> None:
-        registry = current_metrics()
-        outer = ingester
+    metric_prefix = "ingest.http"
+    response_cache = False
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
-                path = self.path.split("?", 1)[0]
-                if path == "/metrics":
-                    from repro.obs.export import render_prometheus
-
-                    body = (
-                        render_prometheus(registry)
-                        if registry is not None
-                        else ""
-                    ).encode()
-                    ctype = "text/plain; version=0.0.4"
-                elif path == "/healthz":
-                    body = json.dumps(
-                        {
-                            "status": "ok",
-                            "gen": outer.index.gen,
-                            "built_unix": round(outer.index.built_unix, 3),
-                        }
-                    ).encode()
-                    ctype = "application/json"
-                elif path == "/status":
-                    body = json.dumps(outer.status()).encode()
-                    ctype = "application/json"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:
-                pass
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+    def __init__(
+        self,
+        ingester: Ingester,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_inflight: int = 64,
+    ) -> None:
+        self.ingester = ingester
+        super().__init__(
+            host=host,
+            port=port,
+            max_inflight=max_inflight,
+            metrics=current_metrics(),
         )
-        self._thread.start()
 
-    @property
-    def port(self) -> int:
-        """The bound port (useful with port 0)."""
-        return self._server.server_address[1]
+    def _snapshot(self) -> SnapshotIndex:
+        return self.ingester.index
 
-    def close(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
+    def _dispatch(self, endpoint, path, raw_query, index, trace_id):
+        if endpoint == "status":
+            return 200, self.ingester.status()
+        return super()._dispatch(endpoint, path, raw_query, index, trace_id)

@@ -11,8 +11,9 @@ query service:
 - :mod:`repro.serve.cache` — :class:`LruCache`: the response cache;
 - :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesces
   concurrent point lookups into vectorised batches;
-- :mod:`repro.serve.server` — :class:`SnapshotServer`: the threaded
-  HTTP endpoint with backpressure;
+- :mod:`repro.serve.server` — ``FrontEnd``, the package's one HTTP
+  front end (backpressure, cache, metrics, access events), and
+  :class:`SnapshotServer`, the query endpoint built on it;
 - :mod:`repro.serve.client` — :class:`SnapshotClient`: a small stdlib
   client honouring the 503/Retry-After contract.
 

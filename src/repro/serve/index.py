@@ -801,7 +801,7 @@ class SnapshotIndex:
         Raises:
             ServeError: on an invalid coordinate or ``k``.
         """
-        lat, lon = _check_point(lat, lon)
+        lat, lon = check_point(lat, lon)
         if k < 1:
             raise ServeError(f"k must be >= 1, got {k}")
         if self.dataset.n_nodes == 0:
@@ -847,7 +847,7 @@ class SnapshotIndex:
         Raises:
             ServeError: on an invalid coordinate or radius.
         """
-        lat, lon = _check_point(lat, lon)
+        lat, lon = check_point(lat, lon)
         if not np.isfinite(radius_miles) or radius_miles <= 0:
             raise ServeError(f"radius must be positive, got {radius_miles}")
         if self.dataset.n_nodes == 0:
@@ -1295,6 +1295,3 @@ def check_point(lat: float, lon: float) -> tuple[float, float]:
         raise ServeError(f"longitude out of range: {lon}")
     return lat, lon
 
-
-#: Backwards-compatible private alias.
-_check_point = check_point

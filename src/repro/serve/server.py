@@ -1,4 +1,4 @@
-"""Concurrent snapshot query server (stdlib sockets only).
+"""The package's one HTTP front end, and the snapshot query server on it.
 
 :class:`SnapshotServer` exposes one :class:`~repro.serve.index.SnapshotIndex`
 over a small JSON/HTTP protocol:
@@ -51,11 +51,12 @@ sample rate, not the request rate.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import unquote_plus
 
 from repro import __version__
@@ -65,9 +66,10 @@ from repro.errors import (
     GeoError,
     OverloadError,
     ReportError,
+    ReproError,
     ServeError,
 )
-from repro.geo.regions import region_by_name
+from repro.geo.regions import Region, region_by_name
 from repro.obs.bus import TelemetryBus, publish as _bus_publish
 from repro.obs.export import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from repro.obs.export import render_prometheus
@@ -84,28 +86,45 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LruCache
 from repro.serve.index import SnapshotIndex
 
-#: Endpoints exempt from admission control: the service must stay
-#: observable exactly when it is shedding everything else.
-_ALWAYS_ADMIT = ("healthz", "stats", "metrics")
-
 _JSON_TYPE = b"application/json"
 _TEXT_METRICS_TYPE = _METRICS_CONTENT_TYPE.encode("latin-1")
 
 #: Request header carrying the caller's trace id (coordinator -> shard).
 TRACE_HEADER = "x-repro-trace"
 
+#: Seconds a shed client is told to wait (``Retry-After`` and the body).
+RETRY_AFTER_S = 1
 
-class SnapshotServer:
-    """A threaded HTTP query server over one immutable snapshot index."""
 
-    #: Endpoints exempt from admission control (and from the response
-    #: cache).  Subclasses extend this — the cluster shard adds its
-    #: ``admin`` plane so staging works while query traffic sheds.
-    always_admit: tuple[str, ...] = _ALWAYS_ADMIT
+class FrontEnd:
+    """A threaded HTTP front end: everything but the endpoints themselves.
+
+    Owns the socket and lifecycle, admission control with the 503 +
+    ``Retry-After`` envelope, the ``(target, snapshot hash)`` response
+    cache, trace sampling, per-endpoint counters and latency
+    histograms, access events, ``/metrics``, ``/healthz`` and the
+    shared ``/stats`` fields.  Subclasses (the snapshot server, the
+    cluster coordinator, the ingest endpoint) implement
+    :meth:`_snapshot` and :meth:`_dispatch`, set the class attributes
+    below, and override :meth:`_metrics_body`, :meth:`_error`,
+    :meth:`stats`, :meth:`start` or :meth:`stop` where they differ.
+    ``batch_fn`` feeds the front end's :class:`MicroBatcher`, if any.
+    """
+
+    #: Endpoints exempt from admission control and from the response
+    #: cache: the service must stay observable exactly when it is
+    #: shedding everything else.
+    always_admit: tuple[str, ...] = ("healthz", "stats", "metrics")
+    #: Namespace of the counters, histograms and spans (``serve.shed``).
+    metric_prefix = "serve"
+    #: Extra fields stamped on every access event.
+    access_tags: dict[str, str] = {}
+    #: Whether 200 answers of shed-able endpoints are cached.
+    response_cache = True
 
     def __init__(
         self,
-        index: SnapshotIndex,
+        batch_fn: Callable[[list[int]], list] | None = None,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -114,7 +133,6 @@ class SnapshotServer:
         max_pending: int = 4096,
         max_batch: int = 512,
         batch_window_s: float = 0.002,
-        retry_after_s: int = 1,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         bus: TelemetryBus | None = None,
@@ -122,20 +140,21 @@ class SnapshotServer:
     ) -> None:
         if max_inflight < 1:
             raise ServeError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.index = index
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self.bus = bus
         self.trace_sampler = trace_sampler
         self.cache = LruCache(cache_size)
-        self.batcher = MicroBatcher(
-            index.locate_many,
-            max_batch=max_batch,
-            max_wait_s=batch_window_s,
-            max_pending=max_pending,
+        # Kept so a subclass can build further batchers (shard staging).
+        self._batcher_conf = {
+            "max_batch": max_batch,
+            "max_wait_s": batch_window_s,
+            "max_pending": max_pending,
+        }
+        self.batcher = (
+            None if batch_fn is None else MicroBatcher(batch_fn, **self._batcher_conf)
         )
         self._max_inflight = max_inflight
-        self._retry_after_s = retry_after_s
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._started_unix = time.time()
@@ -160,12 +179,12 @@ class SnapshotServer:
         """Base URL of the running server."""
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "SnapshotServer":
+    def start(self) -> "FrontEnd":
         """Serve in a background thread; returns self for chaining."""
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
-            name="serve-accept",
+            name=f"{self.metric_prefix}-accept",
             daemon=True,
         )
         self._thread.start()
@@ -177,9 +196,10 @@ class SnapshotServer:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        self.batcher.close()
+        if self.batcher is not None:
+            self.batcher.close()
 
-    def __enter__(self) -> "SnapshotServer":
+    def __enter__(self) -> "FrontEnd":
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -204,12 +224,7 @@ class SnapshotServer:
         with self._inflight_lock:
             return self._inflight
 
-    @property
-    def retry_after_s(self) -> int:
-        """Seconds clients are told to back off when shed."""
-        return self._retry_after_s
-
-    # -- request dispatch ----------------------------------------------------
+    # -- request handling ----------------------------------------------------
 
     def handle_target(
         self, target: str, trace_parent: str = ""
@@ -221,7 +236,8 @@ class SnapshotServer:
         the sampling decision was the originator's to make.
         """
         path, _, raw_query = target.partition("?")
-        endpoint = _endpoint_of(path)
+        endpoint = endpoint_of(path)
+        prefix = self.metric_prefix
         start = time.perf_counter()
         sampled = bool(trace_parent) or (
             self.trace_sampler.should_sample()
@@ -235,73 +251,104 @@ class SnapshotServer:
                 new_trace_id() if (sampled and self.tracer is not None) else ""
             )
         shed_able = endpoint not in self.always_admit
+        cached_here = shed_able and self.response_cache
         admitted = False
         status = 500
         try:
             if endpoint == "metrics":
                 status = 200
-                body = render_prometheus(self.metrics).encode("utf-8")
-                return status, body, _TEXT_METRICS_TYPE
+                return status, self._metrics_body(), _TEXT_METRICS_TYPE
             if shed_able:
                 admitted = self._admit()
                 if not admitted:
                     status = 503
-                    self.metrics.counter("serve.shed").add(1)
-                    return (
-                        status,
-                        _encode(
-                            {
-                                "error": "over capacity",
-                                "retry_after_s": self._retry_after_s,
-                            }
-                        ),
-                        _JSON_TYPE,
-                    )
-            if shed_able:
-                hit, cached = self.cache.get((target, self.index.snapshot_hash))
+                    self.metrics.counter(f"{prefix}.shed").add(1)
+                    return status, overload_body("over capacity"), _JSON_TYPE
+            # Read once: the cache key and the answer share one generation.
+            view = self._snapshot()
+            if cached_here:
+                hit, cached = self.cache.get((target, view.snapshot_hash))
                 if hit:
                     status = 200
-                    self.metrics.counter("serve.cache.hits").add(1)
+                    self.metrics.counter(f"{prefix}.cache.hits").add(1)
                     return status, cached, _JSON_TYPE
-                self.metrics.counter("serve.cache.misses").add(1)
+                self.metrics.counter(f"{prefix}.cache.misses").add(1)
             try:
                 if self.tracer is not None and sampled and shed_able:
                     context = TraceContext(trace_id=trace_id)
                     with use_trace_context(context), self.tracer.span(
-                        f"serve.{endpoint}"
+                        f"{prefix}.{endpoint}"
                     ):
-                        status, payload = self._dispatch(endpoint, path, raw_query)
+                        status, payload = self._answer(
+                            endpoint, path, raw_query, view, trace_id
+                        )
                 else:
-                    status, payload = self._dispatch(endpoint, path, raw_query)
-            except OverloadError as exc:
-                status = 503
-                self.metrics.counter("serve.shed").add(1)
-                return (
-                    status,
-                    _encode(
-                        {"error": str(exc), "retry_after_s": self._retry_after_s}
-                    ),
-                    _JSON_TYPE,
-                )
-            except ServeError as exc:
-                status, payload = 400, {"error": str(exc)}
-            except (AnalysisError, GeoError) as exc:
-                status, payload = 404, {"error": str(exc)}
+                    status, payload = self._answer(
+                        endpoint, path, raw_query, view, trace_id
+                    )
+            except (ServeError, AnalysisError, GeoError) as exc:
+                status, payload = self._error(exc)
             # Internal endpoints may hand back pre-encoded bytes (the
             # shard's line protocol); everything else is JSON.
-            body = payload if isinstance(payload, bytes) else _encode(payload)
-            if shed_able and status == 200:
-                self.cache.put((target, self.index.snapshot_hash), body)
+            body = payload if isinstance(payload, bytes) else encode_json(payload)
+            if cached_here and status == 200:
+                self.cache.put((target, view.snapshot_hash), body)
             return status, body, _JSON_TYPE
         finally:
             if admitted:
                 self._release()
             wall_ms = (time.perf_counter() - start) * 1e3
-            self.metrics.counter(f"serve.requests.{endpoint}").add(1)
-            self.metrics.histogram(f"serve.latency_ms.{endpoint}").observe(
+            self.metrics.counter(f"{prefix}.requests.{endpoint}").add(1)
+            self.metrics.histogram(f"{prefix}.latency_ms.{endpoint}").observe(
                 wall_ms
             )
             self._publish_access(endpoint, target, status, wall_ms, trace_id)
+
+    def _answer(
+        self, endpoint: str, path: str, raw_query: str, view: Any, trace_id: str
+    ) -> tuple[int, Any]:
+        if endpoint == "healthz":
+            return 200, {
+                "status": "ok",
+                "version": __version__,
+                "snapshot_hash": view.snapshot_hash,
+                "gen": view.gen,
+                "built_unix": round(view.built_unix, 3),
+                "uptime_s": round(time.time() - self._started_unix, 3),
+            }
+        if endpoint == "stats":
+            return 200, self.stats()
+        return self._dispatch(endpoint, path, raw_query, view, trace_id)
+
+    def _snapshot(self) -> Any:
+        """The generation one request is answered against.
+
+        Anything with ``snapshot_hash``, ``gen`` and ``built_unix``.
+        """
+        raise NotImplementedError
+
+    def _dispatch(
+        self, endpoint: str, path: str, raw_query: str, view: Any, trace_id: str
+    ) -> tuple[int, Any]:
+        """``(status, payload)`` for the subclass's own endpoints.
+
+        ``bytes`` payloads go out verbatim, others as JSON; raised
+        errors become responses through :meth:`_error`.
+        """
+        return 404, {"error": f"unknown endpoint {path!r}"}
+
+    def _error(self, exc: ReproError) -> tuple[int, Any]:
+        """Map a handler's error to ``(status, payload)``."""
+        if isinstance(exc, OverloadError):
+            self.metrics.counter(f"{self.metric_prefix}.shed").add(1)
+            return 503, overload_body(str(exc))
+        if isinstance(exc, ServeError):
+            return 400, {"error": str(exc)}
+        return 404, {"error": str(exc)}
+
+    def _metrics_body(self) -> bytes:
+        """The ``/metrics`` exposition."""
+        return render_prometheus(self.metrics).encode("utf-8")
 
     def _publish_access(
         self, endpoint: str, target: str, status: int, wall_ms: float, trace_id: str
@@ -318,17 +365,59 @@ class SnapshotServer:
             "ms": round(wall_ms, 3),
             "trace_id": trace_id,
             "sampled": bool(trace_id),
+            **self.access_tags,
         }
         if self.bus is not None:
             self.bus.publish("access", **fields)
         else:
             _bus_publish("access", **fields)
 
+    # -- introspection -------------------------------------------------------
+
+    def stats(self) -> dict:
+        """JSON-ready operational counters for ``/stats``."""
+        facts: dict[str, Any] = {
+            "cache": self.cache.stats(),
+            "inflight": self.inflight,
+            "max_inflight": self._max_inflight,
+            # Ejection inputs for a fronting coordinator: how hard this
+            # replica is shedding and how deep its lookup queue runs.
+            "shed_requests": int(
+                self.metrics.counter(f"{self.metric_prefix}.shed").value
+            ),
+        }
+        if self.batcher is not None:
+            facts["batcher"] = self.batcher.stats()
+            facts["queue_depth"] = self.batcher.queue_depth
+        facts["uptime_s"] = round(time.time() - self._started_unix, 3)
+        facts["metrics"] = self.metrics.snapshot()
+        return facts
+
+
+class SnapshotServer(FrontEnd):
+    """A threaded HTTP query server over one immutable snapshot index.
+
+    Keyword options are :class:`FrontEnd`'s.
+    """
+
+    def __init__(self, index: SnapshotIndex, **frontend_kw: Any) -> None:
+        self.index = index
+        super().__init__(index.locate_many, **frontend_kw)
+
+    def _snapshot(self) -> SnapshotIndex:
+        return self.index
+
     def _dispatch(
-        self, endpoint: str, path: str, raw_query: str
+        self,
+        endpoint: str,
+        path: str,
+        raw_query: str,
+        index: SnapshotIndex,
+        trace_id: str,
     ) -> tuple[int, Any]:
-        params = _parse_query(raw_query)
-        return self._route(endpoint, path, params, self.index, self.batcher)
+        return self._route(
+            endpoint, path, parse_query(raw_query), index, self.batcher
+        )
 
     def _route(
         self,
@@ -345,17 +434,6 @@ class SnapshotServer:
         hot snapshot swap, old and new indexes serve side by side) and
         still share every handler with the single-process server.
         """
-        if endpoint == "healthz":
-            return 200, {
-                "status": "ok",
-                "version": __version__,
-                "snapshot_hash": index.snapshot_hash,
-                "gen": index.gen,
-                "built_unix": round(index.built_unix, 3),
-                "uptime_s": round(time.time() - self._started_unix, 3),
-            }
-        if endpoint == "stats":
-            return 200, self.stats()
         if endpoint == "locate":
             return self._handle_locate(params, index, batcher)
         if endpoint == "as":
@@ -378,7 +456,7 @@ class SnapshotServer:
             return 200, {"results": results}
         if "address" not in params:
             raise ServeError("locate requires ?address=N (or ?addresses=a,b)")
-        address = _int_param(params["address"], "address")
+        address = int_param(params["address"], "address")
         # Cache miss path: coalesce with concurrent misses in one flush.
         future = batcher.submit(address)
         self.metrics.gauge("serve.queue_depth").set(batcher.queue_depth)
@@ -409,32 +487,13 @@ class SnapshotServer:
     def _handle_preference(
         self, params: dict[str, str], index: SnapshotIndex
     ) -> tuple[int, Any]:
-        name = params.get("region")
-        if not name:
-            raise ServeError(
-                "distance-preference requires ?region= (e.g. US, Europe, Japan)"
-            )
-        region = region_by_name(name)
-        pref = index.distance_preference(region)
+        pref = index.distance_preference(parse_region(params))
         return 200, preference_payload(pref, params)
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict:
-        """JSON-ready operational counters for ``/stats``."""
-        return {
-            "index": self.index.stats(),
-            "cache": self.cache.stats(),
-            "batcher": self.batcher.stats(),
-            "inflight": self.inflight,
-            "max_inflight": self._max_inflight,
-            # Ejection inputs for a fronting coordinator: how hard this
-            # replica is shedding and how deep its lookup queue runs.
-            "shed_requests": int(self.metrics.counter("serve.shed").value),
-            "queue_depth": self.batcher.queue_depth,
-            "uptime_s": round(time.time() - self._started_unix, 3),
-            "metrics": self.metrics.snapshot(),
-        }
+        return {"index": self.index.stats(), **super().stats()}
 
     def stats_report(self) -> RunReport:
         """The server's counters as a schema-valid :class:`RunReport`.
@@ -481,7 +540,7 @@ class _TcpServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     request_queue_size = 128
-    app: SnapshotServer  # attached right after construction
+    app: FrontEnd  # attached right after construction
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -532,7 +591,7 @@ class _Handler(socketserver.StreamRequestHandler):
                         target, trace_parent
                     )
                     extra = (
-                        f"Retry-After: {app.retry_after_s}\r\n".encode()
+                        f"Retry-After: {RETRY_AFTER_S}\r\n".encode()
                         if status == 503
                         else b""
                     )
@@ -588,6 +647,11 @@ def encode_json(payload: Any) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
+def overload_body(message: str) -> bytes:
+    """The 503 envelope; the transport adds the matching ``Retry-After``."""
+    return encode_json({"error": message, "retry_after_s": RETRY_AFTER_S})
+
+
 def endpoint_of(path: str) -> str:
     head = path.lstrip("/").split("/", 1)[0]
     return head or "root"
@@ -641,6 +705,8 @@ def parse_near_query(params: dict[str, str]) -> tuple[dict[str, Any], int]:
     if "radius" in params:
         radius = float_param(params["radius"], "radius")
         limit = int_param(params.get("limit", "1000"), "limit")
+        if limit < 1:
+            raise ServeError(f"limit must be >= 1, got {limit}")
         return {"lat": lat, "lon": lon, "radius": radius}, limit
     k = int_param(params.get("k", "1"), "k")
     return {"lat": lat, "lon": lon, "k": k}, k
@@ -652,6 +718,16 @@ def parse_as_path(path: str) -> int:
     if not tail:
         raise ServeError("expected /as/<asn>")
     return int_param(tail, "asn")
+
+
+def parse_region(params: dict[str, str]) -> Region:
+    """Resolve the ``?region=`` of the distance-preference endpoints."""
+    name = params.get("region")
+    if not name:
+        raise ServeError(
+            "distance-preference requires ?region= (e.g. US, Europe, Japan)"
+        )
+    return region_by_name(name)
 
 
 def locate_miss_message(address: int) -> str:
@@ -679,7 +755,7 @@ def preference_payload(
     }
     if "d" in params:
         d = float_param(params["d"], "d")
-        if d < 0:
+        if not math.isfinite(d) or d < 0:
             raise ServeError(f"distance must be >= 0, got {d}")
         payload["d"] = d
         payload["f_hat"] = f_hat_at(pref, d)
@@ -691,10 +767,3 @@ def preference_payload(
         payload["pair_counts"] = pref.pair_counts.tolist()
     return payload
 
-
-# Backwards-compatible private aliases (kept for older call sites).
-_encode = encode_json
-_endpoint_of = endpoint_of
-_parse_query = parse_query
-_int_param = int_param
-_float_param = float_param

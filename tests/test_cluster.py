@@ -226,6 +226,7 @@ class TestBitIdentity:
             "/locate?addresses=",
             "/near?lat=40&lon=-100&k=5",
             "/near?lat=40&lon=-100&radius=500&limit=3",
+            "/near?lat=40&lon=-100&radius=500&limit=-1",
             "/near?lat=40",
             "/near?lat=40&lon=-100&k=0",
             "/near?lat=abc&lon=-100&k=5",
@@ -236,6 +237,8 @@ class TestBitIdentity:
             "/distance-preference?region=USA&d=100",
             "/distance-preference?region=USA&d=-1",
             "/distance-preference?region=USA&d=abc",
+            "/distance-preference?region=USA&d=nan",
+            "/distance-preference?region=USA&d=inf",
             "/distance-preference?region=Nowhere",
             "/distance-preference",
             "/bogus",

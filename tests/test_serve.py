@@ -7,18 +7,30 @@ the cache, micro-batching, and backpressure contracts.
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
 import time
 import urllib.error
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 import pytest
 
+from repro.cluster import (
+    ClusterCoordinator,
+    ShardRange,
+    ShardServer,
+    build_routing,
+)
 from repro.core.distance import PAPER_BIN_MILES, N_BINS, preference_function
 from repro.datasets.mapped import UNMAPPED_ASN, MappedDataset
 from repro.errors import AnalysisError, OverloadError, ServeError
 from repro.geo.distance import haversine_miles
+from repro.datasets.serialize import save_dataset
 from repro.geo.regions import region_by_name
+from repro.ingest import Ingester, IngestHttpServer
 from repro.obs.report import validate_report
 from repro.serve import (
     BackoffPolicy,
@@ -370,49 +382,124 @@ class TestServerEndToEnd:
         assert report.config["service"] == "snapshot-query"
 
 
+@pytest.fixture(params=["snapshot", "coordinator", "ingest"])
+def front_end(request, index, dataset, tmp_path):
+    """A started front end admitting one request at a time.
+
+    Yields ``(server, target)``: every subclass of the shared front end
+    (the snapshot server, an in-process 1x1 cluster coordinator, and
+    the ingest endpoint) with one of its shed-able targets.
+    """
+    locate = f"/locate?address={int(dataset.addresses[0])}"
+    with ExitStack() as stack:
+        if request.param == "snapshot":
+            server = SnapshotServer(index, port=0, max_inflight=1)
+            target = locate
+        elif request.param == "coordinator":
+            snapshot = tmp_path / "snapshot.npz"
+            save_dataset(dataset, snapshot)
+            shard = stack.enter_context(
+                ShardServer(str(snapshot), None, None, port=0)
+            )
+            routing = build_routing([ShardRange(None, None)], [[shard.url]])
+            server = ClusterCoordinator(routing, port=0, max_inflight=1)
+            target = locate
+        else:
+            ingester = stack.enter_context(
+                Ingester(dataset, tmp_path / "ingest")
+            )
+            server = IngestHttpServer(ingester, port=0, max_inflight=1)
+            target = "/status"
+        yield stack.enter_context(server), target
+
+
+def _http(server, method: str, target: str) -> tuple[int, dict, bytes]:
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request(method, target)
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _slot_held(server, target: str):
+    """Park one request to ``target`` inside dispatch until exit.
+
+    With ``max_inflight=1`` the parked request owns the only admission
+    slot, so every other shed-able request is rejected meanwhile.
+    """
+    release = threading.Event()
+    dispatch = server._dispatch
+
+    def parked(*args):
+        release.wait(timeout=10.0)
+        return dispatch(*args)
+
+    server._dispatch = parked
+    answers: list[int] = []
+    worker = threading.Thread(
+        target=lambda: answers.append(_http(server, "GET", target)[0])
+    )
+    worker.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while server.inflight < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        yield
+    finally:
+        release.set()
+        worker.join(timeout=10.0)
+        del server._dispatch
+    assert answers == [200]
+
+
 class TestBackpressure:
-    def test_burst_sheds_while_healthz_answers(self, index, dataset):
-        # A deliberately tiny server: one admitted request at a time and
-        # a long batch window, so a concurrent burst must overflow.
-        server = SnapshotServer(
-            index,
-            port=0,
-            max_inflight=1,
-            max_pending=1,
-            batch_window_s=0.2,
-            cache_size=1,
-        )
-        with server:
-            client = SnapshotClient(server.url, max_retries=0)
-            addresses = [int(a) for a in dataset.addresses[:24]]
-            outcomes: list[str] = []
-            lock = threading.Lock()
+    def test_burst_sheds_while_healthz_answers(self, front_end):
+        # Every front end shares one contract: while saturated, a
+        # concurrent burst sheds with the 503 envelope + Retry-After
+        # and the control plane keeps answering.
+        server, target = front_end
+        outcomes: list[tuple[int, dict, bytes]] = []
+        lock = threading.Lock()
 
-            def fire(address):
-                c = SnapshotClient(server.url, max_retries=0)
-                try:
-                    c.locate(address)
-                    result = "ok"
-                except OverloadError:
-                    result = "shed"
-                except QueryError:
-                    result = "other"
-                with lock:
-                    outcomes.append(result)
+        def fire():
+            outcome = _http(server, "GET", target)
+            with lock:
+                outcomes.append(outcome)
 
-            threads = [
-                threading.Thread(target=fire, args=(a,)) for a in addresses
-            ]
+        with _slot_held(server, target):
+            threads = [threading.Thread(target=fire) for _ in range(8)]
             for t in threads:
                 t.start()
-            # While the burst is in flight, liveness must keep answering.
-            assert client.healthz()["status"] == "ok"
+            for path in ("/healthz", "/metrics", "/stats"):
+                assert _http(server, "GET", path)[0] == 200, path
             for t in threads:
                 t.join()
-            assert "shed" in outcomes  # some requests were 503ed
-            assert "ok" in outcomes  # ...but the service did real work
-            stats = client.stats()
-            assert stats["metrics"]["counters"]["serve.shed"] >= 1
+        assert len(outcomes) == 8
+        for status, headers, body in outcomes:
+            assert status == 503
+            assert headers["Retry-After"] == "1"
+            assert headers["Content-Type"] == "application/json"
+            assert json.loads(body) == {
+                "error": "over capacity",
+                "retry_after_s": 1,
+            }
+        # The slot is free again: the service did real work.
+        assert _http(server, "GET", target)[0] == 200
+        stats = json.loads(_http(server, "GET", "/stats")[2])
+        assert stats["shed_requests"] >= 8
+
+        assert _http(server, "POST", target)[0] == 405
+        with socket.create_connection((server.host, server.port)) as sock:
+            sock.sendall(b"GARBAGE\r\n\r\n")
+            assert sock.recv(64).startswith(b"HTTP/1.1 400 ")
+        status, headers, body = _http(server, "GET", "/bogus")
+        assert status == 404
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {"error": "unknown endpoint '/bogus'"}
 
     def test_clean_shutdown_and_restartable_port(self, index):
         server = SnapshotServer(index, port=0)
