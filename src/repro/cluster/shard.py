@@ -108,10 +108,12 @@ class ShardServer(SnapshotServer):
 
     # -- generation resolution -----------------------------------------------
 
-    def _resolve(self, params: dict[str, str]) -> tuple[SnapshotIndex, MicroBatcher]:
-        if "_gen" not in params:
-            return self.index, self.batcher
-        gen = int_param(params["_gen"], "_gen")
+    def _resolve(
+        self, params: dict[str, str], index: SnapshotIndex
+    ) -> tuple[SnapshotIndex, MicroBatcher]:
+        # Unpinned requests stay on ``index``, the generation their
+        # cache key was read from, even if an activate lands meanwhile.
+        gen = int_param(params["_gen"], "_gen") if "_gen" in params else index.gen
         entry = self._generations.get(gen)
         if entry is None:
             # 503, not 400: the coordinator treats it as failover —
@@ -132,7 +134,7 @@ class ShardServer(SnapshotServer):
         params = parse_query(raw_query)
         if endpoint == "admin":
             return self._handle_admin(path, params)
-        index, batcher = self._resolve(params)
+        index, batcher = self._resolve(params, index)
         if endpoint == "internal":
             return self._handle_internal(path, params, index)
         return self._route(endpoint, path, params, index, batcher)

@@ -29,6 +29,7 @@ import os
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.datasets.mapped import MappedDataset
 from repro.datasets.serialize import load_dataset
@@ -100,6 +101,8 @@ class Ingester:
 
         # Recovery: checkpointed generation + WAL suffix, exactly once.
         checkpoint = self._read_checkpoint()
+        #: The last checkpoint record (the newest published generation).
+        self.checkpoint = checkpoint
         start_seq = 0
         dataset = base_dataset
         self.published_seq = 0
@@ -166,6 +169,7 @@ class Ingester:
         tmp = self._checkpoint_path.with_name("checkpoint.json.tmp")
         tmp.write_text(json.dumps(record, sort_keys=True))
         os.replace(tmp, self._checkpoint_path)
+        self.checkpoint = record
 
     # -- ingestion -----------------------------------------------------------
 
@@ -299,30 +303,28 @@ class IngestHttpServer(FrontEnd):
     active), ``/healthz``, ``/stats``, and ``/status`` (the ingester's
     status dict) — enough for the smoke gate and a scrape target,
     deliberately not a query server.  ``/status`` is live state, so
-    nothing is cached.
+    nothing is cached.  ``/healthz`` reports the last published
+    generation (hash null and gen 0 before the first).
     """
 
     metric_prefix = "ingest.http"
     response_cache = False
 
     def __init__(
-        self,
-        ingester: Ingester,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_inflight: int = 64,
+        self, ingester: Ingester, *, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.ingester = ingester
-        super().__init__(
-            host=host,
-            port=port,
-            max_inflight=max_inflight,
-            metrics=current_metrics(),
-        )
+        super().__init__(host=host, port=port, metrics=current_metrics())
 
-    def _snapshot(self) -> SnapshotIndex:
-        return self.ingester.index
+    def _snapshot(self) -> SimpleNamespace:
+        # The checkpoint already holds the published hash, so the probe
+        # never digests the live, unpublished index.
+        published = self.ingester.checkpoint or {}
+        return SimpleNamespace(
+            snapshot_hash=published.get("snapshot_hash"),
+            gen=published.get("gen", 0),
+            built_unix=published.get("published_unix", 0.0),
+        )
 
     def _dispatch(self, endpoint, path, raw_query, index, trace_id):
         if endpoint == "status":

@@ -513,6 +513,25 @@ class TestHotReload:
         finally:
             shard.stop()
 
+    def test_unpinned_request_stays_on_its_generation(
+        self, dataset, snapshot_path, snapshot_b_path
+    ):
+        # An activate landing between reading the generation (the
+        # cache key) and answering must not switch the answer's index.
+        address = int(dataset.addresses[0])
+        with ShardServer(snapshot_path, None, None, port=0) as shard:
+            old = shard.index
+            shard.handle_target(f"/admin/stage?snapshot={snapshot_b_path}&gen=2")
+            shard.handle_target("/admin/activate?gen=2")
+            _, record = shard._dispatch(
+                "locate", "/locate", f"address={address}", old, ""
+            )
+            _, current = shard._dispatch(
+                "locate", "/locate", f"address={address}", shard.index, ""
+            )
+        assert record == old.locate_many([address])[0]
+        assert current["lat"] == pytest.approx(record["lat"] + 1.0)
+
     def test_reload_missing_snapshot_is_rejected(
         self, dataset, snapshot_path, tmp_path
     ):

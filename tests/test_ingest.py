@@ -23,6 +23,7 @@ from repro.errors import IngestError, ServeError
 from repro.ingest import (
     DeltaBatch,
     Ingester,
+    IngestHttpServer,
     WriteAheadLog,
     apply_to_topology,
     delta_digest,
@@ -514,6 +515,23 @@ class TestIngester:
             )
             assert checkpoint["seq"] == 2
             assert checkpoint["snapshot_hash"] == ing.index.snapshot_hash
+
+    def test_endpoint_healthz_reports_published_generation(self, tmp_path):
+        base = _tiny_dataset()
+        stream = self._stream(base)
+        with Ingester(base, tmp_path / "ing", publish_batches=2) as ing:
+            with IngestHttpServer(ing, port=0) as server:
+                _, body = _fetch(f"{server.url}/healthz")
+                assert json.loads(body)["snapshot_hash"] is None
+                ing.submit(stream.next_batch(2, 2, 1, 1))
+                ing.submit(stream.next_batch(2, 2, 1, 1))
+                published = ing.index.snapshot_hash
+                ing.submit(stream.next_batch(2, 2, 1, 1))  # not published
+                status, body = _fetch(f"{server.url}/healthz")
+        health = json.loads(body)
+        assert status == 200
+        assert health["snapshot_hash"] == published
+        assert health["gen"] == ing.checkpoint["gen"] == ing.index.gen - 1
 
     def test_duplicate_batch_dropped(self, tmp_path):
         base = _tiny_dataset()

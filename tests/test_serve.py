@@ -408,7 +408,8 @@ def front_end(request, index, dataset, tmp_path):
             ingester = stack.enter_context(
                 Ingester(dataset, tmp_path / "ingest")
             )
-            server = IngestHttpServer(ingester, port=0, max_inflight=1)
+            server = IngestHttpServer(ingester, port=0)
+            server._max_inflight = 1  # the endpoint has no option for it
             target = "/status"
         yield stack.enter_context(server), target
 
