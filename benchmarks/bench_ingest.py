@@ -22,7 +22,10 @@ the final content hash (the differential guarantee, re-checked here so
 the speedup can never come from skipped work).  A second stage runs a
 real :class:`~repro.ingest.runner.Ingester` at publish-every-batch
 cadence and reports end-to-end freshness (arrival stamp → verified
-generation on disk) as a p99.
+generation on disk) as a p99, with the mean
+:meth:`~repro.ingest.publisher.SnapshotPublisher.publish` and
+:func:`~repro.obs.report.dataset_digest` times inside it — the publish
+layer, so ``repro bench history`` trends where freshness goes.
 
 Machine-readable results land in ``BENCH_ingest.json`` at the repo
 root via :mod:`record`.
@@ -40,7 +43,7 @@ from record import record_bench
 from repro.config import small_scenario
 from repro.datasets.mapped import MappedDataset
 from repro.datasets.pipeline import run_pipeline
-from repro.ingest import Ingester, patch_dataset
+from repro.ingest import Ingester, patch_dataset, publisher
 from repro.measure.stream import DeltaStream
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.serve import SnapshotIndex
@@ -90,8 +93,24 @@ def dataset():
     return _tiled(small, N_COPIES)
 
 
+def _timed(owner, name, monkeypatch) -> list[float]:
+    """Wrap ``owner.name`` so each call's seconds land in the result."""
+    seconds: list[float] = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            seconds.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seconds
+
+
 def test_bench_ingest_incremental_vs_rebuild(
-    dataset, tmp_path, record_artifact
+    dataset, tmp_path, record_artifact, monkeypatch
 ):
     stream = DeltaStream(dataset, np.random.default_rng(31))
     batches = [
@@ -129,7 +148,10 @@ def test_bench_ingest_incremental_vs_rebuild(
         f"({mean_incremental * 1e3:.1f}ms vs {mean_rebuild * 1e3:.1f}ms)"
     )
 
-    # End-to-end freshness through a real ingester, publish-per-batch.
+    # End-to-end freshness through a real ingester, publish-per-batch,
+    # with the publish layer and its digests timed.
+    publish_s = _timed(publisher.SnapshotPublisher, "publish", monkeypatch)
+    digest_s = _timed(publisher, "dataset_digest", monkeypatch)
     registry = MetricsRegistry()
     freshness_s = []
     with use_metrics(registry):
@@ -145,6 +167,9 @@ def test_bench_ingest_incremental_vs_rebuild(
     assert histogram.count == N_FRESHNESS_BATCHES
     p99 = float(np.percentile(freshness_s, 99))
     p50 = float(np.percentile(freshness_s, 50))
+    assert len(publish_s) == N_FRESHNESS_BATCHES
+    mean_publish_ms = float(np.mean(publish_s)) * 1e3
+    mean_digest_ms = float(np.mean(digest_s)) * 1e3
 
     payload = {
         "scenario": "ingest-incremental-vs-rebuild",
@@ -160,6 +185,9 @@ def test_bench_ingest_incremental_vs_rebuild(
         "n_freshness_batches": N_FRESHNESS_BATCHES,
         "freshness_p50_s": round(p50, 4),
         "freshness_p99_s": round(p99, 4),
+        "mean_publish_ms": round(mean_publish_ms, 3),
+        "mean_dataset_digest_ms": round(mean_digest_ms, 3),
+        "digests_per_publish": len(digest_s) / len(publish_s),
     }
     record_bench(
         "ingest",
@@ -167,6 +195,8 @@ def test_bench_ingest_incremental_vs_rebuild(
         headline={
             "incremental_speedup_vs_rebuild": (speedup, "higher"),
             "freshness_p99_s": (p99, "lower"),
+            "publish_ms": (mean_publish_ms, "lower"),
+            "dataset_digest_ms": (mean_digest_ms, "lower"),
         },
     )
     record_artifact(
@@ -177,5 +207,7 @@ def test_bench_ingest_incremental_vs_rebuild(
             f"({speedup:.1f}x, identical final hash)\n"
             f"publish-per-batch freshness: p50 {p50 * 1e3:.0f}ms, "
             f"p99 {p99 * 1e3:.0f}ms over {N_FRESHNESS_BATCHES} batches\n"
+            f"publish {mean_publish_ms:.1f}ms/generation, "
+            f"{mean_digest_ms:.2f}ms per dataset_digest\n"
         ),
     )

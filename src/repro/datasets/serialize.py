@@ -3,10 +3,10 @@
 Processed snapshots are the shareable artefact of a measurement study
 (the paper's datasets were passed between institutions); we support a
 self-describing JSON format, a compact CSV pair (nodes + links) for
-interoperability with external tooling, and a binary ``.npz`` format
-whose arrays round-trip losslessly without ``tolist()``/JSON costs —
-the cold-start path of the snapshot query service
-(:mod:`repro.serve`).
+interoperability with external tooling, and an uncompressed binary
+``.npz`` format whose arrays round-trip losslessly without
+``tolist()``/JSON costs — the cold-start path of the snapshot query
+service (:mod:`repro.serve`).
 
 :func:`save_dataset` / :func:`load_dataset` dispatch between the three
 formats by file extension (a directory selects the CSV pair).
@@ -91,8 +91,8 @@ def load_dataset_json(path: str | Path) -> MappedDataset:
     return dataset_from_dict(payload)
 
 
-#: Array fields of the npz layout, with their canonical dtypes.
-_NPZ_ARRAYS = (
+#: Array columns with their canonical dtypes (npz layout, digest order).
+CANONICAL_COLUMNS = (
     ("addresses", np.int64),
     ("lats", np.float64),
     ("lons", np.float64),
@@ -102,17 +102,17 @@ _NPZ_ARRAYS = (
 
 
 def save_dataset_npz(dataset: MappedDataset, path: str | Path) -> None:
-    """Write a dataset to a compressed binary ``.npz`` file.
+    """Write a dataset to an uncompressed binary ``.npz`` file.
 
     Arrays are stored verbatim (no ``tolist()`` round-trip through JSON
-    floats), so loading is lossless and fast — the format the query
-    server cold-starts from.
+    floats, no deflate), so saving and loading are lossless and fast —
+    the format the query server cold-starts from.
     """
-    # Write through an open handle: ``savez_compressed`` appends
-    # ``.npz`` to bare path names, which would break explicit-format
-    # saves to arbitrary extensions.
+    # Write through an open handle: ``savez`` appends ``.npz`` to bare
+    # path names, which would break explicit-format saves to arbitrary
+    # extensions.
     with Path(path).open("wb") as handle:
-        np.savez_compressed(
+        np.savez(
             handle,
             format_version=np.int64(_FORMAT_VERSION),
             label=np.asarray(dataset.label),
@@ -142,7 +142,7 @@ def load_dataset_npz(path: str | Path) -> MappedDataset:
                 )
             arrays = {
                 name: payload[name].astype(dtype)
-                for name, dtype in _NPZ_ARRAYS
+                for name, dtype in CANONICAL_COLUMNS
             }
             label = str(payload["label"][()])
             kind = str(payload["kind"][()])

@@ -31,6 +31,7 @@ from repro.geo.coords import GeoPoint
 from repro.ingest.deltas import DeltaBatch
 from repro.net.elements import AutonomousSystem
 from repro.net.topology import Topology
+from repro.obs.report import hash_column
 
 #: Routers whose dataset origin AS is unmapped (:data:`UNMAPPED_ASN`)
 #: are homed under this private-use ASN in the ground-truth topology,
@@ -297,26 +298,21 @@ def topology_digest(topology: Topology) -> str:
     the replay-equality witness for WAL round-trip tests.
     """
     h = hashlib.sha256()
-
-    def _arr(array: np.ndarray) -> None:
-        h.update(repr((array.dtype.str, array.shape)).encode("ascii"))
-        h.update(np.ascontiguousarray(array).tobytes())
-
     lats, lons = topology.router_coordinates()
-    _arr(lats)
-    _arr(lons)
-    _arr(topology.router_asns())
-    _arr(topology.router_loopbacks())
+    hash_column(h, "router_lats", lats)
+    hash_column(h, "router_lons", lons)
+    hash_column(h, "router_asns", topology.router_asns())
+    hash_column(h, "router_loopbacks", topology.router_loopbacks())
     h.update("\x00".join(topology.router_city_codes()).encode("utf-8"))
     end_a, end_b = topology.link_endpoints()
-    _arr(end_a)
-    _arr(end_b)
+    hash_column(h, "link_end_a", end_a)
+    hash_column(h, "link_end_b", end_b)
     ifc_a, ifc_b = topology.link_interfaces()
-    _arr(ifc_a)
-    _arr(ifc_b)
-    _arr(topology.interface_addresses())
-    _arr(topology.interface_routers())
-    _arr(topology.interface_links())
+    hash_column(h, "link_ifc_a", ifc_a)
+    hash_column(h, "link_ifc_b", ifc_b)
+    hash_column(h, "interface_addresses", topology.interface_addresses())
+    hash_column(h, "interface_routers", topology.interface_routers())
+    hash_column(h, "interface_links", topology.interface_links())
     for address in sorted(topology.hostnames):
         h.update(f"{address}={topology.hostnames[address]}\x00".encode())
     for asn in sorted(topology.asns):

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import IngestError
+from repro.obs.report import hash_column
 
 _FORMAT_VERSION = 1
 
@@ -179,18 +180,15 @@ class DeltaBatch:
 def delta_digest(batch: DeltaBatch) -> str:
     """SHA-256 over the batch's logical arrays, container-independent.
 
-    Hashing the raw field bytes (name, shape, then array data, in the
-    fixed :data:`_ARRAY_FIELDS` order) rather than the serialised
+    Hashing the framed field arrays (:func:`~repro.obs.report.hash_column`,
+    in the fixed :data:`_ARRAY_FIELDS` order) rather than the serialised
     archive keeps the digest stable across zip metadata differences.
     ``created_unix`` is deliberately excluded: the same measurement news
     arriving at a different time is the same content.
     """
     h = hashlib.sha256()
-    for name, _ in _ARRAY_FIELDS:
-        value = getattr(batch, name)
-        h.update(name.encode("ascii"))
-        h.update(repr(value.shape).encode("ascii"))
-        h.update(np.ascontiguousarray(value).tobytes())
+    for name, dtype in _ARRAY_FIELDS:
+        hash_column(h, name, getattr(batch, name), dtype)
     return h.hexdigest()
 
 

@@ -2,8 +2,8 @@
 
 The bridge from ingestion to serving: a :class:`SnapshotPublisher`
 writes each accumulated snapshot state as a generation ``.npz``
-(atomically — temp file, digest verification of what was actually
-written, then rename), and optionally drives the cluster coordinator's
+(atomically — temp file, read-back digest verification, then a
+fsynced rename), and optionally drives the cluster coordinator's
 existing stage→verify→activate hot-reload flow so live answers flip to
 the new generation with zero dropped requests.  Old generation files
 are pruned once the fleet no longer needs them.
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.datasets.mapped import MappedDataset
 from repro.datasets.serialize import load_dataset_npz, save_dataset_npz
-from repro.errors import IngestError, ReproError
+from repro.errors import DatasetError, IngestError, ReproError
 from repro.obs.bus import publish as bus_publish
 from repro.obs.metrics import incr, set_gauge
 from repro.obs.report import dataset_digest
@@ -26,6 +26,22 @@ from repro.obs.report import dataset_digest
 #: shards hold their staged snapshots in memory, so history is only for
 #: operators and late joiners).
 DEFAULT_KEEP_GENERATIONS = 3
+
+
+def durable_replace(tmp: Path, path: Path) -> None:
+    """``os.replace`` that survives power loss: fsync ``tmp``'s data,
+    rename, then fsync the directory so the rename itself is on disk."""
+    _fsync(tmp)
+    os.replace(tmp, path)
+    _fsync(path.parent)
+
+
+def _fsync(target: Path) -> None:
+    fd = os.open(target, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class SnapshotPublisher:
@@ -62,7 +78,7 @@ class SnapshotPublisher:
 
         The snapshot is written to a temp file, read back, and its
         digest compared against the in-memory dataset's before the
-        atomic rename — a torn or bit-flipped write can never become
+        durable rename — a torn or bit-flipped write can never become
         the active generation.  Returns JSON-ready publish facts
         (path, hash, and the coordinator's post-reload generation when
         a cluster was driven).
@@ -75,14 +91,17 @@ class SnapshotPublisher:
         path = self.generation_path(seq)
         tmp = path.with_name(path.name + ".tmp")
         save_dataset_npz(dataset, tmp)
-        written = dataset_digest(load_dataset_npz(tmp))
+        try:
+            written = dataset_digest(load_dataset_npz(tmp))
+            problem = f"wrote {written[:16]}, expected {expected[:16]}"
+        except DatasetError as exc:
+            written, problem = None, str(exc)
         if written != expected:
             tmp.unlink(missing_ok=True)
             raise IngestError(
-                f"snapshot verification failed for seq {seq}: "
-                f"wrote {written[:16]}, expected {expected[:16]}"
+                f"snapshot verification failed for seq {seq}: {problem}"
             )
-        os.replace(tmp, path)
+        durable_replace(tmp, path)
         facts = {
             "seq": seq,
             "snapshot": str(path),

@@ -25,7 +25,6 @@ counters/gauges through the ambient metrics registry.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -35,10 +34,11 @@ from repro.datasets.mapped import MappedDataset
 from repro.datasets.serialize import load_dataset
 from repro.errors import IngestError
 from repro.ingest.deltas import DeltaBatch, delta_digest
-from repro.ingest.publisher import SnapshotPublisher
+from repro.ingest.publisher import SnapshotPublisher, durable_replace
 from repro.ingest.wal import WriteAheadLog
 from repro.obs.bus import publish as bus_publish
 from repro.obs.metrics import current_metrics, incr, set_gauge
+from repro.obs.report import dataset_digest
 from repro.serve.index import DEFAULT_CELL_ARCMIN, SnapshotIndex
 from repro.serve.server import FrontEnd
 
@@ -111,12 +111,13 @@ class Ingester:
             if not snap.is_absolute():
                 snap = self.out_dir / snap
             restored = load_dataset(snap)
-            from repro.obs.report import dataset_digest
-
             if dataset_digest(restored) != checkpoint["snapshot_hash"]:
                 raise IngestError(
                     f"checkpoint snapshot {snap} does not match its "
-                    "recorded hash; refusing to resume from it"
+                    "recorded hash (corrupt, or written before the content "
+                    "hash became SHA-256 over column bytes); refusing to "
+                    "resume from it — rebuild it with `repro ingest "
+                    "replay --base BASE --wal WAL --out NEW.npz`"
                 )
             dataset = restored
             start_seq = int(checkpoint["seq"])
@@ -168,7 +169,7 @@ class Ingester:
         }
         tmp = self._checkpoint_path.with_name("checkpoint.json.tmp")
         tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, self._checkpoint_path)
+        durable_replace(tmp, self._checkpoint_path)
         self.checkpoint = record
 
     # -- ingestion -----------------------------------------------------------

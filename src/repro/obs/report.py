@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+import numpy as np
+
 from repro.errors import ReportError
 
 #: Report type tag, embedded in every file.
@@ -53,14 +55,30 @@ def _jsonify(value: Any) -> Any:
     return repr(value)
 
 
-def dataset_digest(dataset: Any) -> str:
-    """Content hash of one mapped dataset (canonical JSON, SHA-256)."""
-    from repro.datasets.serialize import dataset_to_dict
+def hash_column(h: Any, name: str, array: Any, dtype: Any = None) -> None:
+    """Feed ``array``, cast to little-endian ``dtype`` (default: its own),
+    into ``h`` after a ``(name, dtype, shape)`` header framing its bytes."""
+    dtype = np.dtype(np.asarray(array).dtype if dtype is None else dtype)
+    column = np.ascontiguousarray(array, dtype=dtype.newbyteorder("<"))
+    h.update(repr((name, column.dtype.str, column.shape)).encode("utf-8"))
+    h.update(column)
 
-    payload = json.dumps(
-        dataset_to_dict(dataset), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+def dataset_digest(dataset: Any) -> str:
+    """Content hash of one mapped dataset: SHA-256 over its label, kind
+    and canonical-dtype columns, each framed by :func:`hash_column`."""
+    from repro.datasets.serialize import CANONICAL_COLUMNS
+
+    h = hashlib.sha256()
+    for name in ("label", "kind"):
+        text = getattr(dataset, name).encode("utf-8")
+        hash_column(h, name, np.frombuffer(text, dtype=np.uint8))
+    for name, dtype in CANONICAL_COLUMNS:
+        column = getattr(dataset, name)
+        if name == "links":
+            column = np.reshape(column, (-1, 2))
+        hash_column(h, name, column, dtype)
+    return h.hexdigest()
 
 
 @dataclass

@@ -604,8 +604,86 @@ class TestIngester:
         from repro.datasets.serialize import save_dataset_npz
 
         save_dataset_npz(base, out / snapshot)
-        with pytest.raises(IngestError, match="hash"):
+        with pytest.raises(IngestError, match="recorded hash.*ingest replay"):
             Ingester(base, out, publish_batches=1)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_generation_never_becomes_active(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """A torn or bit-flipped write fails verification: no generation
+        file, an unchanged checkpoint, and the next submit publishes."""
+        from repro.datasets.serialize import load_dataset_npz
+        from repro.ingest import publisher
+
+        real_save = publisher.save_dataset_npz
+
+        def damaged_save(dataset, path):
+            real_save(dataset, path)
+            raw = bytearray(path.read_bytes())
+            if damage == "truncate":
+                raw = raw[: len(raw) // 2]
+            else:
+                lats = np.ascontiguousarray(dataset.lats, "<f8").tobytes()
+                at = raw.find(lats)
+                assert at > 0
+                raw[at + 3] ^= 0x01  # inside the lats payload
+            path.write_bytes(bytes(raw))
+
+        base = _tiny_dataset()
+        stream = self._stream(base)
+        out = tmp_path / "ing"
+        with Ingester(base, out, publish_batches=1) as ing:
+            ing.submit(stream.next_batch(2, 2, 1, 1))
+            checkpoint = (out / "checkpoint.json").read_bytes()
+            monkeypatch.setattr(publisher, "save_dataset_npz", damaged_save)
+            with pytest.raises(IngestError, match="verification failed"):
+                ing.submit(stream.next_batch(2, 2, 1, 1))
+            assert not ing.publisher.generation_path(2).exists()
+            assert not list(out.glob("*.tmp"))
+            assert (out / "checkpoint.json").read_bytes() == checkpoint
+            monkeypatch.setattr(publisher, "save_dataset_npz", real_save)
+            assert ing.submit(stream.next_batch(2, 2, 1, 1))["published"]
+            assert ing.checkpoint["seq"] == 3
+            published = load_dataset_npz(ing.publisher.generation_path(3))
+            assert dataset_digest(published) == ing.index.snapshot_hash
+            assert ing.checkpoint["snapshot_hash"] == ing.index.snapshot_hash
+
+    def test_publish_and_checkpoint_survive_power_loss(
+        self, tmp_path, monkeypatch
+    ):
+        """Generation file and checkpoint each go: file fsync, rename,
+        directory fsync."""
+        import os
+        import stat
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "fsync-dir" if stat.S_ISDIR(info.st_mode) else "fsync"
+            calls.append((kind, info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            inode = os.stat(src).st_ino
+            real_replace(src, dst)
+            calls.append(("replace", inode, os.path.basename(dst)))
+
+        base = _tiny_dataset()
+        out = tmp_path / "ing"
+        with Ingester(base, out, publish_batches=1, sync=False) as ing:
+            monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(os, "replace", replace)
+            ing.submit(self._stream(base).next_batch(2, 2, 1, 1))
+        renames = [i for i, call in enumerate(calls) if call[0] == "replace"]
+        assert [calls[i][2] for i in renames] == [
+            "gen-00000001.npz", "checkpoint.json"
+        ]
+        for i in renames:
+            assert calls[i - 1] == ("fsync", calls[i][1])
+            assert calls[i + 1] == ("fsync-dir", os.stat(out).st_ino)
 
     def test_status_facts(self, tmp_path):
         base = _tiny_dataset()

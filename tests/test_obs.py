@@ -13,6 +13,7 @@ import io
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.config import small_scenario
@@ -224,6 +225,89 @@ def observed_run():
         argv=["run", "--scale", "small"],
     )
     return config, result, tracer, registry, report
+
+
+def _digest_dataset(**overrides):
+    from repro.datasets.mapped import MappedDataset
+
+    columns = dict(
+        label="digest",
+        kind="skitter",
+        addresses=np.array([10, 20, 30, 40], dtype=np.int64),
+        lats=np.array([40.0, 41.0, 50.0, 35.0]),
+        lons=np.array([-100.0, -100.5, 10.0, -90.0]),
+        asns=np.array([1, 1, 2, 3], dtype=np.int64),
+        links=np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64),
+    )
+    columns.update(overrides)
+    return MappedDataset(**columns)
+
+
+class TestDatasetDigest:
+    """The content hash: SHA-256 over framed canonical column bytes."""
+
+    def test_integer_width_does_not_matter(self):
+        base = _digest_dataset()
+        narrow = _digest_dataset(
+            addresses=base.addresses.astype(np.int32),
+            asns=base.asns.astype(np.int32),
+            links=base.links.astype(np.int32),
+        )
+        native = _digest_dataset(links=base.links.astype(np.intp))
+        assert dataset_digest(narrow) == dataset_digest(base)
+        assert dataset_digest(native) == dataset_digest(base)
+
+    @pytest.mark.parametrize("suffix", [".npz", ".json"])
+    def test_survives_file_round_trip(self, tmp_path, suffix):
+        from repro.datasets.serialize import load_dataset, save_dataset
+
+        base = _digest_dataset()
+        save_dataset(base, tmp_path / f"d{suffix}")
+        again = load_dataset(tmp_path / f"d{suffix}")
+        assert dataset_digest(again) == dataset_digest(base)
+
+    def test_distinguishes_content(self):
+        base = _digest_dataset()
+        lats = base.lats.copy()
+        lats[2] = np.nextafter(lats[2], np.inf)  # one ulp
+        links = base.links.copy()
+        links[1] = links[1, ::-1]  # one link's endpoints swapped
+        variants = [
+            _digest_dataset(lats=lats),
+            _digest_dataset(label="digest2"),
+            _digest_dataset(links=links),
+            # The same values, moved between two columns.
+            _digest_dataset(lats=base.lons, lons=base.lats),
+        ]
+        digests = {dataset_digest(v) for v in variants}
+        assert len(digests) == len(variants)
+        assert dataset_digest(base) not in digests
+
+    def test_empty_links_hash_deterministically(self):
+        flat = _digest_dataset(links=np.empty(0, dtype=np.intp))
+        paired = _digest_dataset(links=np.empty((0, 2), dtype=np.int64))
+        assert dataset_digest(flat) == dataset_digest(paired)
+        assert dataset_digest(flat) == dataset_digest(flat)
+        assert dataset_digest(flat) != dataset_digest(_digest_dataset())
+
+    def test_framing_separates_columns(self):
+        import hashlib
+
+        from repro.obs.report import hash_column
+
+        def digest(*columns):
+            h = hashlib.sha256()
+            for name, values in columns:
+                hash_column(h, name, np.array(values, dtype=np.int64))
+            return h.hexdigest()
+
+        # Identical concatenated bytes, split differently.
+        assert digest(("a", [1, 2]), ("b", [3])) != digest(
+            ("a", [1]), ("b", [2, 3])
+        )
+        assert digest(("a", [1]), ("b", [2])) != digest(
+            ("b", [1]), ("a", [2])
+        )
 
 
 class TestRunReport:
