@@ -19,10 +19,11 @@ an :class:`AnalyticsEngine` maintains the same state *differentially*:
   integer bincounts, decremented at a moved row's old cell and
   incremented at its new one; the superlinearity exponent is re-fitted
   from the maintained tally (the fit itself is O(cells), cheap).
-- **AS dispersion** (Section VI): :class:`~repro.serve.index.SnapshotIndex`
-  already maintains per-AS summaries through a dirty-set update; the
-  engine aggregates them (hull-zero fraction, locations per AS, AS
-  degree) in O(n_ases).
+- **AS dispersion** (Section VI): the per-AS table
+  (:func:`~repro.core.asgeo.as_table`, memoised by the attached
+  :class:`~repro.serve.index.SnapshotIndex`) is built once per metric
+  snapshot; the engine aggregates it (hull-zero fraction, locations per
+  AS, AS degree) in O(n_ases).
 - **link domains** (Table VI): intradomain/interdomain link tallies are
   adjusted for appended links and for old links incident to remapped
   rows.
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bgp.table import UNMAPPED_ASN
+from repro.core.asgeo import AsTable, as_table
 from repro.core.distance import (
     EXACT_PAIR_LIMIT,
     N_BINS,
@@ -441,19 +443,12 @@ class AnalyticsEngine:
         if classified:
             out["intradomain_share"] = self.intradomain_links / classified
 
-        summaries = self._as_summaries()
-        out["ases"] = float(len(summaries))
-        if summaries:
-            hulls = np.array(
-                [s.hull_area_sq_miles for s in summaries.values()]
-            )
-            out["hull_zero_fraction"] = float(np.mean(hulls == 0.0))
-            out["mean_locations_per_as"] = float(
-                np.mean([s.n_locations for s in summaries.values()])
-            )
-            out["mean_as_degree"] = float(
-                np.mean([s.degree for s in summaries.values()])
-            )
+        table = self._as_table()
+        out["ases"] = float(table.n_ases)
+        if table.n_ases:
+            out["hull_zero_fraction"] = float(np.mean(table.hull_area == 0.0))
+            out["mean_locations_per_as"] = float(np.mean(table.n_locations))
+            out["mean_as_degree"] = float(np.mean(table.degree))
 
         for name, state in self.regions.items():
             out[f"region_nodes.{name}"] = float(state.n_nodes)
@@ -482,14 +477,12 @@ class AnalyticsEngine:
                     pass
         return out
 
-    def _as_summaries(self) -> dict:
-        """Per-AS summaries: the index's dirty-set-maintained table when
-        one is attached, a from-scratch build otherwise."""
+    def _as_table(self) -> AsTable:
+        """The per-AS table: the attached index's memoised one, else a
+        fresh build over the maintained dataset."""
         if self._index is not None:
-            return self._index.as_summaries()
-        from repro.serve.index import _as_tables
-
-        return _as_tables(self._dataset)[1]
+            return self._index.as_table()
+        return as_table(self._dataset)
 
     @property
     def dataset(self) -> MappedDataset:

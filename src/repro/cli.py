@@ -1001,7 +1001,7 @@ def _ingest_run_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro ingest run",
         description="Journal measurement deltas to a WAL, apply them "
-        "incrementally, and publish fresh snapshot generations "
+        "batch by batch, and publish fresh snapshot generations "
         "(see README 'Streaming ingestion')",
     )
     parser.add_argument(

@@ -1,7 +1,11 @@
 """Section VI: autonomous systems and geography.
 
-Four analyses:
+One per-AS table feeds every analysis:
 
+* :func:`as_table` — node count, distinct locations, AS-graph degree,
+  centroid and convex-hull extent of every mapped AS, built from one
+  AS-grouped sort.  The serving index (``/as/<asn>``) and the streaming
+  analytics read the same table.
 * :func:`as_size_measures` — per-AS size triple: node count (interfaces
   or routers), number of distinct locations, and degree in the AS graph.
 * :func:`size_distributions` / :func:`size_correlations` — Figures 7-8:
@@ -21,66 +25,153 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bgp.table import UNMAPPED_ASN
 from repro.core.stats import (
     ccdf_loglog_points,
     pearson_correlation,
     spearman_correlation,
     tail_span_decades,
 )
-from repro.datasets.mapped import MappedDataset
-from repro.errors import AnalysisError
-from repro.geo.hull import convex_hull_area
-from repro.geo.projection import WORLD_ALBERS, AlbersEqualArea
+from repro.datasets.mapped import LOCATION_DECIMALS, MappedDataset
+from repro.errors import AnalysisError, GeoError
+from repro.geo.hull import sorted_hull_area
+from repro.geo.projection import WORLD_ALBERS
 from repro.geo.regions import Region
 
 
 @dataclass(frozen=True)
-class AsSizeTable:
-    """Per-AS size measures, in parallel arrays.
+class AsTable:
+    """Section VI facts about every mapped AS, in parallel arrays.
 
     Attributes:
-        asns: AS numbers.
+        asns: sorted AS numbers (the unmapped sentinel is omitted).
         n_nodes: mapped nodes per AS.
         n_locations: distinct rounded locations per AS.
         degree: AS-graph degree per AS.
+        centroid_lat, centroid_lon: mean node position per AS.
+        hull_area: convex-hull extent per AS in square miles (world
+            Albers projection).
+        rows: node rows grouped by AS, ascending within each AS.
+        offsets: AS ``i`` owns ``rows[offsets[i]:offsets[i + 1]]``.
     """
 
     asns: np.ndarray
     n_nodes: np.ndarray
     n_locations: np.ndarray
     degree: np.ndarray
+    centroid_lat: np.ndarray
+    centroid_lon: np.ndarray
+    hull_area: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
 
     @property
     def n_ases(self) -> int:
         """Number of ASes in the table."""
         return int(self.asns.shape[0])
 
+    def find(self, asn: int) -> int:
+        """Position of ``asn`` in the table, or -1 when it is absent."""
+        i = int(np.searchsorted(self.asns, asn))
+        if i < self.asns.size and self.asns[i] == asn:
+            return i
+        return -1
 
-def as_size_measures(dataset: MappedDataset) -> AsSizeTable:
-    """Compute the three AS size measures from a dataset.
+    def nodes(self, i: int) -> np.ndarray:
+        """Node rows of the AS at position ``i``, ascending."""
+        return self.rows[self.offsets[i]:self.offsets[i + 1]]
+
+
+def _run_starts(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """True where a sorted entry starts a new run of (group, *keys)."""
+    starts = np.ones(group.size, dtype=bool)
+    if group.size:
+        change = group[1:] != group[:-1]
+        for key in keys:
+            change |= key[1:] != key[:-1]
+        starts[1:] = change
+    return starts
+
+
+def as_table(dataset: MappedDataset) -> AsTable:
+    """The per-AS table of a dataset, for every mapped AS.
+
+    Every figure equals a computation over that AS's own rows alone:
+    ``np.unique`` over rounded location keys, ``np.mean`` of the rows'
+    coordinates in row order, and
+    :func:`~repro.geo.hull.convex_hull_area` over the projected points.
+    The hull is only computed for ASes with at least three distinct
+    projected points; with fewer it is zero.
+
+    Raises:
+        GeoError: when a mapped node's projected position is not finite.
+    """
+    mapped = np.flatnonzero(dataset.asns != UNMAPPED_ASN)
+    rows = mapped[np.argsort(dataset.asns[mapped], kind="stable")]
+    starts = np.flatnonzero(_run_starts(dataset.asns[rows]))
+    asns = dataset.asns[rows[starts]]
+    offsets = np.append(starts, rows.size)
+    n_nodes = np.diff(offsets)
+    group = np.repeat(np.arange(asns.size), n_nodes)
+    lats = dataset.lats[rows]
+    lons = dataset.lons[rows]
+
+    key_lat = np.round(lats, LOCATION_DECIMALS)
+    key_lon = np.round(lons, LOCATION_DECIMALS)
+    order = np.lexsort((key_lon, key_lat, group))
+    new = _run_starts(group[order], key_lat[order], key_lon[order])
+    n_locations = np.bincount(group[order][new], minlength=asns.size)
+
+    # Distinct projected points per AS, sorted by (x, y) and deduped
+    # exactly as convex_hull does (first of each run kept); fewer than
+    # three have no extent.
+    x, y = WORLD_ALBERS.project(dataset.lats, dataset.lons)
+    x, y = x[rows], y[rows]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise GeoError("points must be finite")
+    order = np.lexsort((y, x, group))
+    order = order[_run_starts(group[order], x[order], y[order])]
+    bounds = np.searchsorted(group[order], np.arange(asns.size + 1)).tolist()
+    points = np.column_stack([x[order], y[order]]).tolist()
+    hull_area = np.zeros(asns.size)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi - lo >= 3:
+            hull_area[i] = sorted_hull_area(points[lo:hi])
+
+    # np.mean of a float array is np.add.reduce over it divided by the
+    # count; calling the reduction directly skips mean's overhead.
+    centroid_lat = np.empty(asns.size)
+    centroid_lon = np.empty(asns.size)
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), offsets[1:].tolist())):
+        centroid_lat[i] = np.add.reduce(lats[lo:hi]) / (hi - lo)
+        centroid_lon[i] = np.add.reduce(lons[lo:hi]) / (hi - lo)
+
+    return AsTable(
+        asns=asns,
+        n_nodes=n_nodes.astype(np.int64),
+        n_locations=n_locations.astype(np.int64),
+        degree=dataset.as_degree_array(),
+        centroid_lat=centroid_lat,
+        centroid_lon=centroid_lon,
+        hull_area=hull_area,
+        rows=rows,
+        offsets=offsets,
+    )
+
+
+def as_size_measures(dataset: MappedDataset) -> AsTable:
+    """The per-AS table, for its three size measures (Figures 7-8): node
+    count, distinct locations and AS degree.
 
     The unmapped sentinel group is omitted, as in the paper.
 
     Raises:
         AnalysisError: when the dataset maps no AS at all.
     """
-    asns = dataset.known_asns()
-    if asns.size == 0:
+    table = as_table(dataset)
+    if table.n_ases == 0:
         raise AnalysisError("dataset contains no AS-mapped nodes")
-    counts = dataset.as_node_counts()
-    degrees = dataset.as_degrees()
-    keys = dataset.location_keys()
-    n_nodes = np.zeros(asns.size, dtype=np.int64)
-    n_locations = np.zeros(asns.size, dtype=np.int64)
-    degree = np.zeros(asns.size, dtype=np.int64)
-    for i, asn in enumerate(asns):
-        nodes = dataset.nodes_of_as(int(asn))
-        n_nodes[i] = counts[int(asn)]
-        n_locations[i] = np.unique(keys[nodes], axis=0).shape[0]
-        degree[i] = degrees.get(int(asn), 0)
-    return AsSizeTable(
-        asns=asns, n_nodes=n_nodes, n_locations=n_locations, degree=degree
-    )
+    return table
 
 
 @dataclass(frozen=True)
@@ -100,7 +191,7 @@ class SizeDistributions:
     decades: dict[str, float]
 
 
-def size_distributions(table: AsSizeTable) -> SizeDistributions:
+def size_distributions(table: AsTable) -> SizeDistributions:
     """Figure 7's three complementary distributions."""
     return SizeDistributions(
         nodes_ccdf=ccdf_loglog_points(table.n_nodes),
@@ -137,7 +228,7 @@ def _log_pearson(x: np.ndarray, y: np.ndarray) -> float:
     return pearson_correlation(np.log10(x[keep]), np.log10(y[keep]))
 
 
-def size_correlations(table: AsSizeTable) -> SizeCorrelations:
+def size_correlations(table: AsTable) -> SizeCorrelations:
     """Figure 8's correlation summary.
 
     Raises:
@@ -187,31 +278,21 @@ class HullTable:
         return order, p
 
 
-def hull_areas(
-    dataset: MappedDataset,
-    region: Region | None = None,
-    projection: AlbersEqualArea = WORLD_ALBERS,
-) -> HullTable:
+def hull_areas(dataset: MappedDataset, region: Region | None = None) -> HullTable:
     """Convex-hull area of every AS's node set (Figure 9 input).
 
-    When ``region`` is given the dataset is first restricted to it, as in
-    the paper's US/Europe panels.
+    A view of :func:`as_table`.  When ``region`` is given the dataset is
+    first restricted to it, as in the paper's US/Europe panels.
 
     Raises:
         AnalysisError: when no AS-mapped nodes remain.
     """
     if region is not None:
         dataset = dataset.restrict(region)
-    asns = dataset.known_asns()
-    if asns.size == 0:
+    table = as_table(dataset)
+    if table.n_ases == 0:
         raise AnalysisError("no AS-mapped nodes for hull analysis")
-    x, y = projection.project(dataset.lats, dataset.lons)
-    areas = np.zeros(asns.size)
-    for i, asn in enumerate(asns):
-        nodes = dataset.nodes_of_as(int(asn))
-        points = np.column_stack([x[nodes], y[nodes]])
-        areas[i] = convex_hull_area(points)
-    return HullTable(asns=asns, areas=areas)
+    return HullTable(asns=table.asns, areas=table.hull_area)
 
 
 @dataclass(frozen=True)
@@ -245,7 +326,7 @@ class DispersalSummary:
 
 
 def hull_vs_size(
-    table: AsSizeTable,
+    table: AsTable,
     hulls: HullTable,
     size_measure: str = "nodes",
     cutoff: float | None = None,

@@ -15,7 +15,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from repro.core.asgeo import (
-    AsSizeTable,
+    AsTable,
     DispersalSummary,
     HullTable,
     LinkDomainRow,
@@ -343,7 +343,7 @@ class AsGeographyResult:
         dispersal: Figure 10 summaries per size measure.
     """
 
-    table: AsSizeTable
+    table: AsTable
     distributions: SizeDistributions
     correlations: SizeCorrelations
     hulls_world: HullTable

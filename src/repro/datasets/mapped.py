@@ -168,13 +168,31 @@ class MappedDataset:
             edges.add((int(min(x, y)), int(max(x, y))))
         return edges
 
+    def as_degree_array(self) -> np.ndarray:
+        """AS-graph degree of each of :meth:`known_asns`, in that order.
+
+        Distinct AS adjacencies are counted once however many
+        interdomain links realise them.
+        """
+        asns = self.known_asns()
+        degree = np.zeros(asns.size, dtype=np.int64)
+        mask = self.interdomain_mask()
+        if mask.any():
+            a = np.searchsorted(asns, self.asns[self.links[mask, 0]])
+            b = np.searchsorted(asns, self.asns[self.links[mask, 1]])
+            # Distinct edges by sort and compare: np.unique hashes
+            # integers, which is several times slower at this size.
+            edges = np.sort(np.minimum(a, b) * asns.size + np.maximum(a, b))
+            edges = edges[np.append(True, edges[1:] != edges[:-1])]
+            degree += np.bincount(edges // asns.size, minlength=asns.size)
+            degree += np.bincount(edges % asns.size, minlength=asns.size)
+        return degree
+
     def as_degrees(self) -> dict[int, int]:
-        """ASN -> degree in the AS graph."""
-        degrees: dict[int, int] = {int(a): 0 for a in self.known_asns()}
-        for x, y in self.as_graph_edges():
-            degrees[x] = degrees.get(x, 0) + 1
-            degrees[y] = degrees.get(y, 0) + 1
-        return degrees
+        """ASN -> degree in the AS graph, every known ASN (zeros included)."""
+        return dict(
+            zip(self.known_asns().tolist(), self.as_degree_array().tolist())
+        )
 
     def nodes_of_as(self, asn: int) -> np.ndarray:
         """Node indices mapped to the given AS."""

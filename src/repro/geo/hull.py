@@ -14,11 +14,6 @@ import numpy as np
 from repro.errors import GeoError
 
 
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Z-component of the cross product (a - o) x (b - o)."""
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
-
-
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Convex hull of 2-D points via Andrew's monotone chain.
 
@@ -47,24 +42,35 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     keep = np.ones(pts.shape[0], dtype=bool)
     keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
     pts = pts[keep]
-    n = pts.shape[0]
-    if n <= 2:
+    if pts.shape[0] <= 2:
         return pts.copy()
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = monotone_chain(pts.tolist())
     if len(hull) < 3:  # fully collinear set
         return np.vstack([pts[0], pts[-1]])
-    return np.vstack(hull)
+    return np.array(hull)
+
+
+def monotone_chain(coords: list[list[float]]) -> list[list[float]]:
+    """Hull vertices, counter-clockwise, of distinct points sorted by
+    (x, y); fewer than three when the points are collinear.
+
+    Walks Python floats: the same IEEE arithmetic as numpy scalars
+    without their per-element overhead.
+    """
+    chains = []
+    for walk in (coords, coords[::-1]):
+        chain: list[list[float]] = []
+        for p in walk:
+            px, py = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -79,7 +85,9 @@ def polygon_area(vertices: np.ndarray) -> float:
         return 0.0
     x = v[:, 0]
     y = v[:, 1]
-    return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return float(abs(np.dot(x, y_next) - np.dot(y, x_next)) / 2.0)
 
 
 def convex_hull_area(points: np.ndarray) -> float:
@@ -89,3 +97,10 @@ def convex_hull_area(points: np.ndarray) -> float:
     locations to the plane, then call this.
     """
     return polygon_area(convex_hull(points))
+
+
+def sorted_hull_area(coords: list[list[float]]) -> float:
+    """:func:`convex_hull_area` of distinct points already sorted by
+    (x, y), skipping the validation, sort and dedupe."""
+    hull = monotone_chain(coords)
+    return polygon_area(np.array(hull)) if len(hull) >= 3 else 0.0

@@ -1,12 +1,12 @@
-"""Streaming ingestion: delta batches -> WAL -> incremental snapshots.
+"""Streaming ingestion: delta batches -> WAL -> patched snapshots.
 
 The continuously-updatable serving path: measurement deltas
 (:mod:`repro.ingest.deltas`) are journaled to a crash-safe write-ahead
-log (:mod:`repro.ingest.wal`), applied incrementally to datasets,
-topologies (:mod:`repro.ingest.apply`), and the serving index
-(:meth:`repro.serve.index.SnapshotIndex.apply_delta`), and published as
-verified generation snapshots that hot-reload the cluster
-(:mod:`repro.ingest.publisher`, :mod:`repro.ingest.runner`).
+log (:mod:`repro.ingest.wal`), applied to datasets and topologies
+(:mod:`repro.ingest.apply`), turned into a serving index rebuilt from
+the patched dataset (:meth:`repro.serve.index.SnapshotIndex.apply_delta`),
+and published as verified generation snapshots that hot-reload the
+cluster (:mod:`repro.ingest.publisher`, :mod:`repro.ingest.runner`).
 """
 
 from repro.ingest.apply import (

@@ -11,12 +11,12 @@ are pruned once the fleet no longer needs them.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
 from repro.datasets.mapped import MappedDataset
 from repro.datasets.serialize import load_dataset_npz, save_dataset_npz
+from repro.durable import durable_replace
 from repro.errors import DatasetError, IngestError, ReproError
 from repro.obs.bus import publish as bus_publish
 from repro.obs.metrics import incr, set_gauge
@@ -26,22 +26,6 @@ from repro.obs.report import dataset_digest
 #: shards hold their staged snapshots in memory, so history is only for
 #: operators and late joiners).
 DEFAULT_KEEP_GENERATIONS = 3
-
-
-def durable_replace(tmp: Path, path: Path) -> None:
-    """``os.replace`` that survives power loss: fsync ``tmp``'s data,
-    rename, then fsync the directory so the rename itself is on disk."""
-    _fsync(tmp)
-    os.replace(tmp, path)
-    _fsync(path.parent)
-
-
-def _fsync(target: Path) -> None:
-    fd = os.open(target, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SnapshotPublisher:

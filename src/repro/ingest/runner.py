@@ -1,4 +1,4 @@
-"""The ingester: WAL-journaled, incrementally indexed, auto-published.
+"""The ingester: WAL-journaled, re-indexed per batch, auto-published.
 
 An :class:`Ingester` owns one ingest directory holding the write-ahead
 log, a checkpoint, and the published generation files::
@@ -32,9 +32,10 @@ from types import SimpleNamespace
 
 from repro.datasets.mapped import MappedDataset
 from repro.datasets.serialize import load_dataset
+from repro.durable import durable_replace
 from repro.errors import IngestError
 from repro.ingest.deltas import DeltaBatch, delta_digest
-from repro.ingest.publisher import SnapshotPublisher, durable_replace
+from repro.ingest.publisher import SnapshotPublisher
 from repro.ingest.wal import WriteAheadLog
 from repro.obs.bus import publish as bus_publish
 from repro.obs.metrics import current_metrics, incr, set_gauge

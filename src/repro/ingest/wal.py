@@ -15,7 +15,8 @@ The file layout is a fixed header followed by self-describing records::
   and anything after it (a partial header, a short payload, a corrupt
   byte) is truncated away — the classic redo-log recovery contract;
 - **appends** are flushed and ``fsync``\\ ed by default, so an
-  acknowledged ``append`` survives a process kill.
+  acknowledged ``append`` survives a process kill; a newly created log
+  also fsyncs its directory, so the file itself survives power loss.
 
 The log stores opaque payload bytes; the delta-aware conveniences
 (:meth:`WriteAheadLog.append_delta` / :meth:`replay_deltas`) wrap
@@ -31,6 +32,7 @@ import threading
 from pathlib import Path
 from typing import Iterator
 
+from repro.durable import fsync_path
 from repro.errors import IngestError
 from repro.ingest.deltas import DeltaBatch, delta_from_bytes, delta_to_bytes
 
@@ -66,6 +68,8 @@ class WriteAheadLog:
                 handle.write(_FILE_HEADER.pack(_FILE_MAGIC, _FILE_VERSION))
                 handle.flush()
                 os.fsync(handle.fileno())
+            # The new file's directory entry must survive power loss too.
+            fsync_path(self.path.parent)
             self._handle = self.path.open("r+b")
             self._handle.seek(0, os.SEEK_END)
             return

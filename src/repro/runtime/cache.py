@@ -23,6 +23,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.durable import durable_replace
 from repro.errors import CacheError
 
 #: Bump when the key derivation or on-disk layout changes.
@@ -149,7 +150,7 @@ class ArtifactCache:
         return False, None
 
     def store(self, key: str, value: Any, codec: str = "pickle") -> None:
-        """Write an artifact under a key (atomic via temp file + rename)."""
+        """Write an artifact under a key (temp file + durable rename)."""
         _, dump, _ = self._codec(codec)
         path = self._path(key, codec)
         tmp = path.with_name(
@@ -157,7 +158,7 @@ class ArtifactCache:
         )
         try:
             dump(value, tmp)
-            os.replace(tmp, path)
+            durable_replace(tmp, path)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
             raise CacheError(f"cannot write cache entry {path}: {exc}")

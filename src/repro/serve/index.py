@@ -7,8 +7,9 @@ handling never touches O(n) scans:
 - address -> node row via one sorted-array ``searchsorted`` (O(log n),
   vectorised for batches);
 - node degree from the link table (one ``bincount`` at build);
-- per-AS summaries (node/location counts, centroid, convex-hull extent,
-  AS-graph degree) computed once for every mapped AS;
+- the per-AS table (node/location counts, centroid, convex-hull extent,
+  AS-graph degree; :func:`repro.core.asgeo.as_table`), computed lazily
+  on the first ``/as`` question and memoised;
 - a grid-bucketed spatial index (the paper's 75-arc-minute patches)
   backing nearest-node and radius queries by ring search;
 - per-region distance-preference tables (Section V's ``f_hat(d)``),
@@ -16,18 +17,16 @@ handling never touches O(n) scans:
   one genuinely expensive build step, so cold start does not pay it.
 
 The index is immutable after construction and safe for concurrent
-readers; the only mutation is the memoised preference table behind a
-lock.  Streaming updates go through :meth:`SnapshotIndex.apply_delta`,
-which returns a *new* index with only the affected derived structures
-re-computed — bit-identical to a from-scratch build of the patched
-dataset.  The expensive derived tables can round-trip through a sidecar
-``.npz`` (:meth:`SnapshotIndex.save_derived`) so restarts skip
-recomputation when the snapshot hash still matches.
+readers; the only mutations are the memoised lazy tables.  Streaming
+updates go through :meth:`SnapshotIndex.apply_delta`, which patches the
+dataset and builds a *new* index from scratch, one generation on.  The
+address and grid tables can round-trip through a sidecar ``.npz``
+(:meth:`SnapshotIndex.save_derived`) so restarts skip recomputation
+when the snapshot hash still matches.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import zipfile
@@ -37,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bgp.table import UNMAPPED_ASN
+from repro.core.asgeo import AsTable, as_table
 from repro.core.distance import (
     EXACT_PAIR_LIMIT,
     N_BINS,
@@ -48,10 +48,9 @@ from repro.core.distance import (
     preference_function,
 )
 from repro.datasets.mapped import MappedDataset
+from repro.durable import durable_replace
 from repro.errors import AnalysisError, ServeError
 from repro.geo.distance import haversine_miles, link_lengths_miles
-from repro.geo.hull import convex_hull_area
-from repro.geo.projection import WORLD_ALBERS
 from repro.geo.regions import STUDY_REGIONS, Region, WORLD
 from repro.obs.report import dataset_digest
 
@@ -89,6 +88,23 @@ class AsSummary:
     def to_dict(self) -> dict:
         """JSON-ready view."""
         return asdict(self)
+
+
+def _as_record(dataset: MappedDataset, table: AsTable, i: int) -> dict:
+    """The ``/as/<asn>`` payload of the AS at position ``i``: the
+    :class:`AsSummary` fields plus up to five sample addresses in
+    dataset order."""
+    sample = dataset.addresses[table.nodes(i)[:5]]
+    return {
+        "asn": int(table.asns[i]),
+        "n_nodes": int(table.n_nodes[i]),
+        "n_locations": int(table.n_locations[i]),
+        "degree": int(table.degree[i]),
+        "centroid_lat": float(table.centroid_lat[i]),
+        "centroid_lon": float(table.centroid_lon[i]),
+        "hull_area_sq_miles": float(table.hull_area[i]),
+        "sample_addresses": [int(a) for a in sample],
+    }
 
 
 @dataclass
@@ -160,9 +176,9 @@ class SnapshotIndex:
         self.partition = partition
         self.cell_arcmin = float(cell_arcmin)
         # The content digest is lazy: a full-table sha over the dataset
-        # costs milliseconds, and per-batch incremental patching should
-        # not pay it — publishers and health endpoints force it when
-        # they actually need it (see the snapshot_hash property).
+        # costs milliseconds, and the per-batch rebuild in apply_delta
+        # should not pay it — publishers and health endpoints force it
+        # when they actually need it (see the snapshot_hash property).
         self._snapshot_hash: str | None = (
             partition.snapshot_hash if partition is not None else None
         )
@@ -216,27 +232,21 @@ class SnapshotIndex:
             self._cells = self._cell_of(dataset.lats, dataset.lons)
             self._cell_order = np.argsort(self._cells, kind="stable")
         sorted_cells = self._cells[self._cell_order]
-        uniq, starts = np.unique(sorted_cells, return_index=True)
+        first = np.ones(sorted_cells.size, dtype=bool)
+        first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+        starts = np.flatnonzero(first)
         stops = np.append(starts[1:], sorted_cells.size)
-        self._cell_slices: dict[int, tuple[int, int]] = {
-            int(c): (int(a), int(b)) for c, a, b in zip(uniq, starts, stops)
-        }
-
-        # Per-AS summaries.  A partition ships precomputed full-snapshot
-        # records for its owned ASes instead (see build_partition).
-        self._as_records: dict[int, dict] | None = None
-        if partition is not None:
-            self._as_nodes: dict[int, np.ndarray] = {}
-            self._as_summaries: dict[int, AsSummary] = {}
-            self._as_records = partition.as_records
-            self._as_edge_mult: dict[tuple[int, int], int] | None = None
-            self._as_degrees: dict[int, int] | None = None
-        else:
-            self._as_edge_mult = _as_edge_table(dataset)
-            self._as_degrees = _degrees_from_edges(self._as_edge_mult)
-            self._as_nodes, self._as_summaries = _as_tables(
-                dataset, as_degrees=self._as_degrees
+        self._cell_slices: dict[int, tuple[int, int]] = dict(
+            zip(
+                sorted_cells[starts].tolist(),
+                zip(starts.tolist(), stops.tolist()),
             )
+        )
+
+        # Per-AS table: lazy, like the content digest (see as_table).  A
+        # partition ships precomputed full-snapshot records for its
+        # owned ASes instead (see build_partition).
+        self._as_table: AsTable | None = None
 
         # Distance-preference tables: lazy, memoised per region.
         self._pref_lock = threading.Lock()
@@ -322,29 +332,19 @@ class SnapshotIndex:
 
         # AS ownership: the shard whose range holds the AS's minimum
         # interface address serves its (full-snapshot) record.
-        owned_asns: set[int] = set()
-        if dataset.n_nodes:
-            order = np.lexsort((addresses, dataset.asns))
-            sorted_asns = dataset.asns[order]
-            uniq, starts = np.unique(sorted_asns, return_index=True)
-            min_addrs = addresses[order[starts]]
-            for asn, min_addr in zip(uniq, min_addrs):
-                if int(asn) == UNMAPPED_ASN:
-                    continue
-                if (addr_lo is None or min_addr >= addr_lo) and (
-                    addr_hi is None or min_addr < addr_hi
-                ):
-                    owned_asns.add(int(asn))
-        as_nodes, as_summaries = _as_tables(dataset, only=owned_asns)
-        as_records = {
-            asn: {
-                **summary.to_dict(),
-                "sample_addresses": [
-                    int(addresses[row]) for row in as_nodes[asn][:5]
-                ],
-            }
-            for asn, summary in as_summaries.items()
-        }
+        table = as_table(dataset)
+        as_records: dict[int, dict] = {}
+        if table.n_ases:
+            min_addrs = np.minimum.reduceat(
+                addresses[table.rows], table.offsets[:-1]
+            )
+            owned = np.ones(table.n_ases, dtype=bool)
+            if addr_lo is not None:
+                owned &= min_addrs >= addr_lo
+            if addr_hi is not None:
+                owned &= min_addrs < addr_hi
+            for i in np.flatnonzero(owned).tolist():
+                as_records[int(table.asns[i])] = _as_record(dataset, table, i)
 
         pdata = PartitionData(
             snapshot_hash=dataset_digest(dataset),
@@ -360,34 +360,13 @@ class SnapshotIndex:
         )
         return cls(part, cell_arcmin, partition=pdata, derived=derived)
 
-    # -- incremental updates -------------------------------------------------
+    # -- delta updates -------------------------------------------------------
 
     def apply_delta(self, batch) -> "SnapshotIndex":
-        """A new index for this snapshot patched by one delta batch.
-
-        Only the derived structures the batch actually touches are
-        re-computed; everything else is shared with (or copied from)
-        this index:
-
-        - the sorted address run gains the added addresses by
-          merge-insertion (``searchsorted`` + ``insert``);
-        - degrees extend by zeros and count only the new link rows;
-        - only dirty grid cells (cells gaining or losing a node) are
-          re-grouped; untouched cells splice through unchanged;
-        - only dirty ASes (membership, coordinates, or AS-graph degree
-          changed) get their summary rebuilt, driven by a maintained
-          AS-edge multiset;
-        - distance-preference tables reset to lazy (their inputs may
-          have changed anywhere).
-
-        The result is **bit-identical** to ``SnapshotIndex(patched
-        dataset)`` built from scratch — same arrays, same query answers
-        — because every incremental step reproduces the from-scratch
-        computation on identical inputs (insertion into a sorted unique
-        run equals a stable argsort; integer degree addition commutes;
-        the Albers projection and all summary statistics are
-        elementwise over each AS's own rows).  ``gen`` increments and
-        ``built_unix``/``build_seconds`` describe the patch.
+        """A new index, one ``gen`` on, built from scratch over this
+        snapshot patched by one delta batch
+        (:func:`~repro.ingest.apply.patch_dataset`).  Its lazy tables
+        (content digest, per-AS table, distance preference) start empty.
 
         Raises:
             IngestError: when the batch does not fit this snapshot.
@@ -400,219 +379,15 @@ class SnapshotIndex:
             )
         from repro.ingest.apply import patch_dataset
 
-        start = time.perf_counter()
-        dataset, info = patch_dataset(self.dataset, batch)
-        new = object.__new__(SnapshotIndex)
-        new.dataset = dataset
-        new.partition = None
-        new.cell_arcmin = self.cell_arcmin
-        new.derived_loaded = False
-        new._snapshot_hash = None  # lazy, like a fresh build's
-
-        n_old = info.n_old_nodes
-        added = info.added_rows
-        moved = info.moved_rows
-
-        # Sorted address run: merge-insert the (unique) added addresses.
-        if added.size:
-            add_sort = np.argsort(dataset.addresses[added], kind="stable")
-            add_addrs = dataset.addresses[added][add_sort]
-            pos = np.searchsorted(self._sorted_addresses, add_addrs)
-            new._sorted_addresses = np.insert(
-                self._sorted_addresses, pos, add_addrs
-            )
-            new._addr_order = np.insert(
-                self._addr_order, pos, added[add_sort]
-            )
-        else:
-            new._sorted_addresses = self._sorted_addresses
-            new._addr_order = self._addr_order
-
-        # Degrees: extend by zeros, count only the appended links.
-        degrees = np.concatenate(
-            [self._degrees, np.zeros(added.size, dtype=np.int64)]
-        )
-        if info.new_link_rows.size:
-            np.add.at(
-                degrees, dataset.links[info.new_link_rows].ravel(), 1
-            )
-        new._degrees = degrees
-
-        # Grid: re-group only the dirty cells.
-        new._region = self._region
-        new._cell_deg = self._cell_deg
-        new._n_rows = self._n_rows
-        new._n_cols = self._n_cols
-        cells = np.concatenate(
-            [self._cells, np.zeros(added.size, dtype=self._cells.dtype)]
-        )
-        changed = np.unique(np.concatenate([added, moved])).astype(np.intp)
-        moved_old = moved[moved < n_old]
-        if changed.size:
-            cells[changed] = new._cell_of(
-                dataset.lats[changed], dataset.lons[changed]
-            )
-            changed_cells = cells[changed]
-            dirty = set(changed_cells.tolist())
-            dirty.update(self._cells[moved_old].tolist())
-            parts: list[np.ndarray] = []
-            slices: dict[int, tuple[int, int]] = {}
-            offset = 0
-            for cell in sorted(set(self._cell_slices) | dirty):
-                if cell in dirty:
-                    lo_hi = self._cell_slices.get(cell)
-                    if lo_hi is None:
-                        members = np.empty(0, dtype=np.intp)
-                    else:
-                        members = self._cell_order[lo_hi[0]:lo_hi[1]]
-                    if moved_old.size:
-                        members = members[~np.isin(members, moved_old)]
-                    entering = changed[changed_cells == cell]
-                    members = np.sort(
-                        np.concatenate([members, entering])
-                    )
-                else:
-                    lo, hi = self._cell_slices[cell]
-                    members = self._cell_order[lo:hi]
-                if members.size:
-                    parts.append(members)
-                    slices[cell] = (offset, offset + members.size)
-                    offset += members.size
-            new._cell_order = (
-                np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.intp)
-            )
-            new._cell_slices = slices
-        else:
-            new._cell_order = self._cell_order
-            new._cell_slices = self._cell_slices
-        new._cells = cells
-
-        # AS tables: maintain the edge multiset, rebuild dirty ASes.
-        new._as_records = None
-        as_nodes = dict(self._as_nodes)
-        edge_mult = dict(self._as_edge_mult or {})
-        as_degrees = dict(self._as_degrees or {})
-        dirty_as: set[int] = set()
-
-        remapped = info.remapped_rows[info.remapped_rows < n_old]
-        if remapped.size:
-            old_as = self.dataset.asns[remapped]
-            new_as = dataset.asns[remapped]
-            really = old_as != new_as
-            remapped = remapped[really]
-            old_as, new_as = old_as[really], new_as[really]
-        else:
-            old_as = new_as = np.empty(0, dtype=np.int64)
-        for asn in np.unique(old_as).tolist():
-            asn = int(asn)
-            if asn == UNMAPPED_ASN:
-                continue
-            gone = remapped[old_as == asn]
-            members = as_nodes[asn][~np.isin(as_nodes[asn], gone)]
-            if members.size:
-                as_nodes[asn] = members
-            else:
-                del as_nodes[asn]
-            dirty_as.add(asn)
-        for asn in np.unique(new_as).tolist():
-            asn = int(asn)
-            if asn == UNMAPPED_ASN:
-                continue
-            came = np.sort(remapped[new_as == asn])
-            members = as_nodes.get(asn, np.empty(0, dtype=np.intp))
-            as_nodes[asn] = np.insert(
-                members, np.searchsorted(members, came), came
-            )
-            dirty_as.add(asn)
-        if added.size:
-            added_as = dataset.asns[added]
-            for asn in np.unique(added_as).tolist():
-                asn = int(asn)
-                if asn == UNMAPPED_ASN:
-                    continue
-                rows = added[added_as == asn]
-                members = as_nodes.get(asn, np.empty(0, dtype=np.intp))
-                as_nodes[asn] = np.concatenate([members, rows])
-                dirty_as.add(asn)
-        if moved.size:
-            for asn in np.unique(dataset.asns[moved]).tolist():
-                asn = int(asn)
-                if asn != UNMAPPED_ASN:
-                    dirty_as.add(asn)
-
-        def bump(asn_a: int, asn_b: int, delta: int) -> None:
-            # One link's worth of AS-edge multiplicity; 0 <-> positive
-            # transitions change distinct-edge degrees.
-            if asn_a == UNMAPPED_ASN or asn_b == UNMAPPED_ASN:
-                return
-            if asn_a == asn_b:
-                return
-            key = (min(asn_a, asn_b), max(asn_a, asn_b))
-            before = edge_mult.get(key, 0)
-            after = before + delta
-            if after:
-                edge_mult[key] = after
-            else:
-                edge_mult.pop(key, None)
-            if (before == 0) != (after == 0):
-                step = 1 if after else -1
-                for asn in key:
-                    total = as_degrees.get(asn, 0) + step
-                    if total:
-                        as_degrees[asn] = total
-                    else:
-                        as_degrees.pop(asn, None)
-                    dirty_as.add(asn)
-
-        if remapped.size and self.dataset.n_links:
-            links = self.dataset.links
-            incident = np.flatnonzero(
-                np.isin(links[:, 0], remapped)
-                | np.isin(links[:, 1], remapped)
-            )
-            for li in incident.tolist():
-                i, j = int(links[li, 0]), int(links[li, 1])
-                bump(
-                    int(self.dataset.asns[i]),
-                    int(self.dataset.asns[j]),
-                    -1,
-                )
-                bump(int(dataset.asns[i]), int(dataset.asns[j]), 1)
-        for li in info.new_link_rows.tolist():
-            i, j = int(dataset.links[li, 0]), int(dataset.links[li, 1])
-            bump(int(dataset.asns[i]), int(dataset.asns[j]), 1)
-
-        as_summaries = dict(self._as_summaries)
-        for asn in sorted(dirty_as):
-            nodes = as_nodes.get(asn)
-            if nodes is None or nodes.size == 0:
-                as_nodes.pop(asn, None)
-                as_summaries.pop(asn, None)
-                continue
-            xs, ys = WORLD_ALBERS.project(
-                dataset.lats[nodes], dataset.lons[nodes]
-            )
-            as_summaries[asn] = _as_summary(
-                dataset, asn, nodes, int(as_degrees.get(asn, 0)), xs, ys
-            )
-        new._as_nodes = as_nodes
-        new._as_summaries = as_summaries
-        new._as_edge_mult = edge_mult
-        new._as_degrees = as_degrees
-
-        new._pref_lock = threading.Lock()
-        new._pref_tables = {}
-        new._partial_tables = {}
+        dataset, _ = patch_dataset(self.dataset, batch)
+        new = SnapshotIndex(dataset, self.cell_arcmin)
         new.gen = self.gen + 1
-        new.built_unix = time.time()
-        new.build_seconds = time.perf_counter() - start
         return new
 
     # -- derived-table sidecar -----------------------------------------------
 
     def save_derived(self, path: str | Path) -> None:
-        """Persist the derived tables to a sidecar ``.npz``, atomically.
+        """Persist the derived tables to a sidecar ``.npz``, durably.
 
         Stores the sorted address index, degrees, and grid bucketing
         keyed by snapshot hash, cell size, and (for a partition) the
@@ -645,7 +420,7 @@ class SnapshotIndex:
                 cells=self._cells.astype(np.int64),
                 cell_order=self._cell_order.astype(np.int64),
             )
-        os.replace(tmp, path)
+        durable_replace(tmp, path)
 
     # -- address lookups -----------------------------------------------------
 
@@ -891,20 +666,34 @@ class SnapshotIndex:
 
     # -- AS summaries --------------------------------------------------------
 
+    def as_table(self) -> AsTable:
+        """The per-AS table of this snapshot (computed lazily, cached).
+
+        Raises:
+            ServeError: on a partition, which serves per-AS records.
+        """
+        if self.partition is not None:
+            raise ServeError("the AS table is unavailable on a partition")
+        if self._as_table is None:
+            self._as_table = as_table(self.dataset)
+        return self._as_table
+
     def as_summary(self, asn: int) -> AsSummary | None:
-        """The precomputed summary of one AS (None when unknown)."""
-        if self._as_records is not None:
-            record = self._as_records.get(asn)
-            if record is None:
-                return None
-            return AsSummary(
-                **{k: v for k, v in record.items() if k != "sample_addresses"}
-            )
-        return self._as_summaries.get(asn)
+        """The summary of one AS (None when unknown)."""
+        record = self.as_record(asn)
+        if record is None:
+            return None
+        return AsSummary(
+            **{k: v for k, v in record.items() if k != "sample_addresses"}
+        )
 
     def as_nodes(self, asn: int) -> np.ndarray:
-        """Node rows mapped to an AS (empty when unknown)."""
-        return self._as_nodes.get(asn, np.empty(0, dtype=np.intp))
+        """Node rows mapped to an AS (empty when unknown or on a partition)."""
+        if self.partition is not None:
+            return np.empty(0, dtype=np.intp)
+        table = self.as_table()
+        i = table.find(asn)
+        return np.empty(0, dtype=np.intp) if i < 0 else table.nodes(i)
 
     def as_record(self, asn: int) -> dict | None:
         """The full ``/as/<asn>`` payload (None when unknown).
@@ -915,32 +704,18 @@ class SnapshotIndex:
         index would build — so the coordinator can relay one shard's
         answer verbatim.
         """
-        if self._as_records is not None:
-            return self._as_records.get(asn)
-        summary = self._as_summaries.get(asn)
-        if summary is None:
-            return None
-        nodes = self._as_nodes[asn]
-        sample = [int(self.dataset.addresses[row]) for row in nodes[:5]]
-        return {**summary.to_dict(), "sample_addresses": sample}
+        if self.partition is not None:
+            return self.partition.as_records.get(asn)
+        table = self.as_table()
+        i = table.find(asn)
+        return None if i < 0 else _as_record(self.dataset, table, i)
 
     @property
     def n_ases(self) -> int:
         """Number of mapped ASes (owned ASes, on a partition)."""
-        if self._as_records is not None:
-            return len(self._as_records)
-        return len(self._as_summaries)
-
-    def as_summaries(self) -> dict[int, AsSummary]:
-        """Every maintained AS summary, keyed by ASN.
-
-        A live view of the dirty-set-maintained table (callers must not
-        mutate it); only available on a full index — a partition serves
-        per-AS records instead.
-        """
-        if self._as_records is not None:
-            raise ServeError("as_summaries is unavailable on a partition")
-        return self._as_summaries
+        if self.partition is not None:
+            return len(self.partition.as_records)
+        return self.as_table().n_ases
 
     # -- distance preference -------------------------------------------------
 
@@ -1114,119 +889,6 @@ class SnapshotIndex:
                 "n_full_nodes": self.partition.n_full_nodes,
             }
         return facts
-
-
-def _as_tables(
-    dataset: MappedDataset,
-    only: set[int] | None = None,
-    as_degrees: dict[int, int] | None = None,
-) -> tuple[dict[int, np.ndarray], dict[int, AsSummary]]:
-    """Per-AS node lists and summaries for every mapped AS.
-
-    ``only`` restricts the output to a subset of ASNs (a partition's
-    owned ASes) without changing any individual summary — each AS's
-    figures depend only on its own nodes and the AS graph, so the
-    restricted results match the full run entry for entry.
-    ``as_degrees`` supplies precomputed AS-graph degrees (they must
-    equal :meth:`MappedDataset.as_degrees`, the default).
-    """
-    as_nodes: dict[int, np.ndarray] = {}
-    as_summaries: dict[int, AsSummary] = {}
-    if dataset.n_nodes == 0:
-        return as_nodes, as_summaries
-    if as_degrees is None:
-        as_degrees = dataset.as_degrees()
-    as_order = np.argsort(dataset.asns, kind="stable")
-    sorted_asns = dataset.asns[as_order]
-    a_uniq, a_starts = np.unique(sorted_asns, return_index=True)
-    a_stops = np.append(a_starts[1:], sorted_asns.size)
-    x, y = WORLD_ALBERS.project(dataset.lats, dataset.lons)
-    for asn, lo, hi in zip(a_uniq, a_starts, a_stops):
-        asn = int(asn)
-        if asn == UNMAPPED_ASN or (only is not None and asn not in only):
-            continue
-        nodes = as_order[lo:hi]
-        as_nodes[asn] = nodes
-        as_summaries[asn] = _as_summary(
-            dataset,
-            asn,
-            nodes,
-            int(as_degrees.get(asn, 0)),
-            x[nodes],
-            y[nodes],
-        )
-    return as_nodes, as_summaries
-
-
-def _as_summary(
-    dataset: MappedDataset,
-    asn: int,
-    nodes: np.ndarray,
-    degree: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> AsSummary:
-    """One AS's summary from its node rows and projected coordinates.
-
-    Shared between the from-scratch build and the incremental path —
-    both feed it identical inputs (the projection is elementwise, so
-    projecting only this AS's rows equals slicing a full projection),
-    which is what makes incremental summaries bit-identical.
-    """
-    keys = np.unique(
-        np.column_stack(
-            [
-                np.round(dataset.lats[nodes], 1),
-                np.round(dataset.lons[nodes], 1),
-            ]
-        ),
-        axis=0,
-    )
-    return AsSummary(
-        asn=asn,
-        n_nodes=int(nodes.size),
-        n_locations=int(keys.shape[0]),
-        degree=degree,
-        centroid_lat=float(np.mean(dataset.lats[nodes])),
-        centroid_lon=float(np.mean(dataset.lons[nodes])),
-        hull_area_sq_miles=convex_hull_area(np.column_stack([xs, ys])),
-    )
-
-
-def _as_edge_table(dataset: MappedDataset) -> dict[tuple[int, int], int]:
-    """Multiset of AS-graph edges: (low, high) ASN pair -> link count.
-
-    The incremental-update bookkeeping: distinct keys are exactly
-    :meth:`MappedDataset.as_graph_edges`, and the multiplicities let a
-    delta apply know when removing one link dissolves an AS adjacency.
-    """
-    mult: dict[tuple[int, int], int] = {}
-    if dataset.n_links == 0:
-        return mult
-    a = dataset.asns[dataset.links[:, 0]]
-    b = dataset.asns[dataset.links[:, 1]]
-    keep = (a != UNMAPPED_ASN) & (b != UNMAPPED_ASN) & (a != b)
-    if not keep.any():
-        return mult
-    low = np.minimum(a[keep], b[keep])
-    high = np.maximum(a[keep], b[keep])
-    pairs, counts = np.unique(
-        np.column_stack([low, high]), axis=0, return_counts=True
-    )
-    for (x, y), count in zip(pairs.tolist(), counts.tolist()):
-        mult[(int(x), int(y))] = int(count)
-    return mult
-
-
-def _degrees_from_edges(
-    mult: dict[tuple[int, int], int]
-) -> dict[int, int]:
-    """AS-graph degree per ASN from the edge multiset (distinct edges)."""
-    degrees: dict[int, int] = {}
-    for x, y in mult:
-        degrees[x] = degrees.get(x, 0) + 1
-        degrees[y] = degrees.get(y, 0) + 1
-    return degrees
 
 
 def _load_derived(

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.table import UNMAPPED_ASN
 from repro.core.asgeo import (
     as_size_measures,
+    as_table,
     hull_areas,
     hull_vs_size,
     link_domain_row,
@@ -15,6 +18,8 @@ from repro.core.asgeo import (
 )
 from repro.datasets.mapped import MappedDataset
 from repro.errors import AnalysisError
+from repro.geo.hull import convex_hull_area
+from repro.geo.projection import WORLD_ALBERS
 from repro.geo.regions import EUROPE, STUDY_REGIONS, US
 
 
@@ -38,6 +43,100 @@ def _dataset() -> MappedDataset:
         asns=asns,
         links=links,
     )
+
+
+def _naive_as_table(dataset: MappedDataset) -> dict[str, list]:
+    """The reference for :func:`as_table`: every AS on its own rows."""
+    x, y = WORLD_ALBERS.project(dataset.lats, dataset.lons)
+    edges = {
+        (min(a, b), max(a, b))
+        for a, b in dataset.asns[dataset.links].tolist()
+        if a != b and UNMAPPED_ASN not in (a, b)
+    }
+    ref: dict[str, list] = {
+        name: []
+        for name in (
+            "asns", "n_nodes", "n_locations", "degree",
+            "centroid_lat", "centroid_lon", "hull_area", "nodes",
+        )
+    }
+    for asn in np.unique(dataset.asns[dataset.asns != UNMAPPED_ASN]).tolist():
+        nodes = np.flatnonzero(dataset.asns == asn)
+        keys = np.column_stack(
+            [np.round(dataset.lats[nodes], 1), np.round(dataset.lons[nodes], 1)]
+        )
+        ref["asns"].append(asn)
+        ref["n_nodes"].append(nodes.size)
+        ref["n_locations"].append(np.unique(keys, axis=0).shape[0])
+        ref["degree"].append(sum(asn in edge for edge in edges))
+        ref["centroid_lat"].append(float(np.mean(dataset.lats[nodes])))
+        ref["centroid_lon"].append(float(np.mean(dataset.lons[nodes])))
+        ref["hull_area"].append(
+            convex_hull_area(np.column_stack([x[nodes], y[nodes]]))
+        )
+        ref["nodes"].append(nodes.tolist())
+    return ref
+
+
+#: A few exact coordinates shared between nodes (duplicate points), and
+#: one meridian (its points project onto one straight line).
+_SITES = [(37.7, -122.4), (40.7, -74.0), (51.5, -0.13), (-33.9, 151.2)]
+_MERIDIAN_LON = -95.0
+
+
+@st.composite
+def _as_datasets(draw) -> MappedDataset:
+    n = draw(st.integers(0, 30))
+    unmapped_only = draw(st.booleans()) and n > 0
+    pool = [UNMAPPED_ASN] if unmapped_only else [UNMAPPED_ASN, 3, 7, 11, 700]
+    asns = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    lat = st.floats(-89.9, 89.9, allow_nan=False)
+    lon = st.floats(-179.9, 179.9, allow_nan=False)
+    point = st.one_of(
+        st.sampled_from(_SITES),
+        st.tuples(lat, st.just(_MERIDIAN_LON)),
+        st.tuples(lat, lon),
+    )
+    points = draw(st.lists(point, min_size=n, max_size=n))
+    links = []
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        links = [
+            (i, j) for i, j in draw(st.lists(pair, max_size=2 * n)) if i != j
+        ]
+    return MappedDataset(
+        label="drawn",
+        kind="skitter",
+        addresses=np.arange(n, dtype=np.int64),
+        lats=np.array([p[0] for p in points], dtype=float),
+        lons=np.array([p[1] for p in points], dtype=float),
+        asns=np.array(asns, dtype=np.int64),
+        links=np.array(links, dtype=np.intp).reshape(-1, 2),
+    )
+
+
+class TestAsTable:
+    @settings(max_examples=200, deadline=None)
+    @given(_as_datasets())
+    def test_equals_naive_reference(self, dataset):
+        table = as_table(dataset)
+        ref = _naive_as_table(dataset)
+        for name in (
+            "asns", "n_nodes", "n_locations", "degree",
+            "centroid_lat", "centroid_lon", "hull_area",
+        ):
+            assert getattr(table, name).tolist() == ref[name], name
+        nodes = [table.nodes(i).tolist() for i in range(table.n_ases)]
+        assert nodes == ref["nodes"]
+        assert dataset.as_degrees() == dict(zip(ref["asns"], ref["degree"]))
+
+    def test_views_share_the_table(self):
+        ds = _dataset()
+        table = as_table(ds)
+        sizes = as_size_measures(ds)
+        assert sizes.degree.tolist() == table.degree.tolist()
+        assert hull_areas(ds).areas.tolist() == table.hull_area.tolist()
+        assert table.find(3) == 2 and table.find(4) == -1
 
 
 class TestAsSizeMeasures:

@@ -11,6 +11,7 @@ publish/checkpoint cycle, and the derived-table sidecar fallback.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import urllib.request
@@ -367,8 +368,13 @@ class TestIncrementalIndex:
                 getattr(incremental, name), getattr(fresh, name), err_msg=name
             )
         assert incremental._cell_slices == fresh._cell_slices
-        assert incremental._as_degrees == fresh._as_degrees
-        assert incremental._as_edge_mult == fresh._as_edge_mult
+        patched, rebuilt = incremental.as_table(), fresh.as_table()
+        for column in dataclasses.fields(patched):
+            np.testing.assert_array_equal(
+                getattr(patched, column.name),
+                getattr(rebuilt, column.name),
+                err_msg=column.name,
+            )
 
     def test_http_responses_bit_identical(self, pair, dataset):
         """/locate, /near, /as/<asn>, /distance-preference answer with
@@ -649,13 +655,17 @@ class TestIngester:
             assert dataset_digest(published) == ing.index.snapshot_hash
             assert ing.checkpoint["snapshot_hash"] == ing.index.snapshot_hash
 
-    def test_publish_and_checkpoint_survive_power_loss(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("site", ["publish", "sidecar", "cache", "wal"])
+    def test_durable_writes_survive_power_loss(
+        self, tmp_path, monkeypatch, site
     ):
-        """Generation file and checkpoint each go: file fsync, rename,
-        directory fsync."""
+        """Generation file, checkpoint, index sidecar and cache entry
+        each go: file fsync, rename, directory fsync.  A new WAL fsyncs
+        the file, then its directory."""
         import os
         import stat
+
+        from repro.runtime.cache import ArtifactCache
 
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
@@ -672,15 +682,36 @@ class TestIngester:
             calls.append(("replace", inode, os.path.basename(dst)))
 
         base = _tiny_dataset()
-        out = tmp_path / "ing"
-        with Ingester(base, out, publish_batches=1, sync=False) as ing:
-            monkeypatch.setattr(os, "fsync", fsync)
-            monkeypatch.setattr(os, "replace", replace)
-            ing.submit(self._stream(base).next_batch(2, 2, 1, 1))
+        out = tmp_path / "out"
+        out.mkdir()
+        if site == "publish":
+            ing = Ingester(base, out, publish_batches=1, sync=False)
+            batch = self._stream(base).next_batch(2, 2, 1, 1)
+            write = lambda: ing.submit(batch)  # noqa: E731
+            renamed = ["gen-00000001.npz", "checkpoint.json"]
+        elif site == "sidecar":
+            index = SnapshotIndex(base)
+            write = lambda: index.save_derived(out / "derived.npz")  # noqa: E731
+            renamed = ["derived.npz"]
+        elif site == "cache":
+            cache = ArtifactCache(out)
+            write = lambda: cache.store("key", {"value": 1})  # noqa: E731
+            renamed = ["key.pkl"]
+        else:
+            write = lambda: WriteAheadLog(out / "ingest.wal").close()  # noqa: E731
+            renamed = []
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write()
+        if site == "publish":
+            ing.close()
+        if site == "wal":
+            assert calls == [
+                ("fsync", os.stat(out / "ingest.wal").st_ino),
+                ("fsync-dir", os.stat(out).st_ino),
+            ]
         renames = [i for i, call in enumerate(calls) if call[0] == "replace"]
-        assert [calls[i][2] for i in renames] == [
-            "gen-00000001.npz", "checkpoint.json"
-        ]
+        assert [calls[i][2] for i in renames] == renamed
         for i in renames:
             assert calls[i - 1] == ("fsync", calls[i][1])
             assert calls[i + 1] == ("fsync-dir", os.stat(out).st_ino)
