@@ -20,7 +20,7 @@ from repro.config import (
     MercatorConfig,
     SkitterConfig,
 )
-from repro.core.distance import exact_pair_counts
+from repro.core.distance import pair_counts
 from repro.datasets.pipeline import build_snapshot
 from repro.geoloc.base import build_context
 from repro.geoloc.ixmapper import IxMapper
@@ -97,12 +97,12 @@ def test_bench_geolocation_and_as_mapping(benchmark, bench_world, bench_truth):
     benchmark(map_once)
 
 
-def test_bench_exact_pair_counts(benchmark):
+def test_bench_pair_counts(benchmark):
     rng = np.random.default_rng(7)
     lats = rng.uniform(26, 49, 4_000)
     lons = rng.uniform(-124, -66, 4_000)
 
-    benchmark(lambda: exact_pair_counts(lats, lons, 35.0, 100))
+    benchmark(lambda: pair_counts(lats, lons, 35.0, 100))
 
 
 # --- Staged runtime -----------------------------------------------------------

@@ -1,20 +1,20 @@
 """Incremental maintenance of the paper's headline metrics.
 
 The batch experiments in :mod:`repro.core` recompute each result family
-from the full dataset: distance-preference histograms pay an O(n^2)
-pair count per region, the density regression re-tallies every node
-into its patch grid, and the AS dispersion figures walk every AS.  The
-streaming path publishes a new generation every few delta batches, so
-an :class:`AnalyticsEngine` maintains the same state *differentially*:
+from the full dataset: distance-preference histograms count every
+region's node pairs over its distinct locations, the density regression
+re-tallies every node into its patch grid, and the AS dispersion figures
+walk every AS.  The streaming path publishes a new generation every few
+delta batches, so an :class:`AnalyticsEngine` maintains the same state
+*differentially*:
 
 - **pair/link histograms** (Section V): a delta changes only the rows
   it adds or moves, so the engine subtracts each changed row's pair
   contributions against the old region membership and adds them back
-  against the new one.  Every subtracted or added distance is computed
-  with the *smaller global row first* — exactly the orientation
-  :func:`~repro.core.distance.exact_pair_counts` uses — so the integer
-  histograms stay bit-identical to a from-scratch count, not merely
-  close.
+  against the new one.  Haversine distances are bitwise symmetric, so
+  each pair lands in the same bin as in a from-scratch
+  :func:`~repro.core.distance.pair_counts` and the integer histograms
+  stay bit-identical to it, not merely close.
 - **grid occupancy / alpha** (Section IV): per-region patch tallies are
   integer bincounts, decremented at a moved row's old cell and
   incremented at its new one; the superlinearity exponent is re-fitted
@@ -28,9 +28,11 @@ an :class:`AnalyticsEngine` maintains the same state *differentially*:
   adjusted for appended links and for old links incident to remapped
   rows.
 
-The update cost per batch is O(changed_rows * region_size + n_links)
-against O(region_size^2) for a recompute, which is what makes
-per-generation analytics affordable (see ``benchmarks/bench_analytics.py``).
+The update cost per batch is O(changed_rows * region_size + n_links).
+A recompute costs O(distinct_points^2) per region, and a delta stream
+jitters every add and move to a new point, so the distinct points, and
+with them the recompute, grow with the stream while the update does not
+(see ``benchmarks/bench_analytics.py``).
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ import numpy as np
 from repro.bgp.table import UNMAPPED_ASN
 from repro.core.asgeo import AsTable, as_table
 from repro.core.distance import (
-    EXACT_PAIR_LIMIT,
     N_BINS,
     PAPER_BIN_MILES,
-    exact_pair_counts,
+    pair_counts,
     preference_from_counts,
     waxman_fit,
 )
@@ -79,9 +80,6 @@ class RegionState:
         grid: the region's 75' patch grid.
         occupancy: nodes per grid cell (int64, exact).
         population: persons per grid cell (static; None without a field).
-        pref_tracked: False when the region exceeded
-            :data:`~repro.core.distance.EXACT_PAIR_LIMIT` at seed time,
-            in which case pair/link histograms are not maintained.
     """
 
     region: Region
@@ -94,7 +92,6 @@ class RegionState:
     grid: PatchGrid
     occupancy: np.ndarray
     population: np.ndarray | None = None
-    pref_tracked: bool = True
 
 
 @dataclass
@@ -115,33 +112,24 @@ def _pairs_involving(
 ) -> np.ndarray:
     """Histogram of pairs {t, m} with t in ``touched``, m in ``members``.
 
-    ``members`` is the sorted region membership (global rows) and
-    ``touched`` a sorted subset of it.  Each qualifying pair is counted
-    exactly once, and every distance is evaluated with the smaller
-    global row as the *first* haversine argument — the same orientation
-    (and therefore bitwise the same float) as
-    :func:`~repro.core.distance.exact_pair_counts` over the restricted
-    region arrays, which is what keeps incremental subtraction and
+    ``members`` is the region membership (global rows) and ``touched``
+    a subset of it.  Each qualifying pair is counted
+    exactly once.  Haversine is bitwise symmetric, so every distance
+    equals the one :func:`~repro.core.distance.pair_counts` bins for
+    the same pair, which is what keeps incremental subtraction and
     addition bit-exact.
     """
     edges = np.arange(N_BINS + 1, dtype=float) * bin_miles
     hist = np.zeros(N_BINS, dtype=np.int64)
     for t in touched.tolist():
-        k = int(np.searchsorted(members, t))
-        below = members[:k]
-        above = members[k + 1 :]
-        if below.size:
-            d = haversine_miles(lats[below], lons[below], lats[t], lons[t])
-            hist += np.histogram(d, bins=edges)[0]
-        if above.size:
-            d = haversine_miles(lats[t], lons[t], lats[above], lons[above])
+        others = members[members != t]
+        if others.size:
+            d = haversine_miles(lats[t], lons[t], lats[others], lons[others])
             hist += np.histogram(d, bins=edges)[0]
     if touched.size > 1:
-        # Touched-touched pairs were counted from both endpoints'
-        # perspectives; subtract one (identically oriented) copy.
-        hist -= exact_pair_counts(
-            lats[touched], lons[touched], bin_miles, N_BINS
-        )
+        # Touched-touched pairs were counted from both endpoints;
+        # subtract one copy.
+        hist -= pair_counts(lats[touched], lons[touched], bin_miles, N_BINS)
     return hist
 
 
@@ -208,7 +196,7 @@ class AnalyticsEngine:
         population: PopulationField | None,
         patch_arcmin: float,
     ) -> RegionState:
-        """From-scratch region state (the one O(n^2) step per region)."""
+        """From-scratch region state (pair counts over distinct points)."""
         bin_miles = PAPER_BIN_MILES.get(region.name, DEFAULT_BIN_MILES)
         edges = np.arange(N_BINS + 1, dtype=float) * bin_miles
         mask = region.contains_mask(dataset.lats, dataset.lons)
@@ -222,38 +210,33 @@ class AnalyticsEngine:
             pop_cells = grid.tally(
                 population.lats, population.lons, weights=population.weights
             )
-        pref_tracked = n_nodes <= EXACT_PAIR_LIMIT
-        pair_counts = np.zeros(N_BINS, dtype=np.int64)
+        pairs = pair_counts(
+            dataset.lats[mask], dataset.lons[mask], bin_miles, N_BINS
+        )
         link_counts = np.zeros(N_BINS, dtype=np.int64)
-        if pref_tracked:
-            members = np.flatnonzero(mask)
-            pair_counts = exact_pair_counts(
-                dataset.lats[members], dataset.lons[members], bin_miles, N_BINS
-            )
-            if dataset.n_links:
-                keep = mask[dataset.links[:, 0]] & mask[dataset.links[:, 1]]
-                if keep.any():
-                    a = dataset.links[keep, 0]
-                    b = dataset.links[keep, 1]
-                    lengths = haversine_miles(
-                        dataset.lats[a], dataset.lons[a],
-                        dataset.lats[b], dataset.lons[b],
-                    )
-                    link_counts = np.histogram(lengths, bins=edges)[0].astype(
-                        np.int64
-                    )
+        if dataset.n_links:
+            keep = mask[dataset.links[:, 0]] & mask[dataset.links[:, 1]]
+            if keep.any():
+                a = dataset.links[keep, 0]
+                b = dataset.links[keep, 1]
+                lengths = haversine_miles(
+                    dataset.lats[a], dataset.lons[a],
+                    dataset.lats[b], dataset.lons[b],
+                )
+                link_counts = np.histogram(lengths, bins=edges)[0].astype(
+                    np.int64
+                )
         return RegionState(
             region=region,
             bin_miles=bin_miles,
             edges=edges,
             mask=mask,
             n_nodes=n_nodes,
-            pair_counts=pair_counts,
+            pair_counts=pairs,
             link_counts=link_counts,
             grid=grid,
             occupancy=occupancy,
             population=pop_cells,
-            pref_tracked=pref_tracked,
         )
 
     # -- incremental update ---------------------------------------------------
@@ -345,64 +328,63 @@ class AnalyticsEngine:
                 new.lats[moved], new.lons[moved]
             )
 
-        if state.pref_tracked:
-            # Pair histogram: remove changed rows' pairs against the old
-            # membership, re-add them against the new one.  Unchanged
-            # pairs contribute identically before and after, so integer
-            # subtraction/addition reproduces the from-scratch count.
-            touched_old = np.sort(moved_old[old_mask[moved_old]])
-            if touched_old.size:
-                members = np.flatnonzero(old_mask)
-                state.pair_counts -= _pairs_involving(
-                    old.lats, old.lons, members, touched_old, state.bin_miles
-                )
-            touched_new = changed[new_mask[changed]]
-            if touched_new.size:
-                members = np.flatnonzero(new_mask)
-                state.pair_counts += _pairs_involving(
-                    new.lats, new.lons, members, touched_new, state.bin_miles
-                )
-            # Link histogram: old links incident to a moved row may have
-            # changed length or membership; appended links just add.
-            if moved_old.size and old.n_links:
-                links = old.links
-                incident = np.flatnonzero(
-                    np.isin(links[:, 0], moved_old)
-                    | np.isin(links[:, 1], moved_old)
-                )
-                if incident.size:
-                    a = links[incident, 0]
-                    b = links[incident, 1]
-                    was = old_mask[a] & old_mask[b]
-                    if was.any():
-                        lengths = haversine_miles(
-                            old.lats[a[was]], old.lons[a[was]],
-                            old.lats[b[was]], old.lons[b[was]],
-                        )
-                        state.link_counts -= np.histogram(
-                            lengths, bins=state.edges
-                        )[0]
-                    now = new_mask[a] & new_mask[b]
-                    if now.any():
-                        lengths = haversine_miles(
-                            new.lats[a[now]], new.lons[a[now]],
-                            new.lats[b[now]], new.lons[b[now]],
-                        )
-                        state.link_counts += np.histogram(
-                            lengths, bins=state.edges
-                        )[0]
-            if new_link_rows.size:
-                a = new.links[new_link_rows, 0]
-                b = new.links[new_link_rows, 1]
-                both = new_mask[a] & new_mask[b]
-                if both.any():
+        # Pair histogram: remove changed rows' pairs against the old
+        # membership, re-add them against the new one.  Unchanged
+        # pairs contribute identically before and after, so integer
+        # subtraction/addition reproduces the from-scratch count.
+        touched_old = moved_old[old_mask[moved_old]]
+        if touched_old.size:
+            members = np.flatnonzero(old_mask)
+            state.pair_counts -= _pairs_involving(
+                old.lats, old.lons, members, touched_old, state.bin_miles
+            )
+        touched_new = changed[new_mask[changed]]
+        if touched_new.size:
+            members = np.flatnonzero(new_mask)
+            state.pair_counts += _pairs_involving(
+                new.lats, new.lons, members, touched_new, state.bin_miles
+            )
+        # Link histogram: old links incident to a moved row may have
+        # changed length or membership; appended links just add.
+        if moved_old.size and old.n_links:
+            links = old.links
+            incident = np.flatnonzero(
+                np.isin(links[:, 0], moved_old)
+                | np.isin(links[:, 1], moved_old)
+            )
+            if incident.size:
+                a = links[incident, 0]
+                b = links[incident, 1]
+                was = old_mask[a] & old_mask[b]
+                if was.any():
                     lengths = haversine_miles(
-                        new.lats[a[both]], new.lons[a[both]],
-                        new.lats[b[both]], new.lons[b[both]],
+                        old.lats[a[was]], old.lons[a[was]],
+                        old.lats[b[was]], old.lons[b[was]],
+                    )
+                    state.link_counts -= np.histogram(
+                        lengths, bins=state.edges
+                    )[0]
+                now = new_mask[a] & new_mask[b]
+                if now.any():
+                    lengths = haversine_miles(
+                        new.lats[a[now]], new.lons[a[now]],
+                        new.lats[b[now]], new.lons[b[now]],
                     )
                     state.link_counts += np.histogram(
                         lengths, bins=state.edges
                     )[0]
+        if new_link_rows.size:
+            a = new.links[new_link_rows, 0]
+            b = new.links[new_link_rows, 1]
+            both = new_mask[a] & new_mask[b]
+            if both.any():
+                lengths = haversine_miles(
+                    new.lats[a[both]], new.lons[a[both]],
+                    new.lats[b[both]], new.lons[b[both]],
+                )
+                state.link_counts += np.histogram(
+                    lengths, bins=state.edges
+                )[0]
 
         # Grid occupancy: decrement moved rows' old cells, increment
         # every changed row's new cell (integers, so order-free).
@@ -463,7 +445,7 @@ class AnalyticsEngine:
                     out[f"alpha.{name}"] = float(fit.slope)
                 except AnalysisError:
                     pass
-            if state.pref_tracked and state.n_nodes >= MIN_REGION_NODES:
+            if state.n_nodes >= MIN_REGION_NODES:
                 pref = preference_from_counts(
                     name,
                     state.bin_miles,

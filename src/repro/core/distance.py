@@ -14,9 +14,10 @@ flat, verified through the cumulated function ``F(d)`` being linear
 yields the *limit of distance sensitivity* and the fraction of links
 below it (Table V: 75-95%).
 
-Pair counting is exact but chunked for moderate node counts, and falls
-back to a grid-cell approximation for very large ones (cell pair counts
-weighted by occupancy), which tests validate against the exact count.
+Pair counts are exact at every size: the mappers place nodes at few
+distinct points, so :func:`pair_counts` takes pair distances between
+distinct locations and weights each by the product of the two points'
+node counts.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from repro.core.stats import LinearFit, least_squares_fit, semilog_fit
 from repro.datasets.mapped import MappedDataset
 from repro.errors import AnalysisError
 from repro.geo.distance import haversine_miles
-from repro.geo.grid import PatchGrid
 from repro.geo.regions import Region
 
 #: Paper bin sizes per study region name (miles).
 PAPER_BIN_MILES = {"US": 35.0, "Europe": 15.0, "Japan": 11.0}
 #: Default number of bins (the paper uses 100 per region).
 N_BINS = 100
-#: Above this node count, pair counting switches to the grid method.
-EXACT_PAIR_LIMIT = 45_000
+#: Rows of distinct points per haversine block in :func:`pair_counts`.
+PAIR_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -80,70 +80,43 @@ class DistancePreference:
         return int(populated[-1]) + 1
 
 
-def exact_pair_counts(
-    lats: np.ndarray,
-    lons: np.ndarray,
-    bin_miles: float,
-    n_bins: int,
-    chunk: int = 512,
+def pair_counts(
+    lats: np.ndarray, lons: np.ndarray, bin_miles: float, n_bins: int
 ) -> np.ndarray:
-    """Exact node-pair counts per distance bin, chunked to bound memory."""
-    if bin_miles <= 0:
-        raise AnalysisError("bin_miles must be positive")
-    n = lats.shape[0]
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if n < 2 or n_bins == 0:
-        return counts
-    edges = np.arange(n_bins + 1, dtype=float) * bin_miles
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = haversine_miles(
-            lats[start:stop, None], lons[start:stop, None], lats[None, :], lons[None, :]
-        )
-        # Keep only pairs (i, j) with j > i to count each pair once.
-        cols = np.arange(n)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        upper = block[cols > rows]
-        hist, _ = np.histogram(upper, bins=edges)
-        counts += hist
-    return counts
+    """Exact node-pair counts per distance bin, taken over distinct points.
 
-
-def exact_pair_counts_rows(
-    lats: np.ndarray,
-    lons: np.ndarray,
-    owned_rows: np.ndarray,
-    bin_miles: float,
-    n_bins: int,
-    chunk: int = 512,
-) -> np.ndarray:
-    """The rows-``owned_rows`` share of :func:`exact_pair_counts`.
-
-    Counts only the pairs ``(i, j)`` with ``j > i`` whose *smaller*
-    index ``i`` lies in ``owned_rows`` — the distributed decomposition
-    of exact pair counting: partition the row range across workers and
-    the per-worker histograms sum to exactly the full
-    :func:`exact_pair_counts` result (same haversine evaluations, same
-    binning, integer addition).
+    Nodes are grouped by their ``(lat, lon)``; the distance between two
+    distinct points counts ``w_i * w_j`` pairs and the ``w * (w - 1) / 2``
+    pairs within one point lie at distance zero, in bin 0.  Binning uses
+    the ``np.histogram`` edges of the link histogram with integer
+    weights, so the result equals a per-pair count exactly: haversine
+    is bitwise symmetric, so which end of a pair comes first does not
+    change its bin.
     """
     if bin_miles <= 0:
         raise AnalysisError("bin_miles must be positive")
-    n = lats.shape[0]
     counts = np.zeros(n_bins, dtype=np.int64)
-    owned_rows = np.asarray(owned_rows, dtype=np.intp)
-    if n < 2 or owned_rows.size == 0 or n_bins == 0:
+    if lats.shape[0] < 2 or n_bins == 0:
         return counts
-    if owned_rows.min() < 0 or owned_rows.max() >= n:
-        raise AnalysisError("owned_rows reference rows outside the dataset")
+    points, weights = np.unique(
+        np.column_stack((lats, lons)), axis=0, return_counts=True
+    )
+    weights = weights.astype(np.int64)
+    counts[0] += int(np.sum(weights * (weights - 1) // 2))
+    plats = points[:, 0]
+    plons = points[:, 1]
+    m = plats.size
     edges = np.arange(n_bins + 1, dtype=float) * bin_miles
-    cols = np.arange(n)[None, :]
-    for start in range(0, owned_rows.size, chunk):
-        rows = owned_rows[start : start + chunk]
+    for start in range(0, m - 1, PAIR_CHUNK):
+        stop = min(start + PAIR_CHUNK, m)
+        # Distances from this block of points to every later point.
         block = haversine_miles(
-            lats[rows, None], lons[rows, None], lats[None, :], lons[None, :]
+            plats[start:stop, None], plons[start:stop, None],
+            plats[None, start:], plons[None, start:],
         )
-        upper = block[cols > rows[:, None]]
-        hist, _ = np.histogram(upper, bins=edges)
+        upper = np.arange(start, m)[None, :] > np.arange(start, stop)[:, None]
+        w = weights[start:stop, None] * weights[None, start:]
+        hist, _ = np.histogram(block[upper], bins=edges, weights=w[upper])
         counts += hist
     return counts
 
@@ -204,59 +177,13 @@ def f_hat_at(pref: DistancePreference, d: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def grid_pair_counts(
-    lats: np.ndarray,
-    lons: np.ndarray,
-    region: Region,
-    bin_miles: float,
-    n_bins: int,
-) -> np.ndarray:
-    """Approximate pair counts: aggregate nodes to grid cells first.
-
-    Cells are sized to roughly one distance bin; cross-cell pairs are
-    binned by centre-to-centre distance, and within-cell pairs land in
-    bin zero.  The approximation error is about one bin width.
-    """
-    grid_cell_deg = bin_miles / 69.0  # ~69 miles per degree of latitude
-    grid = PatchGrid(region=region, cell_arcmin=max(grid_cell_deg * 60.0, 1.0))
-    occupancy = grid.tally(lats, lons)
-    occupied = np.flatnonzero(occupancy > 0)
-    cell_lats, cell_lons = grid.cell_centers()
-    cl = cell_lats[occupied]
-    cn = cell_lons[occupied]
-    weights = occupancy[occupied]
-    counts = np.zeros(n_bins, dtype=np.float64)
-    # Within-cell pairs: distance ~ 0.
-    counts[0] += float(np.sum(weights * (weights - 1) / 2.0))
-    edges = np.arange(n_bins + 1, dtype=float) * bin_miles
-    chunk = 256
-    m = occupied.size
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        block = haversine_miles(
-            cl[start:stop, None], cn[start:stop, None], cl[None, :], cn[None, :]
-        )
-        w_block = weights[start:stop, None] * weights[None, :]
-        cols = np.arange(m)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        mask = cols > rows
-        hist, _ = np.histogram(block[mask], bins=edges, weights=w_block[mask])
-        counts += hist
-    return counts.astype(np.int64)
-
-
 def preference_function(
     dataset: MappedDataset,
     region: Region,
     bin_miles: float,
     n_bins: int = N_BINS,
-    method: str = "auto",
 ) -> DistancePreference:
     """Estimate f_hat(d) for a dataset restricted to a region.
-
-    Args:
-        method: ``"exact"``, ``"grid"``, or ``"auto"`` (exact up to
-            :data:`EXACT_PAIR_LIMIT` nodes, grid beyond).
 
     Raises:
         AnalysisError: for empty regions or invalid parameters.
@@ -271,20 +198,15 @@ def preference_function(
     lengths = sub.link_lengths()
     edges = np.arange(n_bins + 1, dtype=float) * bin_miles
     link_counts, _ = np.histogram(lengths, bins=edges)
-    if method == "exact" or (method == "auto" and sub.n_nodes <= EXACT_PAIR_LIMIT):
-        pair_counts = exact_pair_counts(sub.lats, sub.lons, bin_miles, n_bins)
-    elif method in ("grid", "auto"):
-        pair_counts = grid_pair_counts(sub.lats, sub.lons, region, bin_miles, n_bins)
-    else:
-        raise AnalysisError(f"unknown pair-count method {method!r}")
+    pairs = pair_counts(sub.lats, sub.lons, bin_miles, n_bins)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_hat = np.where(pair_counts > 0, link_counts / pair_counts, np.nan)
+        f_hat = np.where(pairs > 0, link_counts / pairs, np.nan)
     return DistancePreference(
         region=region.name,
         bin_miles=float(bin_miles),
         bin_left=edges[:-1],
         link_counts=link_counts.astype(np.int64),
-        pair_counts=pair_counts.astype(np.int64),
+        pair_counts=pairs,
         f_hat=f_hat,
         n_nodes=sub.n_nodes,
         link_lengths=lengths,

@@ -49,9 +49,10 @@ def great_circle_miles(a: GeoPoint, b: GeoPoint) -> float:
 def pairwise_distance_matrix(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """Full n x n great-circle distance matrix in miles.
 
-    Intended for small-to-medium point sets (exact pair counting in the
-    distance-preference analysis and its tests).  Memory is O(n^2); callers
-    with large n should use the grid-based estimator instead.
+    Intended for small-to-medium point sets.  Memory is O(n^2); for
+    pair-distance histograms over many nodes use
+    :func:`repro.core.distance.pair_counts`, which is chunked and runs
+    over distinct locations.
 
     Raises:
         GeoError: if the coordinate arrays are not equal-length 1-D arrays.

@@ -13,8 +13,8 @@ handling never touches O(n) scans:
 - a grid-bucketed spatial index (the paper's 75-arc-minute patches)
   backing nearest-node and radius queries by ring search;
 - per-region distance-preference tables (Section V's ``f_hat(d)``),
-  computed lazily on first request and memoised — pair counting is the
-  one genuinely expensive build step, so cold start does not pay it.
+  computed lazily on first request and memoised (pair counts over the
+  region's distinct locations, :func:`repro.core.distance.pair_counts`).
 
 The index is immutable after construction and safe for concurrent
 readers; the only mutations are the memoised lazy tables.  Streaming
@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +38,11 @@ import numpy as np
 from repro.bgp.table import UNMAPPED_ASN
 from repro.core.asgeo import AsTable, as_table
 from repro.core.distance import (
-    EXACT_PAIR_LIMIT,
     N_BINS,
     PAPER_BIN_MILES,
     DistancePreference,
-    exact_pair_counts_rows,
     f_hat_at,
-    grid_pair_counts,
+    pair_counts,
     preference_function,
 )
 from repro.datasets.mapped import MappedDataset
@@ -114,8 +112,8 @@ class PartitionData:
     A partition index holds only its owned slice of the node table, but
     some answers are facts about the *whole* snapshot: node degrees
     count links to nodes on other shards, AS summaries span shards, and
-    distance-preference histograms are defined over region-restricted
-    global row order.  This sidecar carries exactly those facts:
+    distance-preference histograms count links and node pairs across the
+    whole region.  This sidecar carries exactly those facts:
 
     Attributes:
         snapshot_hash: content digest of the **full** dataset — every
@@ -130,7 +128,8 @@ class PartitionData:
             interface address, so exactly one shard answers).
         full_lats, full_lons: coordinates of **every** snapshot node
             (16 bytes/node — the one full-table residue a shard keeps,
-            so region pair counting stays exact and lazy).
+            so a shard can count a whole region's node pairs and link
+            lengths lazily).
         owned_rows: global row indices this shard owns, ascending.
         owned_links: global link rows whose smaller endpoint row is
             owned — the disjoint link partition behind exact histogram
@@ -148,16 +147,6 @@ class PartitionData:
     owned_rows: np.ndarray
     owned_links: np.ndarray
     n_full_nodes: int
-    _owned_mask: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def owned_mask(self) -> np.ndarray:
-        """Boolean over global rows: True where this shard owns the row."""
-        if self._owned_mask is None:
-            mask = np.zeros(self.n_full_nodes, dtype=bool)
-            mask[self.owned_rows] = True
-            self._owned_mask = mask
-        return self._owned_mask
 
 
 class SnapshotIndex:
@@ -288,8 +277,8 @@ class SnapshotIndex:
 
         The full table is streamed through this builder once and then
         dropped; what a shard retains is its owned slice plus one
-        16-byte-per-node coordinate sidecar (for exact distributed pair
-        counting) — not the full snapshot.
+        16-byte-per-node coordinate sidecar (for region pair counts and
+        link lengths) — not the full snapshot.
         """
         if isinstance(source, MappedDataset):
             dataset = source
@@ -722,8 +711,10 @@ class SnapshotIndex:
     def distance_preference(self, region: Region) -> DistancePreference:
         """The memoised ``f_hat(d)`` table for a region.
 
-        The first call per region pays the pair-counting cost; later
-        calls (and :meth:`f_of_d`) are dictionary hits.
+        The first call per region counts the region's links and node
+        pairs (:func:`~repro.core.distance.preference_function`, whose
+        pair counts come from :func:`~repro.core.distance.pair_counts`);
+        later calls (and :meth:`f_of_d`) are dictionary hits.
 
         Raises:
             AnalysisError: when the region holds too few nodes; the
@@ -772,9 +763,12 @@ class SnapshotIndex:
         ``pair_counts`` partials plus the region-total node count.
         Summed across all shards of one snapshot, the histograms equal
         the single-process :func:`preference_function` result exactly:
-        links and node pairs are each owned by precisely one shard (the
-        one owning the smaller global row), and integer addition
-        commutes.  Memoised per region, failures included.
+        each link is counted by the one shard owning its smaller global
+        row, and the whole pair histogram
+        (:func:`~repro.core.distance.pair_counts` over the region) by the
+        shard owning the region's first row, every other shard sending
+        zeros; integer addition commutes.  Memoised per region, failures
+        included.
 
         Raises:
             AnalysisError: when the whole region (not just this shard's
@@ -824,34 +818,26 @@ class SnapshotIndex:
             else np.empty(0)
         )
         link_counts, _ = np.histogram(lengths, bins=edges)
-        if n_region <= EXACT_PAIR_LIMIT:
-            owned_pos = np.flatnonzero(part.owned_mask[region_rows])
-            pair_counts = exact_pair_counts_rows(
+        # The pair histogram is cheap over the region's distinct
+        # points, so the shard owning the region's first row counts it
+        # whole and every peer contributes zeros.
+        first = region_rows[0]
+        pos = int(np.searchsorted(part.owned_rows, first))
+        if pos < part.owned_rows.size and part.owned_rows[pos] == first:
+            pairs = pair_counts(
                 part.full_lats[region_rows],
                 part.full_lons[region_rows],
-                owned_pos,
-                bin_miles,
-                N_BINS,
-            )
-        elif part.owned_mask[region_rows[0]]:
-            # The grid approximation does not decompose over row
-            # ownership; the shard owning the region's first node
-            # computes it whole and every peer contributes zeros.
-            pair_counts = grid_pair_counts(
-                part.full_lats[region_rows],
-                part.full_lons[region_rows],
-                region,
                 bin_miles,
                 N_BINS,
             )
         else:
-            pair_counts = np.zeros(N_BINS, dtype=np.int64)
+            pairs = np.zeros(N_BINS, dtype=np.int64)
         return {
             "region": region.name,
             "n_nodes": n_region,
             "bin_miles": float(bin_miles),
             "link_counts": link_counts.astype(np.int64).tolist(),
-            "pair_counts": pair_counts.astype(np.int64).tolist(),
+            "pair_counts": pairs.tolist(),
         }
 
     # -- bookkeeping ---------------------------------------------------------

@@ -21,14 +21,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.distance import (
-    N_BINS,
-    exact_pair_counts,
-    exact_pair_counts_rows,
-)
 from repro.datasets.mapped import UNMAPPED_ASN, MappedDataset
 from repro.datasets.serialize import save_dataset
 from repro.errors import ServeError
+from repro.geo.regions import STUDY_REGIONS
 from repro.obs import merge_expositions
 from repro.serve import (
     SnapshotClient,
@@ -199,16 +195,43 @@ class TestPartitionIndex:
         assert total == dataset.n_nodes
 
     def test_pair_count_partials_sum_to_exact(self, dataset):
-        lats = dataset.lats[:200]
-        lons = dataset.lons[:200]
-        bin_miles = 35.0
-        full = exact_pair_counts(lats, lons, bin_miles, N_BINS)
-        split = np.zeros_like(full)
-        for rows in (np.arange(0, 80), np.arange(80, 200)):
-            split += exact_pair_counts_rows(
-                lats, lons, rows, bin_miles, N_BINS
-            )
-        assert np.array_equal(full, split)
+        single = SnapshotIndex(dataset)
+        us = STUDY_REGIONS[0]
+        first = int(
+            np.flatnonzero(us.contains_mask(dataset.lats, dataset.lons))[0]
+        )
+        first_addr = int(dataset.addresses[first])
+        quantile = [r.addr_lo for r in partition_bounds(dataset.addresses, 3)]
+        # Cutting at the first US row's address hands that row to the
+        # upper shard; one address higher keeps it in the lower one.
+        plans = [
+            quantile[1:],
+            [first_addr],
+            [first_addr + 1],
+            [first_addr, first_addr + 1, quantile[2]],
+        ]
+        us_sender = []
+        for cuts in plans:
+            bounds = [None, *sorted(cuts), None]
+            shards = [
+                SnapshotIndex.build_partition(dataset, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            for region in STUDY_REGIONS:
+                expected = single.distance_preference(region)
+                partials = [shard.preference_partial(region) for shard in shards]
+                assert {p["n_nodes"] for p in partials} == {expected.n_nodes}
+                for key in ("link_counts", "pair_counts"):
+                    merged = np.sum([p[key] for p in partials], axis=0)
+                    assert merged.tolist() == getattr(expected, key).tolist()
+                # Exactly one shard sends the pair histogram.
+                senders = [
+                    i for i, p in enumerate(partials) if any(p["pair_counts"])
+                ]
+                assert len(senders) == 1, (cuts, region.name)
+                if region is us:
+                    us_sender.append(senders[0])
+        assert us_sender[1:3] == [1, 0]
 
 
 class TestBitIdentity:

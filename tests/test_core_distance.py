@@ -1,13 +1,16 @@
 """Tests for repro.core.distance (Section V analyses)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import distance
 from repro.core.distance import (
     cumulated_preference,
-    exact_pair_counts,
-    exact_pair_counts_rows,
-    grid_pair_counts,
+    pair_counts,
     preference_from_counts,
     preference_function,
     sensitivity_limit,
@@ -15,10 +18,43 @@ from repro.core.distance import (
 )
 from repro.datasets.mapped import MappedDataset
 from repro.errors import AnalysisError
-from repro.geo.distance import pairwise_distance_matrix
+from repro.geo.distance import haversine_miles, pairwise_distance_matrix
 from repro.geo.regions import US, Region
 
 REGION = Region("R", north=40.0, south=30.0, west=-110.0, east=-90.0)
+
+
+def exact_pair_counts(
+    lats: np.ndarray, lons: np.ndarray, bin_miles: float, n_bins: int
+) -> np.ndarray:
+    """Naive reference: every node pair (i < j) measured and binned once."""
+    i, j = np.triu_indices(lats.size, k=1)
+    d = haversine_miles(lats[i], lons[i], lats[j], lons[j])
+    edges = np.arange(n_bins + 1, dtype=float) * bin_miles
+    return np.histogram(d, bins=edges)[0].astype(np.int64)
+
+
+@st.composite
+def _lattice_points(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on a coarse lattice: few distinct points, many repeats,
+    poles, the +-180 meridian and a signed zero among the choices."""
+    step = draw(st.sampled_from([0.25, 1.0, 7.5, 45.0, 90.0]))
+    lat_hi = int(90 / step)
+    lon_hi = int(180 / step)
+    lat = st.one_of(
+        st.sampled_from([-90.0, 90.0]),
+        st.integers(-lat_hi, lat_hi).map(lambda k: k * step),
+    )
+    lon = st.one_of(
+        st.sampled_from([-180.0, 180.0, -0.0]),
+        st.integers(-lon_hi, lon_hi).map(lambda k: k * step),
+    )
+    pool = draw(st.lists(st.tuples(lat, lon), min_size=1, max_size=8))
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=40)
+    )
+    points = np.array([pool[k] for k in picks], dtype=float).reshape(-1, 2)
+    return points[:, 0], points[:, 1]
 
 
 def _waxman_dataset(
@@ -46,112 +82,75 @@ def _waxman_dataset(
 
 
 class TestPairCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _lattice_points(),
+        st.one_of(
+            st.sampled_from([0.5, 3.0, 35.0, 700.0]),
+            st.floats(min_value=0.01, max_value=2000.0),
+        ),
+        st.integers(min_value=1, max_value=120),
+        st.sampled_from([1, 3, distance.PAIR_CHUNK]),
+    )
+    def test_equals_naive_reference(self, points, bin_miles, n_bins, chunk):
+        lats, lons = points
+        with mock.patch.object(distance, "PAIR_CHUNK", chunk):
+            counts = pair_counts(lats, lons, bin_miles, n_bins)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == exact_pair_counts(
+            lats, lons, bin_miles, n_bins
+        ).tolist()
+
     def test_exact_counts_total(self):
         rng = np.random.default_rng(1)
         lats = rng.uniform(30, 40, 80)
         lons = rng.uniform(-110, -90, 80)
-        counts = exact_pair_counts(lats, lons, bin_miles=50.0, n_bins=60)
-        assert counts.sum() <= 80 * 79 // 2
+        counts = pair_counts(lats, lons, bin_miles=50.0, n_bins=60)
         # With 60 bins of 50 miles the full extent is covered.
         assert counts.sum() == 80 * 79 // 2
 
     def test_exact_counts_chunking_invariant(self):
         rng = np.random.default_rng(2)
-        lats = rng.uniform(30, 40, 150)
-        lons = rng.uniform(-110, -90, 150)
-        a = exact_pair_counts(lats, lons, 25.0, 80, chunk=7)
-        b = exact_pair_counts(lats, lons, 25.0, 80, chunk=512)
+        lats = np.round(rng.uniform(30, 40, 150))
+        lons = np.round(rng.uniform(-110, -90, 150))
+        b = pair_counts(lats, lons, 25.0, 80)
+        with mock.patch.object(distance, "PAIR_CHUNK", 7):
+            a = pair_counts(lats, lons, 25.0, 80)
         assert np.array_equal(a, b)
 
-    def test_grid_approximates_exact(self):
-        rng = np.random.default_rng(3)
-        lats = rng.uniform(30.5, 39.5, 600)
-        lons = rng.uniform(-109.5, -90.5, 600)
-        exact = exact_pair_counts(lats, lons, 40.0, 40)
-        grid = grid_pair_counts(lats, lons, REGION, 40.0, 40)
-        assert grid.sum() == exact.sum()
-        # Cumulative distributions agree within a couple of bins' blur.
-        ce = np.cumsum(exact) / exact.sum()
-        cg = np.cumsum(grid) / grid.sum()
-        assert np.max(np.abs(ce - cg)) < 0.08
+    def test_empty_and_tiny_inputs(self):
+        empty = np.array([], dtype=float)
+        assert pair_counts(empty, empty, 10.0, 5).tolist() == [0] * 5
+        # Two nodes at one location form one pair at distance zero.
+        same = pair_counts(
+            np.array([35.0, 35.0]), np.array([-100.0, -100.0]), 10.0, 5
+        )
+        assert same.tolist() == [1, 0, 0, 0, 0]
 
     def test_single_point_no_pairs(self):
-        counts = exact_pair_counts(np.array([35.0]), np.array([-100.0]), 10.0, 5)
+        counts = pair_counts(np.array([35.0]), np.array([-100.0]), 10.0, 5)
         assert counts.sum() == 0
 
     def test_zero_bins_returns_empty(self):
         rng = np.random.default_rng(4)
         lats = rng.uniform(30, 40, 20)
         lons = rng.uniform(-110, -90, 20)
-        counts = exact_pair_counts(lats, lons, 50.0, 0)
-        assert counts.shape == (0,)
-        counts = exact_pair_counts_rows(
-            lats, lons, np.arange(20), 50.0, 0
-        )
+        counts = pair_counts(lats, lons, 50.0, 0)
         assert counts.shape == (0,)
 
     def test_non_positive_bin_width_raises(self):
         lats = np.array([35.0, 36.0])
         lons = np.array([-100.0, -101.0])
         with pytest.raises(AnalysisError):
-            exact_pair_counts(lats, lons, 0.0, 10)
+            pair_counts(lats, lons, 0.0, 10)
         with pytest.raises(AnalysisError):
-            exact_pair_counts_rows(lats, lons, np.array([0]), -5.0, 10)
-
-
-class TestPairCountsRows:
-    def test_partitions_sum_to_full_counts(self):
-        rng = np.random.default_rng(5)
-        lats = rng.uniform(30, 40, 90)
-        lons = rng.uniform(-110, -90, 90)
-        full = exact_pair_counts(lats, lons, 30.0, 50)
-        parts = [np.arange(0, 30), np.arange(30, 71), np.arange(71, 90)]
-        total = sum(
-            exact_pair_counts_rows(lats, lons, rows, 30.0, 50)
-            for rows in parts
-        )
-        assert np.array_equal(total, full)
-
-    def test_last_row_owns_no_pairs(self):
-        # The smaller index of every (i, j) pair is never the last row,
-        # so a partition owning only it contributes an all-zero share.
-        rng = np.random.default_rng(6)
-        lats = rng.uniform(30, 40, 25)
-        lons = rng.uniform(-110, -90, 25)
-        counts = exact_pair_counts_rows(lats, lons, np.array([24]), 30.0, 50)
-        assert counts.sum() == 0
-
-    def test_single_row_partition(self):
-        rng = np.random.default_rng(7)
-        lats = rng.uniform(30, 40, 25)
-        lons = rng.uniform(-110, -90, 25)
-        counts = exact_pair_counts_rows(lats, lons, np.array([10]), 200.0, 40)
-        # Row 10 is the smaller index of exactly the pairs (10, j>10).
-        assert counts.sum() == 25 - 10 - 1
-
-    def test_empty_and_tiny_inputs(self):
-        lats = np.array([35.0, 36.0])
-        lons = np.array([-100.0, -101.0])
-        assert exact_pair_counts_rows(
-            lats, lons, np.array([], dtype=np.intp), 10.0, 5
-        ).sum() == 0
-        assert exact_pair_counts_rows(
-            np.array([35.0]), np.array([-100.0]), np.array([0]), 10.0, 5
-        ).sum() == 0
-
-    def test_out_of_range_rows_raise(self):
-        lats = np.array([35.0, 36.0])
-        lons = np.array([-100.0, -101.0])
-        with pytest.raises(AnalysisError):
-            exact_pair_counts_rows(lats, lons, np.array([5]), 10.0, 5)
-        with pytest.raises(AnalysisError):
-            exact_pair_counts_rows(lats, lons, np.array([-1]), 10.0, 5)
+            pair_counts(lats, lons, -5.0, 10)
 
 
 class TestPreferenceFromCounts:
     def test_matches_preference_function(self):
         ds = _waxman_dataset()
-        direct = preference_function(ds, REGION, bin_miles=25.0, method="exact")
+        direct = preference_function(ds, REGION, bin_miles=25.0)
         rebuilt = preference_from_counts(
             REGION.name,
             25.0,
@@ -200,7 +199,7 @@ class TestPreferenceFromCounts:
 class TestPreferenceFunction:
     def test_f_hat_is_ratio(self):
         ds = _waxman_dataset()
-        pref = preference_function(ds, REGION, bin_miles=25.0, method="exact")
+        pref = preference_function(ds, REGION, bin_miles=25.0)
         usable = pref.pair_counts > 0
         np.testing.assert_allclose(
             pref.f_hat[usable],
@@ -213,16 +212,16 @@ class TestPreferenceFunction:
         assert pref.link_lengths.size == ds.n_links
 
     def test_methods_agree_on_shape(self):
+        # The weighted counter and the naive per-pair reference agree,
+        # and the estimate decays from small to large d.
         ds = _waxman_dataset(n=500)
-        exact = preference_function(ds, REGION, 25.0, method="exact")
-        grid = preference_function(ds, REGION, 25.0, method="grid")
-        assert exact.pair_counts.sum() == grid.pair_counts.sum()
-        # Both estimates decay from small to large d.
+        pref = preference_function(ds, REGION, 25.0)
+        sub = ds.restrict(REGION)
+        reference = exact_pair_counts(sub.lats, sub.lons, 25.0, 100)
+        assert np.array_equal(pref.pair_counts, reference)
         half = 20
-        e = np.nan_to_num(exact.f_hat)
-        g = np.nan_to_num(grid.f_hat)
+        e = np.nan_to_num(pref.f_hat)
         assert e[:half].mean() > e[half : 2 * half].mean()
-        assert g[:half].mean() > g[half : 2 * half].mean()
 
     def test_too_few_nodes_raise(self):
         ds = _waxman_dataset(n=400)
@@ -236,8 +235,6 @@ class TestPreferenceFunction:
             preference_function(ds, REGION, -1.0)
         with pytest.raises(AnalysisError):
             preference_function(ds, REGION, 25.0, n_bins=3)
-        with pytest.raises(AnalysisError):
-            preference_function(ds, REGION, 25.0, method="psychic")
 
     def test_populated_extent_trims_empty_tail(self):
         ds = _waxman_dataset()
@@ -250,7 +247,7 @@ class TestPreferenceFunction:
 class TestWaxmanFit:
     def test_planted_l_recovered(self):
         ds = _waxman_dataset(n=700, l_miles=100.0, seed=5)
-        pref = preference_function(ds, REGION, bin_miles=20.0, method="exact")
+        pref = preference_function(ds, REGION, bin_miles=20.0)
         fit = waxman_fit(pref)
         assert fit.l_miles == pytest.approx(100.0, rel=0.35)
         assert fit.fit.slope < 0
@@ -270,7 +267,7 @@ class TestWaxmanFit:
             lats=lats, lons=lons, asns=np.ones(n, dtype=np.int64),
             links=links.astype(np.intp),
         )
-        pref = preference_function(ds, REGION, bin_miles=20.0, method="exact")
+        pref = preference_function(ds, REGION, bin_miles=20.0)
         with pytest.raises(AnalysisError):
             waxman_fit(pref, small_d_max=600.0)
 
@@ -278,14 +275,14 @@ class TestWaxmanFit:
 class TestCumulatedPreference:
     def test_flat_tail_gives_linear_cumulation(self):
         ds = _waxman_dataset(n=600, seed=9)
-        pref = preference_function(ds, REGION, bin_miles=20.0, method="exact")
+        pref = preference_function(ds, REGION, bin_miles=20.0)
         curve = cumulated_preference(pref)
         assert curve.big_f.shape == curve.d.shape
         assert np.all(np.diff(curve.big_f) >= 0)
 
     def test_fit_r_squared_reported(self):
         ds = _waxman_dataset(n=600, seed=10)
-        pref = preference_function(ds, REGION, bin_miles=20.0, method="exact")
+        pref = preference_function(ds, REGION, bin_miles=20.0)
         curve = cumulated_preference(pref)
         assert 0.0 <= curve.large_d_fit.r_squared <= 1.0
 
@@ -304,7 +301,7 @@ class TestSensitivityLimit:
             addresses=ds.addresses, lats=ds.lats, lons=ds.lons,
             asns=ds.asns, links=links,
         )
-        pref = preference_function(ds2, REGION, bin_miles=20.0, method="exact")
+        pref = preference_function(ds2, REGION, bin_miles=20.0)
         result = sensitivity_limit(pref)
         assert result.limit_miles > 0
         assert 0.5 <= result.fraction_below <= 1.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeoError
@@ -61,11 +61,32 @@ class TestBroadcasting:
 
 
 class TestProperties:
-    @given(latitudes, longitudes, latitudes, longitudes)
-    def test_symmetry(self, lat1, lon1, lat2, lon2):
-        d1 = haversine_miles(lat1, lon1, lat2, lon2)
-        d2 = haversine_miles(lat2, lon2, lat1, lon1)
-        assert d1 == pytest.approx(d2, abs=1e-9)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(latitudes, longitudes, latitudes, longitudes),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_symmetry(self, quads):
+        # Exact pair counting bins each unordered pair once, in either
+        # orientation; that is only sound if d(a, b) == d(b, a) exactly,
+        # for scalars, flat arrays and broadcast blocks alike.
+        lat1, lon1, lat2, lon2 = np.array(quads, dtype=float).T
+        forward = haversine_miles(lat1, lon1, lat2, lon2)
+        assert np.array_equal(forward, haversine_miles(lat2, lon2, lat1, lon1))
+        block = haversine_miles(
+            lat1[:, None], lon1[:, None], lat2[None, :], lon2[None, :]
+        )
+        flipped = haversine_miles(
+            lat2[:, None], lon2[:, None], lat1[None, :], lon1[None, :]
+        )
+        assert np.array_equal(block, flipped.T)
+        assert np.array_equal(np.diagonal(block), forward)
+        assert haversine_miles(
+            float(lat1[0]), float(lon1[0]), float(lat2[0]), float(lon2[0])
+        ) == forward[0]
 
     @given(latitudes, longitudes, latitudes, longitudes)
     def test_non_negative_and_bounded(self, lat1, lon1, lat2, lon2):

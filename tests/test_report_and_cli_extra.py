@@ -23,9 +23,7 @@ class TestGeneratorComparisonRendering:
         assert "decay slope" in text
 
     def test_renders_nan_slope(self):
-        ds_pref = preference_function(
-            _tiny_dataset(), US, bin_miles=35.0, method="exact"
-        )
+        ds_pref = preference_function(_tiny_dataset(), US, bin_miles=35.0)
         row = GeneratorComparison(
             name="degenerate",
             preference=ds_pref,
