@@ -147,6 +147,30 @@ class TestPairCounts:
             pair_counts(lats, lons, -5.0, 10)
 
 
+class TestPairCountsRows:
+    def test_partitions_sum_to_full_counts(self):
+        # The full histogram is each row partition's own pairs plus the
+        # pairs across partitions; rounded coordinates put one location
+        # in several partitions.
+        rng = np.random.default_rng(5)
+        lats = np.round(rng.uniform(30, 40, 90))
+        lons = np.round(rng.uniform(-110, -90, 90))
+        edges = np.arange(51, dtype=float) * 30.0
+        full = pair_counts(lats, lons, 30.0, 50)
+        parts = [np.arange(0, 30), np.arange(30, 71), np.arange(71, 90)]
+        total = sum(pair_counts(lats[p], lons[p], 30.0, 50) for p in parts)
+        for a, p in enumerate(parts):
+            for q in parts[a + 1 :]:
+                i, j = np.meshgrid(p, q, indexing="ij")
+                d = haversine_miles(
+                    lats[i.ravel()], lons[i.ravel()],
+                    lats[j.ravel()], lons[j.ravel()],
+                )
+                total = total + np.histogram(d, bins=edges)[0]
+        assert full.sum() == 90 * 89 // 2
+        assert total.tolist() == full.tolist()
+
+
 class TestPreferenceFromCounts:
     def test_matches_preference_function(self):
         ds = _waxman_dataset()
