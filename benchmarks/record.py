@@ -12,7 +12,8 @@ through :func:`record_bench`, which writes
 
 ``repro bench history`` (backed by :mod:`repro.obs.benchtrend`, the
 in-package reader) renders that trajectory as a trend table and flags
-direction-aware regressions between the two latest revisions.
+direction-aware regressions of the latest revision against the previous
+one recorded on the same machine.
 
 The envelope intentionally replaces the earlier ad-hoc per-bench
 schemas (``repro-bench-serve`` etc.); nothing consumed those
@@ -51,19 +52,38 @@ def machine_info() -> dict[str, Any]:
     }
 
 
-def git_rev(root: Path | None = None) -> str:
-    """The current short git revision, or "" outside a checkout."""
+def _git(root: Path | None, *args: str) -> str | None:
+    """Stdout of one git command in ``root``, or None when it fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=root or ROOT,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_rev(root: Path | None = None) -> str:
+    """The current short git revision, or "" outside a checkout.
+
+    A ``-dirty`` suffix marks a tree whose tracked files, other than the
+    ``BENCH_*`` records themselves, differ from HEAD: such a run did not
+    measure HEAD, and must not replace HEAD's line in the history.
+    """
+    rev = _git(root, "rev-parse", "--short", "HEAD")
+    if not rev:
         return ""
-    return out.stdout.strip() if out.returncode == 0 else ""
+    changed = _git(root, "diff", "--name-only", "HEAD") or ""
+    dirty = any(
+        not Path(name).name.startswith("BENCH_")
+        for name in changed.splitlines()
+        if name
+    )
+    return rev.strip() + ("-dirty" if dirty else "")
 
 
 def _normalise_headline(

@@ -560,13 +560,6 @@ def _serve_main(argv: list[str]) -> int:
         help="micro-batch coalescing window (latency cost of batching)",
     )
     parser.add_argument(
-        "--sidecar",
-        default=None,
-        metavar="PATH",
-        help="derived-table sidecar .npz: reused when it matches the "
-        "snapshot, (re)written after a fresh build",
-    )
-    parser.add_argument(
         "--stats-report",
         default=None,
         metavar="OUT.json",
@@ -602,9 +595,7 @@ def _serve_main(argv: list[str]) -> int:
             dataset = load_dataset(args.snapshot, format=args.format)
         else:
             dataset = _build_dataset(args)
-        index = SnapshotIndex(dataset, derived=args.sidecar)
-        if args.sidecar is not None and not index.derived_loaded:
-            index.save_derived(args.sidecar)
+        index = SnapshotIndex(dataset)
         bus = None
         if args.access_log is not None:
             from repro.obs import JsonlSink, TelemetryBus
@@ -776,12 +767,6 @@ def _cluster_serve_main(argv: list[str]) -> int:
         help="append coordinator access events as JSON lines",
     )
     parser.add_argument(
-        "--sidecar-dir",
-        default=None,
-        metavar="DIR",
-        help="cache shard derived tables (sidecar .npz) in this directory",
-    )
-    parser.add_argument(
         "--analytics-db",
         default=None,
         metavar="PATH",
@@ -807,7 +792,6 @@ def _cluster_serve_main(argv: list[str]) -> int:
         n_ranges=args.ranges,
         replicas=args.replicas,
         host=args.host,
-        sidecar_dir=args.sidecar_dir,
     )
     try:
         urls_by_slot = manager.start()
@@ -872,12 +856,6 @@ def _cluster_shard_main(argv: list[str]) -> int:
     parser.add_argument("--gen", type=int, default=1, help="initial generation")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
-    parser.add_argument(
-        "--sidecar-dir",
-        default=None,
-        metavar="DIR",
-        help="cache derived tables (sidecar .npz) in this directory",
-    )
     args = parser.parse_args(argv)
     try:
         server = ShardServer(
@@ -887,7 +865,6 @@ def _cluster_shard_main(argv: list[str]) -> int:
             gen=args.gen,
             host=args.host,
             port=args.port,
-            sidecar_dir=args.sidecar_dir,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1801,7 +1778,8 @@ def _bench_main(argv: list[str]) -> int:
     history = commands.add_parser(
         "history",
         help="render the per-revision trend table from BENCH_* records "
-        "and flag regressions between the two latest revisions",
+        "and flag regressions against the previous revision on the "
+        "same machine",
     )
     history.add_argument(
         "path",
@@ -1833,7 +1811,8 @@ def _bench_main(argv: list[str]) -> int:
     if regressed:
         print(
             f"{len(regressed)} headline metric(s) regressed more than "
-            f"{args.threshold:.0%} against the previous revision",
+            f"{args.threshold:.0%} against the previous revision on the "
+            "same machine",
             file=sys.stderr,
         )
         if args.check:

@@ -14,9 +14,9 @@ same status codes, same error messages — by routing and merging:
   single-process order), truncate to ``k``/``limit``.
 - ``/as/<asn>`` — scatter; exactly one shard owns any AS, so the first
   ``200`` is relayed verbatim.
-- ``/distance-preference`` — scatter ``/internal/pref-partial``; the
-  integer histograms sum exactly to the single-process counts and the
-  shared payload builder re-emits identical JSON.
+- ``/distance-preference`` — forwarded to range 0 alone: every shard
+  keeps the full snapshot and computes the single-process table, so
+  that one shard's status and body relay verbatim.
 
 Every shard request is pinned to the routing *generation* it was
 planned against (``?_gen=``) and carries the coordinator's trace id in
@@ -39,7 +39,6 @@ from urllib.parse import quote
 
 import numpy as np
 
-from repro.core.distance import preference_from_counts
 from repro.errors import AnalysisError, ServeError
 from repro.obs.export import merge_expositions, render_prometheus
 from repro.cluster.client import (
@@ -60,8 +59,6 @@ from repro.serve.server import (
     parse_as_path,
     parse_near_query,
     parse_query,
-    parse_region,
-    preference_payload,
 )
 
 #: Threads fanning requests out to shard ranges.
@@ -225,7 +222,10 @@ class ClusterCoordinator(FrontEnd):
             if endpoint == "as":
                 return self._handle_as(path, raw_query, routing, trace_id)
             if endpoint == "distance-preference":
-                return self._handle_preference(params, routing, trace_id)
+                # Every shard keeps the full snapshot and computes the
+                # single-process table, so one range answers verbatim.
+                target = self._pinned(path, raw_query, routing.gen)
+                return self._range_request(routing, 0, target, trace_id)
         return super()._dispatch(endpoint, path, raw_query, routing, trace_id)
 
     # -- locate --------------------------------------------------------------
@@ -357,36 +357,6 @@ class ClusterCoordinator(FrontEnd):
                 # its precomputed full-snapshot record relays verbatim.
                 return status, body
         return responses[0]
-
-    def _handle_preference(
-        self, params: dict[str, str], routing: Routing, trace_id: str
-    ):
-        region = parse_region(params)
-        target = (
-            f"/internal/pref-partial?region={quote(params['region'], safe='')}"
-            f"&_gen={routing.gen}"
-        )
-        responses = self._fan_all(routing, target, trace_id)
-        for status, body in responses:
-            if status != 200:
-                # Too-few-nodes is a full-region fact every shard
-                # computes identically from the coordinate sidecar.
-                return status, body
-        partials = [json.loads(body) for _, body in responses]
-        link_counts = np.sum(
-            [p["link_counts"] for p in partials], axis=0, dtype=np.int64
-        )
-        pair_counts = np.sum(
-            [p["pair_counts"] for p in partials], axis=0, dtype=np.int64
-        )
-        pref = preference_from_counts(
-            region.name,
-            partials[0]["bin_miles"],
-            link_counts,
-            pair_counts,
-            partials[0]["n_nodes"],
-        )
-        return 200, preference_payload(pref, params)
 
     # -- observability -------------------------------------------------------
 

@@ -60,7 +60,6 @@ class ShardManager:
         gen: int = 1,
         banner_timeout_s: float = 120.0,
         python: str | None = None,
-        sidecar_dir: str | Path | None = None,
     ) -> None:
         if replicas < 1:
             raise ServeError(f"replicas must be >= 1, got {replicas}")
@@ -69,9 +68,6 @@ class ShardManager:
         self.replicas = replicas
         self.host = host
         self.gen = gen
-        self.sidecar_dir = (
-            Path(sidecar_dir) if sidecar_dir is not None else None
-        )
         self.banner_timeout_s = banner_timeout_s
         self.python = python or sys.executable
         self.ranges: list[ShardRange] = []
@@ -135,8 +131,6 @@ class ShardManager:
             cmd += ["--lo", str(rng.addr_lo)]
         if rng.addr_hi is not None:
             cmd += ["--hi", str(rng.addr_hi)]
-        if self.sidecar_dir is not None:
-            cmd += ["--sidecar-dir", str(self.sidecar_dir)]
         env = dict(os.environ)
         src_dir = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH", "")

@@ -4,16 +4,18 @@ A :class:`ShardServer` is an ordinary snapshot server whose index was
 built with :meth:`SnapshotIndex.build_partition`, plus two extra
 endpoint planes the coordinator uses:
 
-- ``/internal/…`` — scatter-gather legs.  ``locate-lines`` answers a
-  batch of addresses as newline-separated pre-encoded JSON records
-  (``null`` for misses) so the coordinator can splice shard answers
-  into client responses without re-encoding; ``pref-partial`` returns
-  this shard's integer share of a region's distance-preference
-  histograms.
+- ``/internal/locate-lines`` — the scatter-gather leg of ``/locate``:
+  a batch of addresses answered as newline-separated pre-encoded JSON
+  records (``null`` for misses), so the coordinator can splice shard
+  answers into client responses without re-encoding.
 - ``/admin/…`` — the hot-swap protocol.  ``stage`` builds a new
   partition index for a new snapshot (and possibly new bounds) under a
   *generation* number while the old one keeps serving; ``activate``
   flips the default generation; ``retire`` drops old generations.
+
+The public ``/distance-preference`` endpoint needs no internal leg: a
+partition keeps the full snapshot, so any one shard computes the whole
+single-process table.
 
 Every query endpoint accepts ``?_gen=G``: the coordinator pins each
 request to the generation its routing table was planned against, so a
@@ -41,7 +43,6 @@ from repro.serve.server import (
     int_param,
     parse_address_list,
     parse_query,
-    parse_region,
 )
 
 
@@ -58,15 +59,9 @@ class ShardServer(SnapshotServer):
         *,
         gen: int = 1,
         cell_arcmin: float = DEFAULT_CELL_ARCMIN,
-        sidecar_dir: str | Path | None = None,
         **server_kw,
     ) -> None:
         self._cell_arcmin = cell_arcmin
-        self._sidecar_dir = (
-            Path(sidecar_dir) if sidecar_dir is not None else None
-        )
-        if self._sidecar_dir is not None:
-            self._sidecar_dir.mkdir(parents=True, exist_ok=True)
         index = self._build_partition(source, addr_lo, addr_hi, gen)
         super().__init__(index, **server_kw)
         self._gen_lock = threading.Lock()  # serialises writers only
@@ -77,32 +72,12 @@ class ShardServer(SnapshotServer):
 
     # -- partition building --------------------------------------------------
 
-    def _sidecar_path(
-        self, source: str | Path, lo: int | None, hi: int | None
-    ) -> Path | None:
-        if self._sidecar_dir is None:
-            return None
-        cell = f"{self._cell_arcmin:g}".replace(".", "p")
-        name = (
-            f"{Path(source).stem}"
-            f"-{'any' if lo is None else lo}"
-            f"-{'any' if hi is None else hi}"
-            f"-{cell}.derived.npz"
-        )
-        return self._sidecar_dir / name
-
     def _build_partition(
         self, source: str | Path, lo: int | None, hi: int | None, gen: int
     ) -> SnapshotIndex:
-        # The sidecar file is keyed by (source, range, cell); its
-        # embedded snapshot hash is re-verified at load, so a stale file
-        # for a rewritten snapshot just means a rebuild, never bad data.
-        derived = self._sidecar_path(source, lo, hi)
         index = SnapshotIndex.build_partition(
-            source, lo, hi, self._cell_arcmin, derived=derived
+            source, lo, hi, self._cell_arcmin
         )
-        if derived is not None and not index.derived_loaded:
-            index.save_derived(derived)
         index.gen = gen
         return index
 
@@ -153,8 +128,6 @@ class ShardServer(SnapshotServer):
                 for record in records
             ]
             return 200, b"\n".join(lines)
-        if verb == "pref-partial":
-            return 200, index.preference_partial(parse_region(params))
         return 404, {"error": f"unknown internal endpoint {path!r}"}
 
     # -- admin plane (hot snapshot swap) -------------------------------------

@@ -128,14 +128,14 @@ def preference_from_counts(
     pair_counts: np.ndarray,
     n_nodes: int,
 ) -> DistancePreference:
-    """Assemble a :class:`DistancePreference` from merged histograms.
+    """Assemble a :class:`DistancePreference` from integer histograms.
 
-    The scatter-gather path: shard workers return partial
-    ``link_counts`` / ``pair_counts`` (integers, so their sum is exact)
-    and the coordinator rebuilds the table with the same ``f_hat``
-    expression :func:`preference_function` uses — bitwise the same
-    division on bitwise the same counts.  ``link_lengths`` is empty:
-    merged tables serve the query path, not the Table V analyses.
+    The analytics engine's path: it keeps ``link_counts`` /
+    ``pair_counts`` up to date incrementally and rebuilds the table with
+    the same ``f_hat`` expression :func:`preference_function` uses —
+    bitwise the same division on bitwise the same counts.
+    ``link_lengths`` is empty: these tables serve the query path, not
+    the Table V analyses.
     """
     if bin_miles <= 0:
         raise AnalysisError("bin_miles must be positive")

@@ -34,7 +34,13 @@ def haversine_miles(
     lon2r = np.radians(lon2)
     dlat = lat2r - lat1r
     dlon = lon2r - lon1r
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1r) * np.cos(lat2r) * np.sin(dlon / 2.0) ** 2
+    # np.square is the product ``s * s`` on scalars and arrays alike;
+    # numpy's scalar ``float64 ** 2`` is not correctly rounded, so with
+    # it the scalar and array paths would disagree in the last bit.
+    a = (
+        np.square(np.sin(dlat / 2.0))
+        + np.cos(lat1r) * np.cos(lat2r) * np.square(np.sin(dlon / 2.0))
+    )
     # Clamp against tiny negative / >1 values from rounding.
     a = np.clip(a, 0.0, 1.0)
     central = 2.0 * np.arcsin(np.sqrt(a))

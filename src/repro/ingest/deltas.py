@@ -193,10 +193,15 @@ def delta_digest(batch: DeltaBatch) -> str:
 
 
 def delta_to_bytes(batch: DeltaBatch) -> bytes:
-    """Serialise one batch to an in-memory ``.npz`` archive."""
+    """Serialise one batch to an in-memory, uncompressed ``.npz`` archive.
+
+    Uncompressed because a record is written once per batch on the WAL
+    hot path, where deflate costs more time than its bytes save;
+    :func:`delta_from_bytes` reads compressed archives too.
+    """
     buffer = io.BytesIO()
     arrays = {name: getattr(batch, name) for name, _ in _ARRAY_FIELDS}
-    np.savez_compressed(
+    np.savez(
         buffer,
         format_version=np.int64(_FORMAT_VERSION),
         created_unix=np.float64(batch.created_unix),

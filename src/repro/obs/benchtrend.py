@@ -7,7 +7,8 @@ PRs accumulate a per-revision performance record.  This module is the
 *reading* side, shipped inside the package (the ``benchmarks/``
 directory is not importable at runtime): it loads those files, orders
 each benchmark's headline metrics by time, and flags direction-aware
-regressions between the two most recent revisions.
+regressions of the latest revision against the last earlier one
+recorded on the same machine fingerprint.
 
 ``repro bench history`` renders the trend table and, with ``--check``,
 exits nonzero on a flagged regression — the hook the CI telemetry
@@ -160,7 +161,9 @@ class TrendRow:
         better: ``"lower"`` or ``"higher"``.
         values: ``(git_rev, value)`` pairs, oldest first.
         latest: most recent value.
-        previous: value before it (None on a single data point).
+        previous: the last earlier value recorded on the same machine
+            fingerprint (None when there is none) — a change of host is
+            not a regression.
         change: fractional change latest vs previous, signed so that
             positive means *worse* (direction-aware); None without a
             previous value.
@@ -182,8 +185,9 @@ def trend_rows(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[TrendRow]:
     """Fold entries into per-(bench, metric) trend rows."""
-    series: dict[tuple[str, str], list[tuple[float, str, float, str]]] = {}
+    series: dict[tuple[str, str], list[tuple[float, str, float, str, str]]] = {}
     for entry in entries:
+        host = json.dumps(entry.machine, sort_keys=True)
         for metric, record in entry.headline.items():
             series.setdefault((entry.bench, metric), []).append(
                 (
@@ -191,15 +195,19 @@ def trend_rows(
                     entry.git_rev,
                     float(record["value"]),
                     record.get("better", "lower"),
+                    host,
                 )
             )
     rows: list[TrendRow] = []
     for (bench, metric), points in sorted(series.items()):
         points.sort(key=lambda p: p[0])
         better = points[-1][3]
-        values = tuple((rev, value) for _, rev, value, _ in points)
+        values = tuple((rev, value) for _, rev, value, _, _ in points)
         latest = values[-1][1]
-        previous = values[-2][1] if len(values) > 1 else None
+        host = points[-1][4]
+        previous = next(
+            (p[2] for p in reversed(points[:-1]) if p[4] == host), None
+        )
         change: float | None = None
         regressed = False
         if previous is not None and previous != 0:

@@ -19,17 +19,15 @@ handling never touches O(n) scans:
 The index is immutable after construction and safe for concurrent
 readers; the only mutations are the memoised lazy tables.  Streaming
 updates go through :meth:`SnapshotIndex.apply_delta`, which patches the
-dataset and builds a *new* index from scratch, one generation on.  The
-address and grid tables can round-trip through a sidecar ``.npz``
-(:meth:`SnapshotIndex.save_derived`) so restarts skip recomputation
-when the snapshot hash still matches.
+dataset and builds a *new* index from scratch, one generation on.
+Every build is from scratch; there is no on-disk cache of the derived
+tables, because building them costs a few milliseconds.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -42,13 +40,11 @@ from repro.core.distance import (
     PAPER_BIN_MILES,
     DistancePreference,
     f_hat_at,
-    pair_counts,
     preference_function,
 )
 from repro.datasets.mapped import MappedDataset
-from repro.durable import durable_replace
 from repro.errors import AnalysisError, ServeError
-from repro.geo.distance import haversine_miles, link_lengths_miles
+from repro.geo.distance import haversine_miles
 from repro.geo.regions import STUDY_REGIONS, Region, WORLD
 from repro.obs.report import dataset_digest
 
@@ -58,8 +54,6 @@ DEFAULT_CELL_ARCMIN = 75.0
 DEFAULT_BIN_MILES = 35.0
 #: Miles per degree of latitude (conservative ring-search bound).
 _MILES_PER_DEG = 69.0
-#: On-disk format version of the derived-table sidecar.
-_DERIVED_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,13 +106,10 @@ class PartitionData:
     A partition index holds only its owned slice of the node table, but
     some answers are facts about the *whole* snapshot: node degrees
     count links to nodes on other shards, AS summaries span shards, and
-    distance-preference histograms count links and node pairs across the
-    whole region.  This sidecar carries exactly those facts:
+    a distance-preference table counts links and node pairs across the
+    whole region.  This record carries exactly those facts:
 
     Attributes:
-        snapshot_hash: content digest of the **full** dataset — every
-            shard of one snapshot agrees, so the coordinator can verify
-            a consistent fleet.
         addr_lo, addr_hi: the owned half-open address range (None means
             unbounded on that side).
         degrees: full-table degree of each owned node, aligned with the
@@ -126,27 +117,17 @@ class PartitionData:
         as_records: precomputed ``/as`` payload per *owned* AS (an AS is
             owned by the shard whose range contains its minimum
             interface address, so exactly one shard answers).
-        full_lats, full_lons: coordinates of **every** snapshot node
-            (16 bytes/node — the one full-table residue a shard keeps,
-            so a shard can count a whole region's node pairs and link
-            lengths lazily).
-        owned_rows: global row indices this shard owns, ascending.
-        owned_links: global link rows whose smaller endpoint row is
-            owned — the disjoint link partition behind exact histogram
-            merging.
-        n_full_nodes: node count of the full snapshot.
+        full: the whole snapshot.  A shard digests it for
+            ``snapshot_hash`` (so every shard of one snapshot agrees)
+            and computes a region's distance-preference table from it
+            exactly as a single process does.
     """
 
-    snapshot_hash: str
     addr_lo: int | None
     addr_hi: int | None
     degrees: np.ndarray
     as_records: dict[int, dict]
-    full_lats: np.ndarray
-    full_lons: np.ndarray
-    owned_rows: np.ndarray
-    owned_links: np.ndarray
-    n_full_nodes: int
+    full: MappedDataset
 
 
 class SnapshotIndex:
@@ -158,68 +139,42 @@ class SnapshotIndex:
         cell_arcmin: float = DEFAULT_CELL_ARCMIN,
         *,
         partition: PartitionData | None = None,
-        derived: str | Path | None = None,
     ) -> None:
         start = time.perf_counter()
         self.dataset = dataset
         self.partition = partition
         self.cell_arcmin = float(cell_arcmin)
+        # The snapshot that the content digest and the preference
+        # tables describe: a partition's is the whole one.
+        self._full = dataset if partition is None else partition.full
         # The content digest is lazy: a full-table sha over the dataset
         # costs milliseconds, and the per-batch rebuild in apply_delta
         # should not pay it — publishers and health endpoints force it
         # when they actually need it (see the snapshot_hash property).
-        self._snapshot_hash: str | None = (
-            partition.snapshot_hash if partition is not None else None
-        )
+        self._snapshot_hash: str | None = None
 
-        # Spatial grid geometry (cheap; the bucketing below may be
-        # loaded from a sidecar instead of recomputed).
+        # Spatial grid geometry.
         self._region = WORLD
         self._cell_deg = cell_arcmin / 60.0
         self._n_rows = max(1, int(np.ceil(self._region.lat_span / self._cell_deg)))
         self._n_cols = max(1, int(np.ceil(self._region.lon_span / self._cell_deg)))
 
-        # Derived-table sidecar: reuse a previous build's sorted address
-        # index and grid when every identity field matches; any
-        # mismatch (stale hash, other cell size, corrupt file) falls
-        # back to a fresh rebuild.
-        loaded = None
-        if derived is not None:
-            loaded = _load_derived(
-                Path(derived),
-                snapshot_hash=self.snapshot_hash,
-                cell_arcmin=self.cell_arcmin,
-                addr_lo=None if partition is None else partition.addr_lo,
-                addr_hi=None if partition is None else partition.addr_hi,
-                n_nodes=dataset.n_nodes,
-            )
-        self.derived_loaded = loaded is not None
-
         # Address -> row: one sort at build, binary search per lookup.
-        if loaded is not None:
-            self._addr_order = loaded["addr_order"]
-        else:
-            self._addr_order = np.argsort(dataset.addresses, kind="stable")
+        self._addr_order = np.argsort(dataset.addresses, kind="stable")
         self._sorted_addresses = dataset.addresses[self._addr_order]
 
         # Node degree from the link table.  A partition's degrees are a
         # slice of the full table (links to other shards still count).
         if partition is not None:
             self._degrees = partition.degrees
-        elif loaded is not None:
-            self._degrees = loaded["degrees"]
         else:
             self._degrees = np.zeros(dataset.n_nodes, dtype=np.int64)
             if dataset.n_links:
                 np.add.at(self._degrees, dataset.links.ravel(), 1)
 
         # Spatial grid: every node bucketed into a 75' world patch.
-        if loaded is not None:
-            self._cells = loaded["cells"]
-            self._cell_order = loaded["cell_order"]
-        else:
-            self._cells = self._cell_of(dataset.lats, dataset.lons)
-            self._cell_order = np.argsort(self._cells, kind="stable")
+        self._cells = self._cell_of(dataset.lats, dataset.lons)
+        self._cell_order = np.argsort(self._cells, kind="stable")
         sorted_cells = self._cells[self._cell_order]
         first = np.ones(sorted_cells.size, dtype=bool)
         first[1:] = sorted_cells[1:] != sorted_cells[:-1]
@@ -240,7 +195,6 @@ class SnapshotIndex:
         # Distance-preference tables: lazy, memoised per region.
         self._pref_lock = threading.Lock()
         self._pref_tables: dict[str, DistancePreference | AnalysisError] = {}
-        self._partial_tables: dict[str, dict | AnalysisError] = {}
 
         self.gen = 1
         self.built_unix = time.time()
@@ -250,7 +204,7 @@ class SnapshotIndex:
     def snapshot_hash(self) -> str:
         """Content digest of the full dataset (computed lazily, cached)."""
         if self._snapshot_hash is None:
-            self._snapshot_hash = dataset_digest(self.dataset)
+            self._snapshot_hash = dataset_digest(self._full)
         return self._snapshot_hash
 
     # -- partition builds ----------------------------------------------------
@@ -262,8 +216,6 @@ class SnapshotIndex:
         addr_lo: int | None,
         addr_hi: int | None,
         cell_arcmin: float = DEFAULT_CELL_ARCMIN,
-        *,
-        derived: str | Path | None = None,
     ) -> "SnapshotIndex":
         """Build the index for one contiguous address range of a snapshot.
 
@@ -275,10 +227,11 @@ class SnapshotIndex:
         snapshot, and ``snapshot_hash`` is the full dataset's digest so
         all shards of one snapshot agree.
 
-        The full table is streamed through this builder once and then
-        dropped; what a shard retains is its owned slice plus one
-        16-byte-per-node coordinate sidecar (for region pair counts and
-        link lengths) — not the full snapshot.
+        The index also keeps the full snapshot itself
+        (:attr:`PartitionData.full`), so any shard answers
+        ``/distance-preference`` with the same memoised
+        :func:`~repro.core.distance.preference_function` call a single
+        process makes.
         """
         if isinstance(source, MappedDataset):
             dataset = source
@@ -301,11 +254,8 @@ class SnapshotIndex:
             np.add.at(degrees, dataset.links.ravel(), 1)
             both = owned_mask[dataset.links[:, 0]] & owned_mask[dataset.links[:, 1]]
             part_links = local[dataset.links[both]]
-            lower = np.minimum(dataset.links[:, 0], dataset.links[:, 1])
-            owned_links = dataset.links[owned_mask[lower]]
         else:
             part_links = np.empty((0, 2), dtype=np.intp)
-            owned_links = np.empty((0, 2), dtype=np.intp)
         if not part_links.size:
             part_links = np.empty((0, 2), dtype=np.intp)
 
@@ -336,18 +286,13 @@ class SnapshotIndex:
                 as_records[int(table.asns[i])] = _as_record(dataset, table, i)
 
         pdata = PartitionData(
-            snapshot_hash=dataset_digest(dataset),
             addr_lo=None if addr_lo is None else int(addr_lo),
             addr_hi=None if addr_hi is None else int(addr_hi),
             degrees=degrees[owned_rows],
             as_records=as_records,
-            full_lats=dataset.lats,
-            full_lons=dataset.lons,
-            owned_rows=owned_rows,
-            owned_links=owned_links,
-            n_full_nodes=dataset.n_nodes,
+            full=dataset,
         )
-        return cls(part, cell_arcmin, partition=pdata, derived=derived)
+        return cls(part, cell_arcmin, partition=pdata)
 
     # -- delta updates -------------------------------------------------------
 
@@ -372,44 +317,6 @@ class SnapshotIndex:
         new = SnapshotIndex(dataset, self.cell_arcmin)
         new.gen = self.gen + 1
         return new
-
-    # -- derived-table sidecar -----------------------------------------------
-
-    def save_derived(self, path: str | Path) -> None:
-        """Persist the derived tables to a sidecar ``.npz``, durably.
-
-        Stores the sorted address index, degrees, and grid bucketing
-        keyed by snapshot hash, cell size, and (for a partition) the
-        owned address range, so a restart over the same snapshot skips
-        recomputation; any identity mismatch at load time falls back to
-        a fresh build.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        bounds = np.array(
-            [
-                -1 if self.partition is None or self.partition.addr_lo is None
-                else self.partition.addr_lo,
-                -1 if self.partition is None or self.partition.addr_hi is None
-                else self.partition.addr_hi,
-            ],
-            dtype=np.int64,
-        )
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as handle:
-            np.savez_compressed(
-                handle,
-                format_version=np.int64(_DERIVED_FORMAT_VERSION),
-                snapshot_hash=np.str_(self.snapshot_hash),
-                cell_arcmin=np.float64(self.cell_arcmin),
-                bounds=bounds,
-                n_nodes=np.int64(self.dataset.n_nodes),
-                addr_order=self._addr_order.astype(np.int64),
-                degrees=self._degrees.astype(np.int64),
-                cells=self._cells.astype(np.int64),
-                cell_order=self._cell_order.astype(np.int64),
-            )
-        durable_replace(tmp, path)
 
     # -- address lookups -----------------------------------------------------
 
@@ -714,27 +621,21 @@ class SnapshotIndex:
         The first call per region counts the region's links and node
         pairs (:func:`~repro.core.distance.preference_function`, whose
         pair counts come from :func:`~repro.core.distance.pair_counts`);
-        later calls (and :meth:`f_of_d`) are dictionary hits.
+        later calls (and :meth:`f_of_d`) are dictionary hits.  A
+        partition counts over the full snapshot it keeps, so every
+        shard's table equals the single-process one.
 
         Raises:
             AnalysisError: when the region holds too few nodes; the
                 failure itself is memoised so retries stay cheap.
-            ServeError: on a partition index, whose local node subset
-                would silently bias the table — shards answer through
-                :meth:`preference_partial` instead.
         """
-        if self.partition is not None:
-            raise ServeError(
-                "this index serves an address partition; merge "
-                "preference_partial histograms across shards instead"
-            )
         with self._pref_lock:
             cached = self._pref_tables.get(region.name)
         if cached is None:
             bin_miles = PAPER_BIN_MILES.get(region.name, DEFAULT_BIN_MILES)
             try:
                 cached = preference_function(
-                    self.dataset, region, bin_miles, n_bins=N_BINS
+                    self._full, region, bin_miles, n_bins=N_BINS
                 )
             except AnalysisError as exc:
                 cached = exc
@@ -756,90 +657,6 @@ class SnapshotIndex:
         pref = self.distance_preference(region)
         return f_hat_at(pref, d)
 
-    def preference_partial(self, region: Region) -> dict:
-        """This shard's share of a region's preference histograms.
-
-        Returns a JSON-ready dict of integer ``link_counts`` /
-        ``pair_counts`` partials plus the region-total node count.
-        Summed across all shards of one snapshot, the histograms equal
-        the single-process :func:`preference_function` result exactly:
-        each link is counted by the one shard owning its smaller global
-        row, and the whole pair histogram
-        (:func:`~repro.core.distance.pair_counts` over the region) by the
-        shard owning the region's first row, every other shard sending
-        zeros; integer addition commutes.  Memoised per region, failures
-        included.
-
-        Raises:
-            AnalysisError: when the whole region (not just this shard's
-                slice) holds too few nodes — the same error, with the
-                same message, a single-process index raises.
-            ServeError: when this index is not a partition.
-        """
-        if self.partition is None:
-            raise ServeError("preference_partial requires a partition index")
-        with self._pref_lock:
-            cached = self._partial_tables.get(region.name)
-        if cached is None:
-            try:
-                cached = self._compute_partial(region)
-            except AnalysisError as exc:
-                cached = exc
-            with self._pref_lock:
-                cached = self._partial_tables.setdefault(region.name, cached)
-        if isinstance(cached, AnalysisError):
-            raise cached
-        return cached
-
-    def _compute_partial(self, region: Region) -> dict:
-        part = self.partition
-        assert part is not None
-        bin_miles = PAPER_BIN_MILES.get(region.name, DEFAULT_BIN_MILES)
-        mask = region.contains_mask(part.full_lats, part.full_lons)
-        region_rows = np.flatnonzero(mask)
-        n_region = int(region_rows.size)
-        if n_region < 10:
-            # Replicates the single-process message exactly, so the
-            # coordinator can relay any shard's 404 verbatim.
-            raise AnalysisError(
-                f"region {region.name!r} has only {n_region} mapped nodes"
-            )
-        edges = np.arange(N_BINS + 1, dtype=float) * bin_miles
-        if part.owned_links.size:
-            keep = mask[part.owned_links[:, 0]] & mask[part.owned_links[:, 1]]
-            kept = part.owned_links[keep]
-        else:
-            kept = np.empty((0, 2), dtype=np.intp)
-        lengths = (
-            link_lengths_miles(
-                part.full_lats, part.full_lons, kept[:, 0], kept[:, 1]
-            )
-            if kept.size
-            else np.empty(0)
-        )
-        link_counts, _ = np.histogram(lengths, bins=edges)
-        # The pair histogram is cheap over the region's distinct
-        # points, so the shard owning the region's first row counts it
-        # whole and every peer contributes zeros.
-        first = region_rows[0]
-        pos = int(np.searchsorted(part.owned_rows, first))
-        if pos < part.owned_rows.size and part.owned_rows[pos] == first:
-            pairs = pair_counts(
-                part.full_lats[region_rows],
-                part.full_lons[region_rows],
-                bin_miles,
-                N_BINS,
-            )
-        else:
-            pairs = np.zeros(N_BINS, dtype=np.int64)
-        return {
-            "region": region.name,
-            "n_nodes": n_region,
-            "bin_miles": float(bin_miles),
-            "link_counts": link_counts.astype(np.int64).tolist(),
-            "pair_counts": pairs.tolist(),
-        }
-
     # -- bookkeeping ---------------------------------------------------------
 
     @property
@@ -860,7 +677,6 @@ class SnapshotIndex:
             "n_ases": self.n_ases,
             "n_grid_cells": len(self._cell_slices),
             "build_seconds": round(self.build_seconds, 6),
-            "derived_loaded": self.derived_loaded,
             "preference_tables": sorted(
                 name
                 for name, value in self._pref_tables.items()
@@ -871,62 +687,10 @@ class SnapshotIndex:
             facts["partition"] = {
                 "addr_lo": self.partition.addr_lo,
                 "addr_hi": self.partition.addr_hi,
-                "n_owned": int(self.partition.owned_rows.size),
-                "n_full_nodes": self.partition.n_full_nodes,
+                "n_owned": self.dataset.n_nodes,
+                "n_full_nodes": self._full.n_nodes,
             }
         return facts
-
-
-def _load_derived(
-    path: Path,
-    *,
-    snapshot_hash: str,
-    cell_arcmin: float,
-    addr_lo: int | None,
-    addr_hi: int | None,
-    n_nodes: int,
-) -> dict[str, np.ndarray] | None:
-    """Derived tables from a sidecar, or None when unusable.
-
-    Every identity field (format version, snapshot hash, cell size,
-    owned address range, node count) must match and every array must
-    have the expected shape; otherwise the caller rebuilds from scratch
-    — a stale or corrupt sidecar can cost time, never correctness.
-    """
-    want_lo = -1 if addr_lo is None else int(addr_lo)
-    want_hi = -1 if addr_hi is None else int(addr_hi)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if int(data["format_version"]) != _DERIVED_FORMAT_VERSION:
-                return None
-            if str(data["snapshot_hash"]) != snapshot_hash:
-                return None
-            if float(data["cell_arcmin"]) != float(cell_arcmin):
-                return None
-            bounds = data["bounds"]
-            if int(bounds[0]) != want_lo or int(bounds[1]) != want_hi:
-                return None
-            if int(data["n_nodes"]) != n_nodes:
-                return None
-            tables = {
-                "addr_order": data["addr_order"].astype(np.intp),
-                "degrees": data["degrees"].astype(np.int64),
-                "cells": data["cells"].astype(np.intp),
-                "cell_order": data["cell_order"].astype(np.intp),
-            }
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    for array in tables.values():
-        if array.shape != (n_nodes,):
-            return None
-    if n_nodes and (
-        tables["addr_order"].min() < 0
-        or tables["addr_order"].max() >= n_nodes
-        or tables["cell_order"].min() < 0
-        or tables["cell_order"].max() >= n_nodes
-    ):
-        return None
-    return tables
 
 
 def check_point(lat: float, lon: float) -> tuple[float, float]:

@@ -245,14 +245,14 @@ class TestTelemetryCli:
             main(["sweep", "status", "--db", str(campaign), "--follow"])
 
     @staticmethod
-    def _history_line(bench, rev, created, headline):
+    def _history_line(bench, rev, created, headline, machine=None):
         return json.dumps({
             "schema": "repro-bench",
             "schema_version": 1,
             "bench": bench,
             "git_rev": rev,
             "created_unix": created,
-            "machine": {},
+            "machine": machine or {},
             "headline": {
                 name: {"value": value, "better": better}
                 for name, (value, better) in headline.items()
@@ -280,7 +280,85 @@ class TestTelemetryCli:
                      "--threshold", "5.0"])
         assert code == EXIT_OK
 
+    def test_bench_history_compares_within_one_machine(
+        self, tmp_path, capsys
+    ):
+        one_cpu, two_cpu = {"cpus": 1}, {"cpus": 2}
+        history = tmp_path / "BENCH_history.jsonl"
+        lines = [
+            self._history_line("ingest", "aaa", 1.0,
+                               {"p99_s": (0.06, "lower")}, one_cpu),
+            self._history_line("ingest", "bbb", 2.0,
+                               {"p99_s": (0.02, "lower")}, two_cpu),
+            # A slower host is not a regression of the faster one.
+            self._history_line("ingest", "ccc", 3.0,
+                               {"p99_s": (0.05, "lower")}, one_cpu),
+        ]
+        history.write_text("\n".join(lines) + "\n")
+        code = main(["bench", "history", str(tmp_path), "--check"])
+        assert code == EXIT_OK
+        assert "REGRESSED" not in capsys.readouterr().out
+
+        # The same host getting slower is.
+        lines.append(
+            self._history_line("ingest", "ddd", 4.0,
+                               {"p99_s": (0.03, "lower")}, two_cpu)
+        )
+        history.write_text("\n".join(lines) + "\n")
+        code = main(["bench", "history", str(tmp_path), "--check"])
+        assert code == EXIT_DIFF
+        assert "+50.0%  REGRESSED" in capsys.readouterr().out
+
     def test_bench_history_rejects_empty_dir(self, tmp_path, capsys):
         code = main(["bench", "history", str(tmp_path)])
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+
+class TestBenchRecordRevision:
+    """``benchmarks/record.py`` stamps which revision a run measured."""
+
+    @pytest.fixture
+    def record(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "record.py"
+        spec = importlib.util.spec_from_file_location("bench_record", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_dirty_tree_is_marked(self, record, tmp_path):
+        import subprocess
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        (tmp_path / "BENCH_ingest.json").write_text("{}\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "init")
+        clean = record.git_rev(tmp_path)
+        assert clean and not clean.endswith("-dirty")
+
+        # Re-recorded bench files and untracked files keep it clean.
+        (tmp_path / "BENCH_ingest.json").write_text('{"new": 1}\n')
+        (tmp_path / "scratch.txt").write_text("untracked\n")
+        assert record.git_rev(tmp_path) == clean
+
+        (tmp_path / "code.py").write_text("x = 2\n")
+        assert record.git_rev(tmp_path) == f"{clean}-dirty"
+
+        # The history keeps the committed revision's line.
+        record.record_bench("ingest", {}, {"p99_s": 1.0}, root=tmp_path)
+        revs = [
+            json.loads(line)["git_rev"]
+            for line in (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
+        ]
+        assert revs == [f"{clean}-dirty"]

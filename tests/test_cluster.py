@@ -195,6 +195,8 @@ class TestPartitionIndex:
         assert total == dataset.n_nodes
 
     def test_pair_count_partials_sum_to_exact(self, dataset):
+        """Every partition answers each region's whole f_hat(d) table,
+        equal to the single-process one, whatever the range plan."""
         single = SnapshotIndex(dataset)
         us = STUDY_REGIONS[0]
         first = int(
@@ -210,7 +212,6 @@ class TestPartitionIndex:
             [first_addr + 1],
             [first_addr, first_addr + 1, quantile[2]],
         ]
-        us_sender = []
         for cuts in plans:
             bounds = [None, *sorted(cuts), None]
             shards = [
@@ -219,19 +220,16 @@ class TestPartitionIndex:
             ]
             for region in STUDY_REGIONS:
                 expected = single.distance_preference(region)
-                partials = [shard.preference_partial(region) for shard in shards]
-                assert {p["n_nodes"] for p in partials} == {expected.n_nodes}
-                for key in ("link_counts", "pair_counts"):
-                    merged = np.sum([p[key] for p in partials], axis=0)
-                    assert merged.tolist() == getattr(expected, key).tolist()
-                # Exactly one shard sends the pair histogram.
-                senders = [
-                    i for i, p in enumerate(partials) if any(p["pair_counts"])
-                ]
-                assert len(senders) == 1, (cuts, region.name)
-                if region is us:
-                    us_sender.append(senders[0])
-        assert us_sender[1:3] == [1, 0]
+                for shard in shards:
+                    got = shard.distance_preference(region)
+                    assert got.n_nodes == expected.n_nodes
+                    assert got.bin_miles == expected.bin_miles
+                    for key in ("link_counts", "pair_counts"):
+                        assert (
+                            getattr(got, key).tolist()
+                            == getattr(expected, key).tolist()
+                        ), (cuts, region.name, key)
+                    np.testing.assert_array_equal(got.f_hat, expected.f_hat)
 
 
 class TestBitIdentity:
@@ -274,6 +272,39 @@ class TestBitIdentity:
             expected = _raw_get(single.url, target)
             actual = _raw_get(cluster.url, target)
             assert actual == expected, f"diverged on {target}"
+
+    def test_preference_reaches_exactly_one_range(
+        self, dataset, snapshot_path, single
+    ):
+        ranges = partition_bounds(dataset.addresses, 3)
+        shards, urls_by_slot = _start_fleet(snapshot_path, ranges)
+        coordinator = ClusterCoordinator(
+            build_routing(ranges, urls_by_slot), port=0
+        )
+        coordinator.start()
+        targets = [
+            "/distance-preference?region=Europe",
+            "/distance-preference?region=Japan&d=50",
+            "/distance-preference?region=Nowhere",
+        ]
+        try:
+            for target in targets:
+                expected = _raw_get(single.url, target)
+                assert _raw_get(coordinator.url, target) == expected
+            counts = [
+                (
+                    shard.metrics.counter(
+                        "serve.requests.distance-preference"
+                    ).value,
+                    shard.metrics.counter("serve.requests.internal").value,
+                )
+                for shard in shards
+            ]
+        finally:
+            coordinator.stop()
+            for shard in shards:
+                shard.stop()
+        assert counts == [(len(targets), 0), (0, 0), (0, 0)]
 
     def test_near_merge_is_exhaustive(self, dataset, cluster, single):
         # k larger than any single shard's node count forces the merge

@@ -5,8 +5,8 @@ incrementally through a stream of delta batches must be
 indistinguishable — internal arrays, content hash, and raw HTTP bytes
 alike — from one built from scratch over the final dataset.  Around
 that sit the durability contracts: WAL round-trips and torn-tail
-recovery, exactly-once re-application after a crash mid-apply, the
-publish/checkpoint cycle, and the derived-table sidecar fallback.
+recovery, exactly-once re-application after a crash mid-apply, and the
+publish/checkpoint cycle.
 """
 
 from __future__ import annotations
@@ -93,6 +93,37 @@ class TestDeltaBatch:
         assert delta_digest(again) == delta_digest(batch)
         assert again.created_unix == batch.created_unix
         np.testing.assert_array_equal(again.add_links, batch.add_links)
+
+    def test_compressed_records_still_read(self, tmp_path):
+        """Records from the earlier ``savez_compressed`` writer load
+        through delta_from_bytes and replay from a WAL."""
+        import io
+
+        batch = DeltaStream(
+            _tiny_dataset(), np.random.default_rng(3)
+        ).next_batch(n_adds=3, n_links=4, n_moves=2, n_remaps=1)
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
+            format_version=np.int64(1),
+            created_unix=np.float64(batch.created_unix),
+            **{
+                field.name: getattr(batch, field.name)
+                for field in dataclasses.fields(batch)
+                if field.name != "created_unix"
+            },
+        )
+        legacy = buffer.getvalue()
+        assert legacy != delta_to_bytes(batch)
+        again = delta_from_bytes(legacy)
+        assert delta_digest(again) == delta_digest(batch)
+        assert again.created_unix == batch.created_unix
+        with WriteAheadLog(tmp_path / "legacy.wal") as wal:
+            wal.append(legacy)
+        with WriteAheadLog(tmp_path / "legacy.wal") as wal:
+            ((seq, replayed),) = list(wal.replay_deltas(0))
+        assert seq == 1
+        assert delta_digest(replayed) == delta_digest(batch)
 
     def test_digest_ignores_created_unix(self):
         batch = _batch(add_addresses=[1], add_lats=[0.0],
@@ -416,63 +447,6 @@ class TestIncrementalIndex:
             part.apply_delta(DeltaBatch())
 
 
-# -- derived-table sidecar ---------------------------------------------------
-
-
-class TestDerivedSidecar:
-    def test_round_trip(self, dataset, tmp_path):
-        built = SnapshotIndex(dataset)
-        side = tmp_path / "derived.npz"
-        built.save_derived(side)
-        loaded = SnapshotIndex(dataset, derived=side)
-        assert loaded.derived_loaded
-        for name in ("_addr_order", "_degrees", "_cells", "_cell_order"):
-            np.testing.assert_array_equal(
-                getattr(loaded, name), getattr(built, name), err_msg=name
-            )
-        assert loaded.stats()["derived_loaded"] is True
-
-    def test_falls_back_on_hash_mismatch(self, dataset, tmp_path):
-        side = tmp_path / "derived.npz"
-        SnapshotIndex(dataset).save_derived(side)
-        other = _tiny_dataset()
-        rebuilt = SnapshotIndex(other, derived=side)
-        assert not rebuilt.derived_loaded
-        assert rebuilt.locate(10) is not None
-
-    def test_falls_back_on_cell_size_mismatch(self, dataset, tmp_path):
-        side = tmp_path / "derived.npz"
-        SnapshotIndex(dataset, 75.0).save_derived(side)
-        rebuilt = SnapshotIndex(dataset, 60.0, derived=side)
-        assert not rebuilt.derived_loaded
-
-    def test_falls_back_on_corrupt_file(self, dataset, tmp_path):
-        side = tmp_path / "derived.npz"
-        side.write_bytes(b"garbage, not a zip archive")
-        rebuilt = SnapshotIndex(dataset, derived=side)
-        assert not rebuilt.derived_loaded
-
-    def test_missing_file_is_fine(self, dataset, tmp_path):
-        index = SnapshotIndex(dataset, derived=tmp_path / "absent.npz")
-        assert not index.derived_loaded
-
-    def test_partition_sidecar_round_trip(self, dataset, tmp_path):
-        mid = int(np.sort(dataset.addresses)[dataset.n_nodes // 2])
-        built = SnapshotIndex.build_partition(dataset, None, mid, 75.0)
-        side = tmp_path / "part.npz"
-        built.save_derived(side)
-        loaded = SnapshotIndex.build_partition(
-            dataset, None, mid, 75.0, derived=side
-        )
-        assert loaded.derived_loaded
-        np.testing.assert_array_equal(loaded._degrees, built._degrees)
-        # A different range must not accept the same sidecar.
-        other = SnapshotIndex.build_partition(
-            dataset, mid, None, 75.0, derived=side
-        )
-        assert not other.derived_loaded
-
-
 # -- health endpoints report generation metadata -----------------------------
 
 
@@ -493,7 +467,6 @@ class TestGenerationMetadata:
         facts = json.loads(body)["index"]
         assert facts["gen"] == 1
         assert facts["built_unix"] > 0
-        assert facts["derived_loaded"] is False
 
 
 # -- the ingester ------------------------------------------------------------
@@ -655,12 +628,11 @@ class TestIngester:
             assert dataset_digest(published) == ing.index.snapshot_hash
             assert ing.checkpoint["snapshot_hash"] == ing.index.snapshot_hash
 
-    @pytest.mark.parametrize("site", ["publish", "sidecar", "cache", "wal"])
+    @pytest.mark.parametrize("site", ["publish", "cache", "wal"])
     def test_durable_writes_survive_power_loss(
         self, tmp_path, monkeypatch, site
     ):
-        """Generation file, checkpoint, index sidecar and cache entry
-        each go: file fsync, rename, directory fsync.  A new WAL fsyncs
+        """Generation file, checkpoint and cache entry each go: file fsync, rename, directory fsync.  A new WAL fsyncs
         the file, then its directory."""
         import os
         import stat
@@ -689,10 +661,6 @@ class TestIngester:
             batch = self._stream(base).next_batch(2, 2, 1, 1)
             write = lambda: ing.submit(batch)  # noqa: E731
             renamed = ["gen-00000001.npz", "checkpoint.json"]
-        elif site == "sidecar":
-            index = SnapshotIndex(base)
-            write = lambda: index.save_derived(out / "derived.npz")  # noqa: E731
-            renamed = ["derived.npz"]
         elif site == "cache":
             cache = ArtifactCache(out)
             write = lambda: cache.store("key", {"value": 1})  # noqa: E731
