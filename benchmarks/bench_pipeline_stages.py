@@ -22,7 +22,7 @@ from repro.config import (
 )
 from repro.core.distance import pair_counts
 from repro.datasets.pipeline import build_snapshot
-from repro.geoloc.base import build_context
+from repro.geoloc.base import build_context, locate_batch
 from repro.geoloc.ixmapper import IxMapper
 from repro.measure.artifacts import clean_inventory
 from repro.measure.mercator import run_mercator
@@ -108,8 +108,12 @@ def test_bench_pair_counts(benchmark):
 # --- Staged runtime -----------------------------------------------------------
 
 
+#: Pipeline runs behind each stage-timing headline (their median).
+STAGE_ROUNDS = 5
+
+
 def test_pipeline_stage_timing_baseline(record_artifact):
-    """Record the per-stage telemetry profile of one reduced-scale run.
+    """Record the per-stage telemetry profile of the reduced-scale run.
 
     The written artefact is the timing baseline for the staged runtime:
     wall time, RSS high-water mark, and node/link counters per stage.
@@ -117,44 +121,74 @@ def test_pipeline_stage_timing_baseline(record_artifact):
     ``BENCH_stages.json`` at the repo root, so successive sessions
     accumulate a comparable perf trajectory (and ``repro report diff``
     has a stable counter baseline to check against).
+
+    The pipeline runs ``STAGE_ROUNDS`` times.  The headlines are medians
+    over the runs: the total, ``map_s`` (the four ``map:*`` passes
+    together) and ``ground_truth_s``, so bench history shows which layer
+    moved.  The stage list is the run with the median total.
     """
     from repro.config import small_scenario
     from repro.datasets.pipeline import build_pipeline_graph, run_pipeline
     from repro.runtime import Telemetry
 
-    telemetry = Telemetry()
-    run_pipeline(small_scenario(), telemetry=telemetry)
-    assert {e.stage for e in telemetry.events} == set(
-        build_pipeline_graph().names
+    runs = []
+    for _ in range(STAGE_ROUNDS):
+        telemetry = Telemetry()
+        run_pipeline(small_scenario(), telemetry=telemetry)
+        assert {e.stage for e in telemetry.events} == set(
+            build_pipeline_graph().names
+        )
+        runs.append(telemetry)
+
+    def median_of(wall_s) -> float:
+        return round(float(np.median([wall_s(t) for t in runs])), 6)
+
+    total_wall_s = median_of(lambda t: t.total_wall_s())
+    map_s = median_of(
+        lambda t: sum(e.wall_s for e in t.events if e.stage.startswith("map:"))
     )
+    ground_truth_s = median_of(
+        lambda t: sum(e.wall_s for e in t.events if e.stage == "ground_truth")
+    )
+    telemetry = sorted(runs, key=lambda t: t.total_wall_s())[STAGE_ROUNDS // 2]
     record_artifact("pipeline_stage_profile", telemetry.render_profile())
 
     events = sorted(telemetry.events, key=lambda e: (e.start_s, e.stage))
     from record import record_bench
 
-    total_wall_s = round(telemetry.total_wall_s(), 6)
     record_bench(
         "stages",
         {
             "scale": "small",
+            "rounds": STAGE_ROUNDS,
             "total_wall_s": total_wall_s,
+            "map_s": map_s,
+            "ground_truth_s": ground_truth_s,
             "stages": [e.to_dict() for e in events],
         },
-        headline={"total_wall_s": (total_wall_s, "lower")},
+        headline={
+            "total_wall_s": (total_wall_s, "lower"),
+            "map_s": (map_s, "lower"),
+            "ground_truth_s": (ground_truth_s, "lower"),
+        },
     )
+
+
+#: Interleaved batch/scalar rounds timed by the speedup check.
+SPEEDUP_ROUNDS = 7
 
 
 def test_locate_many_speedup_visible(bench_world, bench_truth):
     """The batched mapping hot path beats per-address locate calls.
 
-    Runs the same IxMapper pass over the same inventory through
-    ``build_snapshot`` twice — once with the tool's vectorised
-    ``locate_many``, once with the batch API hidden so the per-address
-    fallback loop runs — and asserts the batch path is faster (best of
-    three, equal results).
+    Times ``locate_batch`` alone over one inventory's member interfaces,
+    once through IxMapper's vectorised ``locate_many`` and once with the
+    batch API hidden so the per-address fallback loop runs.  Batch and
+    scalar rounds alternate, so a noisy host slows both arms alike, and
+    the medians of ``SPEEDUP_ROUNDS`` rounds are compared.  The vote and
+    AS mapping of ``build_snapshot`` are identical in both arms and are
+    not timed; both arms must still produce equal results and datasets.
     """
-    from repro.datasets.pipeline import build_snapshot
-
     topology, plan, _ = bench_truth
     rng = np.random.default_rng(5)
     from repro.config import GeolocConfig
@@ -167,6 +201,11 @@ def test_locate_many_speedup_visible(bench_world, bench_truth):
         rng,
     )
     cleaned, _ = clean_inventory(inventory)
+    members = [
+        member
+        for node in sorted(cleaned.nodes)
+        for member in cleaned.aliases[node]
+    ]
 
     class _ScalarOnly:
         """Wraps a mapper, hiding locate_many to force the scalar loop."""
@@ -179,25 +218,28 @@ def test_locate_many_speedup_visible(bench_world, bench_truth):
         def locate(self, address):
             return self._inner.locate(address)
 
-    def timed(make_mapper):
-        best = float("inf")
-        snapshot = None
-        for _ in range(3):
+    arms = {
+        "batch": lambda: IxMapper(context, np.random.default_rng(6)),
+        "scalar": lambda: _ScalarOnly(
+            IxMapper(context, np.random.default_rng(6))
+        ),
+    }
+    times: dict[str, list[float]] = {name: [] for name in arms}
+    results = {}
+    for _ in range(SPEEDUP_ROUNDS):
+        for name, make_mapper in arms.items():
             mapper = make_mapper()
             start = time.perf_counter()
-            snapshot = build_snapshot(cleaned, mapper, table, "bench")
-            best = min(best, time.perf_counter() - start)
-        return best, snapshot
-
-    batch_s, (batch_ds, _) = timed(
-        lambda: IxMapper(context, np.random.default_rng(6))
-    )
-    scalar_s, (scalar_ds, _) = timed(
-        lambda: _ScalarOnly(IxMapper(context, np.random.default_rng(6)))
-    )
+            results[name] = locate_batch(mapper, members)
+            times[name].append(time.perf_counter() - start)
+    assert results["batch"] == results["scalar"]
+    batch_ds, _ = build_snapshot(cleaned, arms["batch"](), table, "bench")
+    scalar_ds, _ = build_snapshot(cleaned, arms["scalar"](), table, "bench")
     assert np.array_equal(batch_ds.addresses, scalar_ds.addresses)
     assert np.array_equal(batch_ds.lats, scalar_ds.lats)
+    batch_s = float(np.median(times["batch"]))
+    scalar_s = float(np.median(times["scalar"]))
     assert batch_s < scalar_s, (
-        f"batched mapping ({batch_s:.3f}s) not faster than "
-        f"scalar loop ({scalar_s:.3f}s)"
+        f"batched locate ({batch_s:.3f}s median) not faster than "
+        f"scalar loop ({scalar_s:.3f}s median)"
     )

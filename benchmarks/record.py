@@ -70,9 +70,11 @@ def _git(root: Path | None, *args: str) -> str | None:
 def git_rev(root: Path | None = None) -> str:
     """The current short git revision, or "" outside a checkout.
 
-    A ``-dirty`` suffix marks a tree whose tracked files, other than the
-    ``BENCH_*`` records themselves, differ from HEAD: such a run did not
-    measure HEAD, and must not replace HEAD's line in the history.
+    A ``-dirty`` suffix marks a tree whose tracked files differ from
+    HEAD: such a run did not measure HEAD, and must not replace HEAD's
+    line in the history.  What benches write themselves does not count:
+    the ``BENCH_*`` records and the artefacts rendered under
+    ``benchmarks/output/``.
     """
     rev = _git(root, "rev-parse", "--short", "HEAD")
     if not rev:
@@ -80,6 +82,7 @@ def git_rev(root: Path | None = None) -> str:
     changed = _git(root, "diff", "--name-only", "HEAD") or ""
     dirty = any(
         not Path(name).name.startswith("BENCH_")
+        and not name.startswith("benchmarks/output/")
         for name in changed.splitlines()
         if name
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.trie import PrefixTrie
+import numpy as np
+
 from repro.errors import AddressError
-from repro.net.ip import Prefix
+from repro.net.ip import ADDRESS_BITS, ADDRESS_SPACE, Prefix, check_address
 from repro.obs import current_metrics
 
 #: Sentinel ASN for addresses no announced prefix covers.
@@ -40,53 +41,121 @@ class RibEntry:
 
 
 class BgpTable:
-    """An immutable-after-build RIB with longest-prefix-match lookup."""
+    """An immutable-after-build RIB with longest-prefix-match lookup.
+
+    Lookups run over a compiled form of the announcements: per prefix
+    length, the sorted prefix bases and their origins.  An address is
+    matched by masking it to each length, longest first, and finding the
+    masked value among that length's bases with ``np.searchsorted``.
+    The compiled arrays are built on the first lookup after an
+    announcement.
+    """
 
     def __init__(self, entries: list[RibEntry] | None = None) -> None:
-        self._trie = PrefixTrie()
+        self._routes: dict[Prefix, int] = {}
         self._entries: list[RibEntry] = []
+        self._compiled: list[tuple[int, np.ndarray, np.ndarray]] | None = None
         for entry in entries or []:
             self.announce(entry)
 
     def announce(self, entry: RibEntry) -> None:
         """Add one announcement (later duplicates replace earlier origins)."""
-        self._trie.insert(entry.prefix, entry.origin_asn)
+        self._routes[entry.prefix] = entry.origin_asn
         self._entries.append(entry)
+        self._compiled = None
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._routes)
 
     @property
     def entries(self) -> list[RibEntry]:
         """All announcements in insertion order."""
         return list(self._entries)
 
+    def _compile(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(length, sorted bases, origins)`` per announced length, longest first."""
+        if self._compiled is None:
+            by_length: dict[int, list[tuple[int, int]]] = {}
+            for prefix, asn in self._routes.items():
+                by_length.setdefault(prefix.length, []).append((prefix.base, asn))
+            compiled = []
+            for length in sorted(by_length, reverse=True):
+                pairs = np.asarray(sorted(by_length[length]), dtype=np.int64)
+                compiled.append((length, pairs[:, 0].copy(), pairs[:, 1].copy()))
+            self._compiled = compiled
+        return self._compiled
+
+    def _match(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Longest-match length and origin per address (-1 and
+        :data:`UNMAPPED_ASN` where nothing matches)."""
+        lengths = np.full(addresses.shape, -1, dtype=np.int64)
+        asns = np.full(addresses.shape, UNMAPPED_ASN, dtype=np.int64)
+        open_rows = np.arange(addresses.size)
+        for length, bases, origins in self._compile():
+            if open_rows.size == 0:
+                break
+            shift = ADDRESS_BITS - length
+            masked = (addresses[open_rows] >> shift) << shift
+            slots = np.searchsorted(bases, masked)
+            slots[slots == bases.size] = 0
+            hit = bases[slots] == masked
+            rows = open_rows[hit]
+            lengths[rows] = length
+            asns[rows] = origins[slots[hit]]
+            open_rows = open_rows[~hit]
+        return lengths, asns
+
+    def origin_many(self, addresses) -> np.ndarray:
+        """Origin AS of the longest announced prefix covering each address.
+
+        When observability is active, the call adds the number of
+        addresses to ``bgp.lookups`` and the number that nothing matches
+        to ``bgp.misses`` on the active metrics registry.
+
+        Returns:
+            An int64 array parallel to ``addresses``: the origin ASN, or
+            :data:`UNMAPPED_ASN` where nothing matches.
+
+        Raises:
+            AddressError: if an address lies outside the 32-bit space.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64).reshape(-1)
+        if addresses.size and (
+            addresses.min() < 0 or addresses.max() >= ADDRESS_SPACE
+        ):
+            bad = addresses[(addresses < 0) | (addresses >= ADDRESS_SPACE)][0]
+            raise AddressError(f"address {int(bad)!r} outside 32-bit space")
+        _, asns = self._match(addresses)
+        metrics = current_metrics()
+        if metrics is not None:
+            metrics.counter("bgp.lookups").add(int(addresses.size))
+            metrics.counter("bgp.misses").add(
+                int(np.count_nonzero(asns == UNMAPPED_ASN))
+            )
+        return asns
+
     def origin_of(self, address: int) -> int:
         """Origin AS of the longest announced prefix covering ``address``.
 
-        When observability is active, every lookup increments
-        ``bgp.lookups`` (and ``bgp.misses`` when nothing matches) on the
-        active metrics registry.
+        One :meth:`origin_many` lookup, counted the same way.
 
         Returns:
             The origin ASN, or :data:`UNMAPPED_ASN` when nothing matches.
         """
-        match = self._trie.longest_match(address)
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.counter("bgp.lookups").add(1)
-            if match is None:
-                metrics.counter("bgp.misses").add(1)
-        if match is None:
-            return UNMAPPED_ASN
-        _, asn = match
-        return int(asn)  # type: ignore[arg-type]
+        check_address(address)
+        return int(self.origin_many([address])[0])
 
     def matching_prefix(self, address: int) -> Prefix | None:
         """The longest announced prefix covering ``address``, if any."""
-        match = self._trie.longest_match(address)
-        return None if match is None else match[0]
+        check_address(address)
+        lengths, _ = self._match(np.array([address], dtype=np.int64))
+        length = int(lengths[0])
+        if length < 0:
+            return None
+        shift = ADDRESS_BITS - length
+        return Prefix((address >> shift) << shift, length)
 
     def map_addresses(self, addresses: list[int]) -> dict[int, int]:
         """Bulk origin lookup: address -> ASN (or UNMAPPED_ASN)."""
-        return {addr: self.origin_of(addr) for addr in addresses}
+        asns = self.origin_many(addresses)
+        return dict(zip(addresses, asns.tolist()))

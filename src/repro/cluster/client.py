@@ -365,7 +365,7 @@ def request_with_failover(
     executor: Executor,
     trace_id: str = "",
     timeout_s: float | None = None,
-    hedge_delay_s: float = 0.05,
+    hedge_delay_s: float | None = 0.05,
     metrics: MetricsRegistry | None = None,
 ) -> tuple[int, bytes]:
     """One logical GET against a replica set.
@@ -373,7 +373,8 @@ def request_with_failover(
     Launches the first candidate, hedges to the next after
     ``hedge_delay_s`` without an answer, and fails over on errors until
     a replica responds.  The first completed response wins; late
-    duplicates are discarded harmlessly.
+    duplicates are discarded harmlessly.  ``hedge_delay_s=None`` never
+    hedges: the next replica is tried only after a failure.
 
     Raises:
         ShardUnavailable: when every replica failed (or, with

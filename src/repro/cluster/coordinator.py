@@ -14,9 +14,10 @@ same status codes, same error messages — by routing and merging:
   single-process order), truncate to ``k``/``limit``.
 - ``/as/<asn>`` — scatter; exactly one shard owns any AS, so the first
   ``200`` is relayed verbatim.
-- ``/distance-preference`` — forwarded to range 0 alone: every shard
-  keeps the full snapshot and computes the single-process table, so
-  that one shard's status and body relay verbatim.
+- ``/distance-preference`` — forwarded to range 0 alone, without a
+  hedge: every shard keeps the full snapshot and computes the
+  single-process table, so that one shard's status and body relay
+  verbatim.
 
 Every shard request is pinned to the routing *generation* it was
 planned against (``?_gen=``) and carries the coordinator's trace id in
@@ -224,8 +225,12 @@ class ClusterCoordinator(FrontEnd):
             if endpoint == "distance-preference":
                 # Every shard keeps the full snapshot and computes the
                 # single-process table, so one range answers verbatim.
+                # No hedge: a first table per region can outlast the
+                # hedge delay, and a hedge would compute it twice.
                 target = self._pinned(path, raw_query, routing.gen)
-                return self._range_request(routing, 0, target, trace_id)
+                return self._range_request(
+                    routing, 0, target, trace_id, hedge=False
+                )
         return super()._dispatch(endpoint, path, raw_query, routing, trace_id)
 
     # -- locate --------------------------------------------------------------
@@ -294,7 +299,13 @@ class ClusterCoordinator(FrontEnd):
     # -- scatter-gather ------------------------------------------------------
 
     def _range_request(
-        self, routing: Routing, owner: int, target: str, trace_id: str
+        self,
+        routing: Routing,
+        owner: int,
+        target: str,
+        trace_id: str,
+        *,
+        hedge: bool = True,
     ) -> tuple[int, bytes]:
         return request_with_failover(
             routing.replica_sets[owner],
@@ -302,7 +313,7 @@ class ClusterCoordinator(FrontEnd):
             executor=self._replica_pool,
             trace_id=trace_id,
             timeout_s=self._shard_timeout_s,
-            hedge_delay_s=self._hedge_delay_s,
+            hedge_delay_s=self._hedge_delay_s if hedge else None,
             metrics=self.metrics,
         )
 

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.stats import LinearFit, least_squares_fit, semilog_fit
 from repro.datasets.mapped import MappedDataset
 from repro.errors import AnalysisError
+from repro.geo.coords import distinct_points
 from repro.geo.distance import haversine_miles
 from repro.geo.regions import Region
 
@@ -98,13 +99,9 @@ def pair_counts(
     counts = np.zeros(n_bins, dtype=np.int64)
     if lats.shape[0] < 2 or n_bins == 0:
         return counts
-    points, weights = np.unique(
-        np.column_stack((lats, lons)), axis=0, return_counts=True
-    )
+    plats, plons, weights, _ = distinct_points(lats, lons)
     weights = weights.astype(np.int64)
     counts[0] += int(np.sum(weights * (weights - 1) // 2))
-    plats = points[:, 0]
-    plons = points[:, 1]
     m = plats.size
     edges = np.arange(n_bins + 1, dtype=float) * bin_miles
     for start in range(0, m - 1, PAIR_CHUNK):

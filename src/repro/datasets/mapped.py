@@ -20,6 +20,16 @@ from repro.geo.regions import Region
 
 #: Decimal degrees of rounding that defines a "distinct location"
 #: (roughly city granularity, the accuracy limit of the mapping tools).
+#:
+#: Two roundings use it.  The mapping stage's location vote
+#: (``datasets.pipeline.build_snapshot``) groups interfaces with Python's
+#: correctly rounded ``round``; :meth:`MappedDataset.location_keys` and
+#: ``core.asgeo`` use ``np.round``, which scales, rounds and divides, and
+#: differs at some half-way decimals (``round(0.15, 1)`` is 0.1,
+#: ``np.round(0.15, 1)`` is 0.2).  Both stay as they are: switching either
+#: one would change which routers tie or which points merge, and so change
+#: published tables, while each is already cheap (the vote rounds only
+#: the few hundred distinct points of a pass).
 LOCATION_DECIMALS = 1
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from repro.config import ScenarioConfig
 from repro.datasets.mapped import LOCATION_DECIMALS, MappedDataset
 from repro.datasets.serialize import dataset_from_dict, dataset_to_dict
 from repro.errors import DatasetError
+from repro.geo.coords import distinct_points, points_to_arrays
 from repro.geoloc.base import GeoContext, Geolocator, build_context, locate_batch
 from repro.geoloc.edgescape import EdgeScape
 from repro.geoloc.ixmapper import IxMapper
@@ -94,13 +94,51 @@ class ProcessingReport:
     n_as_unmapped: int
 
 
-def _majority_vote(values: list[tuple[float, float]]) -> tuple[float, float] | None:
-    """Most common rounded location; None on a tie for first place."""
-    counts = Counter(values)
-    ranked = counts.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        return None
-    return ranked[0][0]
+def _grouped_mode(
+    groups: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group most common value, ties broken by first occurrence.
+
+    The ranking of ``Counter(values of one group).most_common()``: by
+    count, then by first occurrence in input order.
+
+    Returns:
+        ``(group_ids, winners, tied)``: the groups present in ascending
+        order; per group, the input index of its winning value's first
+        occurrence; and whether another value reaches the winner's count.
+    """
+    n = groups.size
+    if n == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.empty(0, dtype=bool)
+    # Stable: each (group, value) run lists its inputs in input order.
+    order = np.lexsort((values, groups))
+    sorted_groups = groups[order]
+    sorted_values = values[order]
+    run_starts = np.ones(n, dtype=bool)
+    run_starts[1:] = (sorted_groups[1:] != sorted_groups[:-1]) | (
+        sorted_values[1:] != sorted_values[:-1]
+    )
+    first = np.flatnonzero(run_starts)
+    run_group = sorted_groups[first]
+    run_count = np.diff(np.append(first, n))
+    run_first = order[first]
+    # Runs ranked within each group: highest count, then first seen.
+    ranked = np.lexsort((run_first, -run_count, run_group))
+    ranked_group = run_group[ranked]
+    heads = np.ones(ranked.size, dtype=bool)
+    heads[1:] = ranked_group[1:] != ranked_group[:-1]
+    head_at = np.flatnonzero(heads)
+    best = ranked[head_at]
+    # The runner-up, where a group has one, sits right after its head.
+    runner_at = np.minimum(head_at + 1, ranked.size - 1)
+    runner = ranked[runner_at]
+    tied = (
+        (runner_at > head_at)
+        & (ranked_group[runner_at] == run_group[best])
+        & (run_count[runner] == run_count[best])
+    )
+    return run_group[best], run_first[best], tied
 
 
 def build_snapshot(
@@ -114,89 +152,85 @@ def build_snapshot(
     Skitter nodes are located directly.  Mercator nodes take the location
     most commonly reported across their member interfaces (rounded to
     city granularity); ties discard the router.  The parent AS is, for
-    Mercator, the AS most commonly reported by the member interfaces.
+    Mercator, the AS most commonly reported by the member interfaces,
+    the first seen winning a tie.
 
     All member interfaces are geolocated in one ``locate_many`` batch —
     the mapping stage's hot path — rather than one ``locate`` call per
-    interface.
+    interface.  Both votes are one grouped pass over member arrays, and
+    the members of surviving nodes are AS-mapped in one
+    :meth:`~repro.bgp.table.BgpTable.origin_many` call.
 
     Raises:
         DatasetError: if the inventory fails validation.
     """
     inventory.validate()
-    n_raw = inventory.n_nodes
-    kept_addresses: list[int] = []
-    kept_lats: list[float] = []
-    kept_lons: list[float] = []
-    kept_asns: list[int] = []
-    n_unmapped = 0
-    n_ties = 0
-    n_as_unmapped = 0
-
     ordered_nodes = sorted(inventory.nodes)
+    n_nodes = len(ordered_nodes)
     member_lists = [inventory.aliases[node] for node in ordered_nodes]
+    sizes = np.fromiter(map(len, member_lists), dtype=np.intp, count=n_nodes)
     flat_members = [member for members in member_lists for member in members]
-    flat_results = locate_batch(geolocator, flat_members)
+    member_node = np.repeat(np.arange(n_nodes), sizes)
+    results = locate_batch(geolocator, flat_members)
 
-    offset = 0
-    for node, members in zip(ordered_nodes, member_lists):
-        results = flat_results[offset:offset + len(members)]
-        offset += len(members)
-        votes: list[tuple[float, float]] = []
-        exact: dict[tuple[float, float], tuple[float, float]] = {}
-        for result in results:
-            if not result.mapped:
-                continue
-            assert result.location is not None
-            key = (
-                round(result.location.lat, LOCATION_DECIMALS),
-                round(result.location.lon, LOCATION_DECIMALS),
-            )
-            votes.append(key)
-            exact.setdefault(key, (result.location.lat, result.location.lon))
-        if not votes:
-            n_unmapped += 1
-            continue
-        winner = _majority_vote(votes)
-        if winner is None:
-            n_ties += 1
-            continue
-        lat, lon = exact[winner]
-        # Parent AS: most common across member interfaces.
-        as_votes = Counter(bgp_table.origin_of(member) for member in members)
-        asn, _ = as_votes.most_common(1)[0]
-        if asn == UNMAPPED_ASN:
-            n_as_unmapped += 1
-        kept_addresses.append(node)
-        kept_lats.append(lat)
-        kept_lons.append(lon)
-        kept_asns.append(asn)
+    # Location vote over the members the tool could place.
+    mapped = np.fromiter(
+        (result.mapped for result in results), dtype=bool, count=len(results)
+    )
+    lats, lons = points_to_arrays(
+        [result.location for result in results if result.mapped]
+    )
+    # Keys round each distinct point once, with Python's correctly
+    # rounded ``round`` (``np.round(0.15, 1)`` is 0.2; ``round`` gives 0.1).
+    point_lats, point_lons, _, point_of = distinct_points(lats, lons)
+    key_lats = np.array(
+        [round(x, LOCATION_DECIMALS) for x in point_lats.tolist()], dtype=float
+    )
+    key_lons = np.array(
+        [round(x, LOCATION_DECIMALS) for x in point_lons.tolist()], dtype=float
+    )
+    _, _, _, key_of_point = distinct_points(key_lats, key_lons)
+    voted_nodes, winners, tied = _grouped_mode(
+        member_node[mapped], key_of_point[point_of]
+    )
+    kept_nodes = voted_nodes[~tied]
+    # The winner's exact coordinates: its node's first member with that key.
+    kept_lats = lats[winners[~tied]]
+    kept_lons = lons[winners[~tied]]
 
-    address_to_index = {addr: i for i, addr in enumerate(kept_addresses)}
-    link_rows = [
-        (address_to_index[a], address_to_index[b])
-        for a, b in inventory.links
-        if a in address_to_index and b in address_to_index
-    ]
+    # AS vote over every member of the surviving nodes.
+    survives = np.zeros(n_nodes, dtype=bool)
+    survives[kept_nodes] = True
+    voting = survives[member_node]
+    member_asns = bgp_table.origin_many(
+        np.asarray(flat_members, dtype=np.int64)[voting]
+    )
+    _, as_winners, _ = _grouped_mode(member_node[voting], member_asns)
+    kept_asns = member_asns[as_winners]
+
+    kept_addresses = np.asarray(ordered_nodes, dtype=np.int64)[kept_nodes]
+    links = np.empty((0, 2), dtype=np.intp)
+    if inventory.links and kept_addresses.size:
+        pairs = np.asarray(list(inventory.links), dtype=np.int64)
+        slots = np.searchsorted(kept_addresses, pairs)
+        slots[slots == kept_addresses.size] = 0
+        both_kept = np.all(kept_addresses[slots] == pairs, axis=1)
+        links = slots[both_kept].astype(np.intp)
     dataset = MappedDataset(
         label=label,
         kind=inventory.kind,
-        addresses=np.asarray(kept_addresses, dtype=np.int64),
-        lats=np.asarray(kept_lats, dtype=float),
-        lons=np.asarray(kept_lons, dtype=float),
-        asns=np.asarray(kept_asns, dtype=np.int64),
-        links=(
-            np.asarray(link_rows, dtype=np.intp)
-            if link_rows
-            else np.empty((0, 2), dtype=np.intp)
-        ),
+        addresses=kept_addresses,
+        lats=kept_lats,
+        lons=kept_lons,
+        asns=kept_asns,
+        links=links,
     )
     report = ProcessingReport(
         label=label,
-        n_raw_nodes=n_raw,
-        n_unmapped=n_unmapped,
-        n_location_ties=n_ties,
-        n_as_unmapped=n_as_unmapped,
+        n_raw_nodes=n_nodes,
+        n_unmapped=n_nodes - int(voted_nodes.size),
+        n_location_ties=int(np.count_nonzero(tied)),
+        n_as_unmapped=int(np.count_nonzero(kept_asns == UNMAPPED_ASN)),
     )
     return dataset, report
 

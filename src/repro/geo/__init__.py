@@ -11,6 +11,7 @@ from repro.geo.coords import (
     EARTH_RADIUS_MILES,
     GeoPoint,
     arrays_to_points,
+    distinct_points,
     normalize_longitude,
     points_to_arrays,
     validate_latitude,
@@ -47,6 +48,7 @@ __all__ = [
     "EARTH_RADIUS_MILES",
     "GeoPoint",
     "arrays_to_points",
+    "distinct_points",
     "normalize_longitude",
     "points_to_arrays",
     "validate_latitude",

@@ -98,6 +98,38 @@ def points_to_arrays(points: list[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
     return lats, lons
 
 
+def distinct_points(
+    lats: np.ndarray, lons: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(lat, lon)`` points of parallel coordinate arrays.
+
+    Equal to ``np.unique(np.column_stack((lats, lons)), axis=0,
+    return_counts=True)`` (lexicographic order; ``0.0`` and ``-0.0`` are
+    one point), but by one ``np.lexsort`` and a scan for run boundaries
+    instead of a structured-row sort.
+
+    Returns:
+        ``(point_lats, point_lons, counts, inverse)``: the points in
+        lexicographic order, how many inputs each stands for, and the
+        index of each input's point.
+    """
+    lats = np.asarray(lats, dtype=float)
+    lons = np.asarray(lons, dtype=float)
+    n = lats.size
+    order = np.lexsort((lons, lats))
+    sorted_lats = lats[order]
+    sorted_lons = lons[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (sorted_lats[1:] != sorted_lats[:-1]) | (
+        sorted_lons[1:] != sorted_lons[:-1]
+    )
+    first = np.flatnonzero(starts)
+    counts = np.diff(np.append(first, n))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return sorted_lats[first], sorted_lons[first], counts, inverse
+
+
 def arrays_to_points(lats: np.ndarray, lons: np.ndarray) -> list[GeoPoint]:
     """Convert parallel coordinate arrays into a list of :class:`GeoPoint`.
 

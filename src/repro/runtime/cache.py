@@ -27,7 +27,7 @@ from repro.durable import durable_replace
 from repro.errors import CacheError
 
 #: Bump when the key derivation or on-disk layout changes.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 _DumpFn = Callable[[Any, Path], None]
 _LoadFn = Callable[[Path], Any]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.routeviews import (
     build_routeviews_snapshot,
@@ -12,7 +14,7 @@ from repro.bgp.table import UNMAPPED_ASN, BgpTable, RibEntry
 from repro.config import BgpConfig
 from repro.errors import AddressError
 from repro.net.addressing import AddressPlan
-from repro.net.ip import Prefix, parse_address
+from repro.net.ip import ADDRESS_BITS, Prefix, parse_address, prefix_mask
 
 
 class TestRibEntry:
@@ -23,6 +25,29 @@ class TestRibEntry:
     def test_rejects_non_positive_asn(self):
         with pytest.raises(AddressError):
             RibEntry(Prefix.parse("16.0.0.0/16"), 0)
+
+
+@st.composite
+def _tables_and_probes(draw):
+    """Announcements nested under a few roots (a /0 and /32s included,
+    prefixes re-announced) and probe addresses in and around them."""
+    roots = draw(
+        st.lists(st.integers(0, (1 << ADDRESS_BITS) - 1), min_size=1, max_size=3)
+    )
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        root = draw(st.sampled_from(roots))
+        length = draw(st.sampled_from([0, 1, 8, 16, 20, 24, 31, 32]))
+        base = root & prefix_mask(length)
+        entries.append(RibEntry(Prefix(base, length), draw(st.integers(1, 5))))
+    if entries and draw(st.booleans()):
+        again = draw(st.sampled_from(entries)).prefix
+        entries.append(RibEntry(again, draw(st.integers(1, 5))))
+    probes = [
+        min(max(root + draw(st.integers(-3, 3)), 0), (1 << ADDRESS_BITS) - 1)
+        for root in draw(st.lists(st.sampled_from(roots), max_size=10))
+    ] + draw(st.lists(st.integers(0, (1 << ADDRESS_BITS) - 1), max_size=5))
+    return entries, probes
 
 
 class TestBgpTable:
@@ -56,6 +81,52 @@ class TestBgpTable:
         )
         assert out[parse_address("16.0.0.1")] == 5
         assert out[parse_address("20.0.0.1")] == UNMAPPED_ASN
+
+    def test_origin_many_is_parallel_int64(self):
+        table = BgpTable([RibEntry(Prefix.parse("16.0.0.0/8"), 5)])
+        out = table.origin_many(
+            [parse_address("16.0.0.1"), parse_address("20.0.0.1")]
+        )
+        assert out.dtype == np.int64
+        assert out.tolist() == [5, UNMAPPED_ASN]
+        assert table.origin_many([]).shape == (0,)
+
+    def test_origin_many_rejects_out_of_range(self):
+        table = BgpTable([RibEntry(Prefix.parse("16.0.0.0/8"), 5)])
+        with pytest.raises(AddressError):
+            table.origin_many([1, 1 << 32])
+        with pytest.raises(AddressError):
+            table.origin_many([-1])
+
+    def test_reannounce_replaces_origin(self):
+        table = BgpTable([RibEntry(Prefix.parse("16.0.0.0/8"), 5)])
+        assert table.origin_of(parse_address("16.0.0.1")) == 5
+        table.announce(RibEntry(Prefix.parse("16.0.0.0/8"), 6))
+        assert table.origin_of(parse_address("16.0.0.1")) == 6
+        assert len(table) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables_and_probes())
+    def test_origin_many_equals_origin_of_and_naive_scan(self, case):
+        entries, probes = case
+        table = BgpTable(entries)
+        naive = []
+        for address in probes:
+            best_length, best_asn = -1, UNMAPPED_ASN
+            # Later announcements of one prefix replace earlier ones.
+            for entry in entries:
+                mask = prefix_mask(entry.prefix.length)
+                if (
+                    address & mask == entry.prefix.base
+                    and entry.prefix.length >= best_length
+                ):
+                    best_length, best_asn = entry.prefix.length, entry.origin_asn
+            naive.append(best_asn)
+        assert table.origin_many(probes).tolist() == naive
+        assert [table.origin_of(address) for address in probes] == naive
+        for address, asn in zip(probes, naive):
+            prefix = table.matching_prefix(address)
+            assert (prefix is None) == (asn == UNMAPPED_ASN)
 
     def test_len_counts_prefixes(self):
         table = BgpTable(

@@ -342,13 +342,18 @@ class TestBenchRecordRevision:
         git("init", "-q")
         (tmp_path / "code.py").write_text("x = 1\n")
         (tmp_path / "BENCH_ingest.json").write_text("{}\n")
+        output = tmp_path / "benchmarks" / "output"
+        output.mkdir(parents=True)
+        (output / "table1.txt").write_text("rendered\n")
         git("add", "-A")
         git("commit", "-q", "-m", "init")
         clean = record.git_rev(tmp_path)
         assert clean and not clean.endswith("-dirty")
 
-        # Re-recorded bench files and untracked files keep it clean.
+        # Re-recorded bench files, re-rendered bench artefacts and
+        # untracked files keep it clean.
         (tmp_path / "BENCH_ingest.json").write_text('{"new": 1}\n')
+        (output / "table1.txt").write_text("rendered again\n")
         (tmp_path / "scratch.txt").write_text("untracked\n")
         assert record.git_rev(tmp_path) == clean
 

@@ -446,6 +446,56 @@ class TestFailover:
             shard.stop()
 
 
+def _tiled(dataset: MappedDataset, copies: int) -> MappedDataset:
+    """``copies`` shifted copies of a snapshot with disjoint addresses."""
+    span = int(dataset.addresses.max()) + 1000
+    parts = range(copies)
+    return MappedDataset(
+        label=f"{dataset.label}-x{copies}",
+        kind=dataset.kind,
+        addresses=np.concatenate([dataset.addresses + i * span for i in parts]),
+        lats=np.concatenate(
+            [np.clip(dataset.lats + 0.01 * i, -90.0, 90.0) for i in parts]
+        ),
+        lons=np.concatenate(
+            [np.clip(dataset.lons + 0.01 * i, -180.0, 180.0) for i in parts]
+        ),
+        asns=np.concatenate([dataset.asns for _ in parts]),
+        links=np.concatenate(
+            [dataset.links + i * dataset.n_nodes for i in parts]
+        ),
+    )
+
+
+class TestPreferenceNotHedged:
+    def test_one_replica_computes_the_table(self, dataset, tmp_path):
+        """A first ``/distance-preference`` per region is slow at 12x
+        tiling; a hedge would make both replicas compute and memoise it.
+        The hedge delay here is 1 ms, far below any table's cost, so a
+        hedged request would surely reach the second replica."""
+        path = tmp_path / "x12.npz"
+        save_dataset(_tiled(dataset, 12), path)
+        ranges = partition_bounds(np.load(path)["addresses"], 1)
+        shards, urls_by_slot = _start_fleet(str(path), ranges, replicas=2)
+        coordinator = ClusterCoordinator(
+            build_routing(ranges, urls_by_slot), port=0, hedge_delay_s=0.001
+        )
+        coordinator.start()
+        try:
+            status, _ = _raw_get(coordinator.url, "/distance-preference?region=US")
+            hedges = coordinator.metrics.counter("coord.hedges").value
+            tables = [
+                shard.stats()["index"]["preference_tables"] for shard in shards
+            ]
+        finally:
+            coordinator.stop()
+            for shard in shards:
+                shard.stop()
+        assert status == 200
+        assert hedges == 0
+        assert sorted(tables) == [[], ["US"]]
+
+
 class TestShardClient:
     def test_rejects_url_without_port(self):
         with pytest.raises(ServeError, match="host and port"):

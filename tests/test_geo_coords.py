@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeoError
 from repro.geo.coords import (
     GeoPoint,
     arrays_to_points,
+    distinct_points,
     normalize_longitude,
     points_to_arrays,
     validate_latitude,
@@ -140,3 +141,53 @@ class TestArrayConversion:
     def test_invalid_values_raise(self):
         with pytest.raises(GeoError):
             arrays_to_points(np.array([95.0]), np.array([0.0]))
+
+
+def _assert_matches_np_unique(lats, lons):
+    point_lats, point_lons, counts, inverse = distinct_points(lats, lons)
+    want, want_counts = np.unique(
+        np.column_stack((lats, lons)), axis=0, return_counts=True
+    )
+    assert np.array_equal(np.column_stack((point_lats, point_lons)), want)
+    assert np.array_equal(counts, want_counts)
+    # Every input maps back to its own point.
+    assert np.array_equal(point_lats[inverse], lats)
+    assert np.array_equal(point_lons[inverse], lons)
+
+
+class TestDistinctPoints:
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 0.1, -0.1, 45.5, -90.0, 90.0]),
+                st.sampled_from([0.0, -0.0, 0.15, -120.25, 180.0, -180.0]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_equals_np_unique_rows(self, points):
+        coords = np.array(points, dtype=float).reshape(-1, 2)
+        _assert_matches_np_unique(coords[:, 0], coords[:, 1])
+
+    def test_signed_zeros_are_one_point(self):
+        lats = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+        lons = np.array([-0.0, 0.0, 0.0, -0.0, 1.0])
+        point_lats, _, counts, inverse = distinct_points(lats, lons)
+        assert point_lats.size == 2
+        assert counts.tolist() == [4, 1]
+        assert inverse.tolist() == [0, 0, 0, 0, 1]
+        _assert_matches_np_unique(lats, lons)
+
+    def test_random_points(self):
+        rng = np.random.default_rng(3)
+        lats = np.round(rng.uniform(-10, 10, 500), 0)
+        lons = np.round(rng.uniform(-10, 10, 500), 0)
+        _assert_matches_np_unique(lats, lons)
+
+    def test_empty(self):
+        point_lats, point_lons, counts, inverse = distinct_points(
+            np.empty(0), np.empty(0)
+        )
+        assert point_lats.size == point_lons.size == counts.size == 0
+        assert inverse.size == 0
