@@ -17,6 +17,13 @@ has not regressed past the recorded baseline (with a noise allowance).
 
 Scales run in ascending size order so the small-scale peak-RSS sample
 is taken before larger scenarios inflate the process high-water mark.
+
+Each scale's ground-truth time is a headline (``<scale>_ground_truth_s``,
+lower is better): the median of ``GENERATION_ROUNDS`` generations from
+the same random state, which must all produce the same
+``topology_digest``.  The digest goes into the payload, so a generator
+change that claims identical output can be checked against the
+previous record.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import default_scenario, large_scenario, small_scenario
+from repro.ingest.apply import topology_digest
 from repro.measure.mercator import run_mercator
 from repro.measure.skitter import run_skitter
 from repro.net.generate import generate_ground_truth
@@ -52,6 +60,9 @@ BASELINES = {
         "rss_mb": None,
     },
 }
+
+#: Generations timed per scale; the headline is their median.
+GENERATION_ROUNDS = 3
 
 #: Required combined generate+measure speedup at default scale.
 SPEEDUP_FLOOR = 3.0
@@ -78,14 +89,28 @@ def bench_scale(name: str, generate_only: bool) -> dict:
     rng = np.random.default_rng(config.seed)
     world = build_world(rng, city_scale=config.city_scale)
 
-    start = time.perf_counter()
-    topology, _, _ = generate_ground_truth(world, config.ground_truth, rng)
-    generation_s = time.perf_counter() - start
+    # Every round starts from the same random state, so the measurement
+    # campaigns below see the same topology and stream as after one.
+    state = rng.bit_generator.state
+    times: list[float] = []
+    digests: set[str] = set()
+    for _ in range(GENERATION_ROUNDS):
+        topology = None  # keep one topology alive, as a single run does
+        rng.bit_generator.state = state
+        start = time.perf_counter()
+        topology, _, _ = generate_ground_truth(world, config.ground_truth, rng)
+        times.append(time.perf_counter() - start)
+        digests.add(topology_digest(topology))
+    if len(digests) != 1:
+        raise RuntimeError(f"{name}: generation rounds disagree: {sorted(digests)}")
+    generation_s = float(np.median(times))
 
     record = {
         "n_routers": topology.n_routers,
         "n_links": topology.n_links,
         "n_interfaces": topology.n_interfaces,
+        "topology_digest": digests.pop(),
+        "generation_rounds": GENERATION_ROUNDS,
         "ground_truth_s": round(generation_s, 6),
         "routers_per_sec": round(topology.n_routers / generation_s, 1),
     }
@@ -214,6 +239,13 @@ def main(argv: list[str] | None = None) -> int:
                 "higher",
             )
             break
+    for scale in _ORDER:
+        record = results.get(scale)
+        if record:
+            headline[f"{scale}_ground_truth_s"] = (
+                record["ground_truth_s"],
+                "lower",
+            )
     small = results.get("small")
     if small is not None:
         headline["small_peak_rss_mb"] = (small["peak_rss_mb"], "lower")

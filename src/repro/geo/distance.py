@@ -32,6 +32,28 @@ def haversine_miles(
     lon1r = np.radians(lon1)
     lat2r = np.radians(lat2)
     lon2r = np.radians(lon2)
+    return haversine_miles_radians(
+        lat1r, lon1r, np.cos(lat1r), lat2r, lon2r, np.cos(lat2r)
+    )
+
+
+def haversine_miles_radians(
+    lat1r: np.ndarray | float,
+    lon1r: np.ndarray | float,
+    cos_lat1: np.ndarray | float,
+    lat2r: np.ndarray | float,
+    lon2r: np.ndarray | float,
+    cos_lat2: np.ndarray | float,
+) -> np.ndarray | float:
+    """:func:`haversine_miles` on operands already in radians.
+
+    Callers that measure many points against the same array pass its
+    radians and ``cos(lat)`` once instead of recomputing them per call.
+    The result is bitwise equal to :func:`haversine_miles` as long as
+    each operand is converted the way :func:`haversine_miles` would
+    convert it: a scalar as a scalar, an array as an array (numpy's
+    vectorised ``cos`` may differ from the scalar one in the last bit).
+    """
     dlat = lat2r - lat1r
     dlon = lon2r - lon1r
     # np.square is the product ``s * s`` on scalars and arrays alike;
@@ -39,7 +61,7 @@ def haversine_miles(
     # it the scalar and array paths would disagree in the last bit.
     a = (
         np.square(np.sin(dlat / 2.0))
-        + np.cos(lat1r) * np.cos(lat2r) * np.square(np.sin(dlon / 2.0))
+        + cos_lat1 * cos_lat2 * np.square(np.sin(dlon / 2.0))
     )
     # Clamp against tiny negative / >1 values from rounding.
     a = np.clip(a, 0.0, 1.0)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import GroundTruthConfig
 from repro.errors import ConfigError, TopologyError
-from repro.geo.distance import haversine_miles
+from repro.geo.distance import haversine_miles, haversine_miles_radians
 from repro.net.addressing import AddressPlan
 from repro.net.elements import AutonomousSystem
 from repro.net.hostnames import make_hostname_batch
@@ -50,6 +50,16 @@ _NAME_STEMS = (
 _PRIVATE_POOL = Prefix.parse("10.0.0.0/8")
 
 
+def _radians(lats, lons) -> tuple:
+    """``(lat, lon, cos(lat))`` in radians: :func:`haversine_miles_radians` operands.
+
+    Convert a scalar as a scalar and an array as an array, as
+    :func:`haversine_miles` does, so distances stay bitwise equal.
+    """
+    lat_r = np.radians(lats)
+    return lat_r, np.radians(lons), np.cos(lat_r)
+
+
 @dataclass
 class _AsSpec:
     """Working state for one AS during generation."""
@@ -63,6 +73,11 @@ class _AsSpec:
     pop_cities: list[int] = field(default_factory=list)
     router_ids: list[int] = field(default_factory=list)
     routers_by_city: dict[int, list[int]] = field(default_factory=dict)
+    # Cities holding routers, their router-count shares and their
+    # haversine operands; set once routers are placed (see _index_pops).
+    present_cities: list[int] = field(default_factory=list)
+    present_share: np.ndarray | None = None
+    present_radians: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -108,6 +123,12 @@ class GroundTruthGenerator:
         )
         self._zone_names = [z.name for z in world.zones]
         self._router_zone: list[int] = []
+        # Owner ASN per router id, fixed once the link stage starts.
+        self._router_asn: list[int] = []
+        # Links accepted by _add_link_checked that _flush_links has not
+        # yet appended: (router_a, router_b, interface_a, interface_b).
+        self._pending_links: list[tuple[int, int, int, int]] = []
+        self._pending_pairs: set[tuple[int, int]] = set()
         self.report: GenerationReport | None = None
 
     # -- helpers ------------------------------------------------------------
@@ -404,15 +425,31 @@ class GroundTruthGenerator:
     # -- stage 4: links --------------------------------------------------------
 
     def _add_link_checked(self, ra: int, rb: int) -> bool:
-        """Add a link with fresh interface addresses; False on duplicates."""
-        if ra == rb or self.topology.has_link(ra, rb):
+        """Queue a link with fresh interface addresses; False on duplicates.
+
+        The addresses are drawn now, so the random stream and the address
+        plan advance exactly as for an immediate add; the link reaches
+        the topology, in call order, at the next :meth:`_flush_links`.
+        """
+        if ra == rb:
             return False
-        asn_a = int(self.topology.router_asns()[ra])
-        asn_b = int(self.topology.router_asns()[rb])
-        self.topology.add_link(
-            ra, rb, self._allocate_address(asn_a), self._allocate_address(asn_b)
-        )
+        pair = (ra, rb) if ra < rb else (rb, ra)
+        if pair in self._pending_pairs or self.topology.has_link(ra, rb):
+            return False
+        interface_a = self._allocate_address(self._router_asn[ra])
+        interface_b = self._allocate_address(self._router_asn[rb])
+        self._pending_links.append((ra, rb, interface_a, interface_b))
+        self._pending_pairs.add(pair)
         return True
+
+    def _flush_links(self) -> None:
+        """Append the queued links to the topology in one batch."""
+        if not self._pending_links:
+            return
+        columns = (np.array(c, dtype=np.int64) for c in zip(*self._pending_links))
+        self.topology.add_links(*columns)
+        self._pending_links.clear()
+        self._pending_pairs.clear()
 
     def _add_links_batch(self, pairs_a: list[int], pairs_b: list[int]) -> int:
         """Batch :meth:`_add_link_checked`: silently drops duplicates.
@@ -421,6 +458,7 @@ class GroundTruthGenerator:
         are allocated grouped per AS (ascending ASN), a different draw
         order from the scalar path but the same allocator state.
         """
+        self._flush_links()
         if not pairs_a:
             return 0
         ra = np.asarray(pairs_a, dtype=np.intp)
@@ -479,9 +517,10 @@ class GroundTruthGenerator:
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[gateways]
         lons = all_lons[gateways]
+        gateway_rad = _radians(lats, lons)
         # Vectorised Prim: track the distance from each outside gateway
         # to its closest in-tree gateway, O(k) work per added edge.
-        min_dist = haversine_miles(lats[0], lons[0], lats, lons)
+        min_dist = haversine_miles_radians(*_radians(lats[0], lons[0]), *gateway_rad)
         min_dist[0] = np.inf
         closest = np.zeros(k, dtype=np.intp)
         in_tree = np.zeros(k, dtype=bool)
@@ -494,7 +533,7 @@ class GroundTruthGenerator:
             pairs_b.append(int(gateways[closest[j]]))
             in_tree[j] = True
             min_dist[j] = np.inf
-            dists = haversine_miles(lats[j], lons[j], lats, lons)
+            dists = haversine_miles_radians(*_radians(lats[j], lons[j]), *gateway_rad)
             update = ~in_tree & (dists < min_dist)
             min_dist[update] = dists[update]
             closest[update] = j
@@ -502,36 +541,42 @@ class GroundTruthGenerator:
 
     def _waxman_extra_links(self, spec: _AsSpec, n_extra: int) -> None:
         """Distance-sampled (or occasionally long-range) intra-AS links."""
-        members = np.array(spec.router_ids)
-        if members.size < 3 or n_extra <= 0:
+        members = spec.router_ids
+        n = len(members)
+        if n < 3 or n_extra <= 0:
             return
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[members]
         lons = all_lons[members]
+        member_rad = _radians(lats, lons)
         zones = [self._zone_names[self._router_zone[r]] for r in members]
         added = 0
         attempts = 0
         while added < n_extra and attempts < n_extra * 8:
             attempts += 1
-            ui = int(self.rng.integers(members.size))
+            ui = int(self.rng.integers(n))
             if self.rng.random() < self.config.long_range_fraction:
-                vi = int(self.rng.integers(members.size))
+                vi = int(self.rng.integers(n))
             else:
                 scale = self._waxman_l_for_zone(zones[ui])
-                dists = haversine_miles(lats[ui], lons[ui], lats, lons)
+                dists = haversine_miles_radians(
+                    *_radians(lats[ui], lons[ui]), *member_rad
+                )
                 weights = np.exp(-dists / scale)
                 weights[ui] = 0.0
                 total = weights.sum()
                 if total <= 0:
                     continue
-                vi = int(self.rng.choice(members.size, p=weights / total))
-            if self._add_link_checked(int(members[ui]), int(members[vi])):
+                vi = int(self.rng.choice(n, p=weights / total))
+            if self._add_link_checked(members[ui], members[vi]):
                 added += 1
 
     def _intra_as_links(self, specs: list[_AsSpec]) -> None:
         cfg = self.config
         target_total = cfg.mean_links_per_router * self.topology.n_routers
         target_inter = cfg.interdomain_link_fraction * target_total
+        # No router is added from here on.
+        self._router_asn = self.topology.router_asns().tolist()
         for spec in specs:
             self._intra_pop_links(spec)
             self._backbone_links(spec)
@@ -602,27 +647,40 @@ class GroundTruthGenerator:
         if extra > 0 and edges:
             picks = self.rng.integers(0, len(edges), size=extra)
             queue.extend(edges[int(p)] for p in picks)
+        for spec in specs:
+            self._index_pops(spec)
         for a, b in queue:
             self._physical_interdomain_link(specs[a], specs[b])
 
+    def _index_pops(self, spec: _AsSpec) -> None:
+        """Fill ``spec.present_*`` from its (final) city router lists."""
+        cities = [c for c in spec.routers_by_city if c >= 0]
+        spec.present_cities = cities
+        if not cities:
+            return
+        weights = np.array(
+            [len(spec.routers_by_city[c]) for c in cities], dtype=float
+        )
+        spec.present_share = weights / weights.sum()
+        spec.present_radians = _radians(
+            self._city_lat[cities], self._city_lon[cities]
+        )
+
     def _physical_interdomain_link(self, x: _AsSpec, y: _AsSpec) -> None:
         """Join a random PoP of x to y's nearest PoP (typical peering shape)."""
-        x_cities = [c for c in x.routers_by_city if c >= 0]
-        y_cities = [c for c in y.routers_by_city if c >= 0]
+        x_cities = x.present_cities
+        y_cities = y.present_cities
         if not x_cities or not y_cities:
             x_all = x.router_ids
             y_all = y.router_ids
             self._add_link_checked(
-                int(x_all[int(self.rng.integers(len(x_all)))]),
-                int(y_all[int(self.rng.integers(len(y_all)))]),
+                x_all[int(self.rng.integers(len(x_all)))],
+                y_all[int(self.rng.integers(len(y_all)))],
             )
             return
-        weights = np.array([len(x.routers_by_city[c]) for c in x_cities], dtype=float)
-        cx = x_cities[int(self.rng.choice(len(x_cities), p=weights / weights.sum()))]
-        y_lat = self._city_lat[y_cities]
-        y_lon = self._city_lon[y_cities]
-        dists = haversine_miles(
-            self._city_lat[cx], self._city_lon[cx], y_lat, y_lon
+        cx = x_cities[int(self.rng.choice(len(x_cities), p=x.present_share))]
+        dists = haversine_miles_radians(
+            *_radians(self._city_lat[cx], self._city_lon[cx]), *y.present_radians
         )
         cy = y_cities[int(np.argmin(dists))]
         rx = x.routers_by_city[cx][int(self.rng.integers(len(x.routers_by_city[cx])))]
@@ -633,6 +691,7 @@ class GroundTruthGenerator:
 
     def _attach_isolated(self, specs: list[_AsSpec]) -> None:
         """Connect any degree-0 router to its AS's nearest other router."""
+        self._flush_links()
         degrees = self.topology.degrees()
         all_lats, all_lons = self.topology.router_coordinates()
         for spec in specs:
@@ -661,32 +720,32 @@ class GroundTruthGenerator:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
+        # One pass over the intra-AS subgraph of all routers: links this
+        # method adds join components of one AS and never merge another's.
+        self._flush_links()
+        a, b = self.topology.link_endpoints()
+        r_asn = self.topology.router_asns()
+        intra = r_asn[a] == r_asn[b]
+        n = self.topology.n_routers
+        graph = csr_matrix(
+            (np.ones(int(intra.sum()), dtype=np.int8), (a[intra], b[intra])),
+            shape=(n, n),
+        )
+        _, labels = connected_components(graph, directed=False)
         for spec in specs:
-            members = np.asarray(spec.router_ids, dtype=np.intp)
-            if members.size < 2:
+            members = spec.router_ids
+            if len(members) < 2:
                 continue
-            # Induced intra-AS subgraph from the link columns.
-            a, b = self.topology.link_endpoints()
-            r_asn = self.topology.router_asns()
-            sel = (r_asn[a] == spec.asn) & (r_asn[b] == spec.asn)
-            sorted_members = np.sort(members)
-            la = np.searchsorted(sorted_members, a[sel])
-            lb = np.searchsorted(sorted_members, b[sel])
-            graph = csr_matrix(
-                (np.ones(la.shape[0], dtype=np.int8), (la, lb)),
-                shape=(members.size, members.size),
-            )
-            n_components, labels = connected_components(graph, directed=False)
-            if n_components <= 1:
+            member_labels = labels[members]
+            base_label = int(member_labels[0])
+            if np.all(member_labels == base_label):
                 continue
             # First member (in creation order) of each component acts as
             # its representative, matching the old DFS discovery order.
-            labels_in_order = labels[np.searchsorted(sorted_members, members)]
             representatives: dict[int, int] = {}
-            for rid, label in zip(members.tolist(), labels_in_order.tolist()):
-                representatives.setdefault(int(label), rid)
-            base_label = int(labels_in_order[0])
-            base = int(members[0])
+            for rid, label in zip(members, member_labels.tolist()):
+                representatives.setdefault(label, rid)
+            base = members[0]
             for label, rid in representatives.items():
                 if label != base_label:
                     self._add_link_checked(base, rid)
@@ -745,6 +804,7 @@ class GroundTruthGenerator:
         self._realize_interdomain(specs, edges)
         self._attach_isolated(specs)
         self._connect_as_components(specs)
+        self._flush_links()
         self._assign_hostnames(specs)
         self.topology.validate()
         if self.topology.n_links == 0:

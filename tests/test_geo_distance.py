@@ -10,6 +10,7 @@ from repro.geo.coords import EARTH_RADIUS_MILES, GeoPoint
 from repro.geo.distance import (
     great_circle_miles,
     haversine_miles,
+    haversine_miles_radians,
     link_lengths_miles,
     pairwise_distance_matrix,
 )
@@ -105,6 +106,44 @@ class TestProperties:
         bc = haversine_miles(lb, lob, lc, loc)
         ac = haversine_miles(la, lo, lc, loc)
         assert ac <= ab + bc + 1e-6
+
+
+class TestRadiansHelper:
+    """haversine_miles_radians on precomputed operands == haversine_miles."""
+
+    @staticmethod
+    def _operands(lats, lons):
+        lat_r = np.radians(lats)
+        return lat_r, np.radians(lons), np.cos(lat_r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(latitudes, longitudes), min_size=1, max_size=40),
+        st.lists(st.tuples(latitudes, longitudes), min_size=1, max_size=40),
+    )
+    def test_bitwise_equal(self, points, others):
+        lats, lons = np.array(points, dtype=float).T
+        array_ops = self._operands(lats, lons)
+        # Scalar against array: the array's operands are computed once
+        # and reused for every scalar, as the generator's loops do.
+        for lat, lon in zip(lats, lons):
+            for scalar_lat, scalar_lon in ((lat, lon), (float(lat), float(lon))):
+                expected = haversine_miles(scalar_lat, scalar_lon, lats, lons)
+                got = haversine_miles_radians(
+                    *self._operands(scalar_lat, scalar_lon), *array_ops
+                )
+                assert np.array_equal(got, expected)
+        # Array against array (equal lengths).
+        other_lats, other_lons = np.array(others, dtype=float).T
+        n = min(lats.size, other_lats.size)
+        expected = haversine_miles(
+            lats[:n], lons[:n], other_lats[:n], other_lons[:n]
+        )
+        got = haversine_miles_radians(
+            *self._operands(lats[:n], lons[:n]),
+            *self._operands(other_lats[:n], other_lons[:n]),
+        )
+        assert np.array_equal(got, expected)
 
 
 class TestPairwiseMatrix:
