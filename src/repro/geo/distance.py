@@ -28,13 +28,22 @@ def haversine_miles(
     Returns:
         Distance(s) in miles, with the broadcast shape of the inputs.
     """
-    lat1r = np.radians(lat1)
-    lon1r = np.radians(lon1)
-    lat2r = np.radians(lat2)
-    lon2r = np.radians(lon2)
     return haversine_miles_radians(
-        lat1r, lon1r, np.cos(lat1r), lat2r, lon2r, np.cos(lat2r)
+        *haversine_operands(lat1, lon1), *haversine_operands(lat2, lon2)
     )
+
+
+def haversine_operands(
+    lat: np.ndarray | float, lon: np.ndarray | float
+) -> tuple:
+    """``(lat, lon, cos(lat))`` in radians, for :func:`haversine_miles_radians`.
+
+    Convert a scalar as a scalar and an array as an array; an element
+    taken from a converted array may differ in the last bit of its
+    cosine from the same value converted alone.
+    """
+    lat_r = np.radians(lat)
+    return lat_r, np.radians(lon), np.cos(lat_r)
 
 
 def haversine_miles_radians(
@@ -45,14 +54,12 @@ def haversine_miles_radians(
     lon2r: np.ndarray | float,
     cos_lat2: np.ndarray | float,
 ) -> np.ndarray | float:
-    """:func:`haversine_miles` on operands already in radians.
+    """:func:`haversine_miles` on operands from :func:`haversine_operands`.
 
-    Callers that measure many points against the same array pass its
-    radians and ``cos(lat)`` once instead of recomputing them per call.
-    The result is bitwise equal to :func:`haversine_miles` as long as
-    each operand is converted the way :func:`haversine_miles` would
-    convert it: a scalar as a scalar, an array as an array (numpy's
-    vectorised ``cos`` may differ from the scalar one in the last bit).
+    Callers that measure many points against the same array convert it
+    once instead of on every call.  The result is bitwise equal to
+    :func:`haversine_miles` on the same degrees, provided each operand
+    was converted on its own, as :func:`haversine_operands` requires.
     """
     dlat = lat2r - lat1r
     dlon = lon2r - lon1r

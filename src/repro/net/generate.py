@@ -31,7 +31,11 @@ import numpy as np
 
 from repro.config import GroundTruthConfig
 from repro.errors import ConfigError, TopologyError
-from repro.geo.distance import haversine_miles, haversine_miles_radians
+from repro.geo.distance import (
+    haversine_miles,
+    haversine_miles_radians,
+    haversine_operands,
+)
 from repro.net.addressing import AddressPlan
 from repro.net.elements import AutonomousSystem
 from repro.net.hostnames import make_hostname_batch
@@ -48,16 +52,6 @@ _NAME_STEMS = (
 
 #: Private 10/8 pool used for the occasional misconfigured interface.
 _PRIVATE_POOL = Prefix.parse("10.0.0.0/8")
-
-
-def _radians(lats, lons) -> tuple:
-    """``(lat, lon, cos(lat))`` in radians: :func:`haversine_miles_radians` operands.
-
-    Convert a scalar as a scalar and an array as an array, as
-    :func:`haversine_miles` does, so distances stay bitwise equal.
-    """
-    lat_r = np.radians(lats)
-    return lat_r, np.radians(lons), np.cos(lat_r)
 
 
 @dataclass
@@ -517,10 +511,12 @@ class GroundTruthGenerator:
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[gateways]
         lons = all_lons[gateways]
-        gateway_rad = _radians(lats, lons)
+        gateway_rad = haversine_operands(lats, lons)
         # Vectorised Prim: track the distance from each outside gateway
         # to its closest in-tree gateway, O(k) work per added edge.
-        min_dist = haversine_miles_radians(*_radians(lats[0], lons[0]), *gateway_rad)
+        min_dist = haversine_miles_radians(
+            *haversine_operands(lats[0], lons[0]), *gateway_rad
+        )
         min_dist[0] = np.inf
         closest = np.zeros(k, dtype=np.intp)
         in_tree = np.zeros(k, dtype=bool)
@@ -533,7 +529,9 @@ class GroundTruthGenerator:
             pairs_b.append(int(gateways[closest[j]]))
             in_tree[j] = True
             min_dist[j] = np.inf
-            dists = haversine_miles_radians(*_radians(lats[j], lons[j]), *gateway_rad)
+            dists = haversine_miles_radians(
+                *haversine_operands(lats[j], lons[j]), *gateway_rad
+            )
             update = ~in_tree & (dists < min_dist)
             min_dist[update] = dists[update]
             closest[update] = j
@@ -548,7 +546,7 @@ class GroundTruthGenerator:
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[members]
         lons = all_lons[members]
-        member_rad = _radians(lats, lons)
+        member_rad = haversine_operands(lats, lons)
         zones = [self._zone_names[self._router_zone[r]] for r in members]
         added = 0
         attempts = 0
@@ -560,7 +558,7 @@ class GroundTruthGenerator:
             else:
                 scale = self._waxman_l_for_zone(zones[ui])
                 dists = haversine_miles_radians(
-                    *_radians(lats[ui], lons[ui]), *member_rad
+                    *haversine_operands(lats[ui], lons[ui]), *member_rad
                 )
                 weights = np.exp(-dists / scale)
                 weights[ui] = 0.0
@@ -662,7 +660,7 @@ class GroundTruthGenerator:
             [len(spec.routers_by_city[c]) for c in cities], dtype=float
         )
         spec.present_share = weights / weights.sum()
-        spec.present_radians = _radians(
+        spec.present_radians = haversine_operands(
             self._city_lat[cities], self._city_lon[cities]
         )
 
@@ -680,7 +678,8 @@ class GroundTruthGenerator:
             return
         cx = x_cities[int(self.rng.choice(len(x_cities), p=x.present_share))]
         dists = haversine_miles_radians(
-            *_radians(self._city_lat[cx], self._city_lon[cx]), *y.present_radians
+            *haversine_operands(self._city_lat[cx], self._city_lon[cx]),
+            *y.present_radians,
         )
         cy = y_cities[int(np.argmin(dists))]
         rx = x.routers_by_city[cx][int(self.rng.integers(len(x.routers_by_city[cx])))]

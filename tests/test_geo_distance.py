@@ -11,6 +11,7 @@ from repro.geo.distance import (
     great_circle_miles,
     haversine_miles,
     haversine_miles_radians,
+    haversine_operands,
     link_lengths_miles,
     pairwise_distance_matrix,
 )
@@ -111,11 +112,6 @@ class TestProperties:
 class TestRadiansHelper:
     """haversine_miles_radians on precomputed operands == haversine_miles."""
 
-    @staticmethod
-    def _operands(lats, lons):
-        lat_r = np.radians(lats)
-        return lat_r, np.radians(lons), np.cos(lat_r)
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.tuples(latitudes, longitudes), min_size=1, max_size=40),
@@ -123,14 +119,14 @@ class TestRadiansHelper:
     )
     def test_bitwise_equal(self, points, others):
         lats, lons = np.array(points, dtype=float).T
-        array_ops = self._operands(lats, lons)
+        array_ops = haversine_operands(lats, lons)
         # Scalar against array: the array's operands are computed once
         # and reused for every scalar, as the generator's loops do.
         for lat, lon in zip(lats, lons):
             for scalar_lat, scalar_lon in ((lat, lon), (float(lat), float(lon))):
                 expected = haversine_miles(scalar_lat, scalar_lon, lats, lons)
                 got = haversine_miles_radians(
-                    *self._operands(scalar_lat, scalar_lon), *array_ops
+                    *haversine_operands(scalar_lat, scalar_lon), *array_ops
                 )
                 assert np.array_equal(got, expected)
         # Array against array (equal lengths).
@@ -140,8 +136,8 @@ class TestRadiansHelper:
             lats[:n], lons[:n], other_lats[:n], other_lons[:n]
         )
         got = haversine_miles_radians(
-            *self._operands(lats[:n], lons[:n]),
-            *self._operands(other_lats[:n], other_lons[:n]),
+            *haversine_operands(lats[:n], lons[:n]),
+            *haversine_operands(other_lats[:n], other_lons[:n]),
         )
         assert np.array_equal(got, expected)
 
