@@ -112,15 +112,17 @@ def test_bench_pair_counts(benchmark):
 STAGE_ROUNDS = 5
 
 
-def test_pipeline_stage_timing_baseline(record_artifact):
+def test_pipeline_stage_timing_baseline():
     """Record the per-stage telemetry profile of the reduced-scale run.
 
-    The written artefact is the timing baseline for the staged runtime:
-    wall time, RSS high-water mark, and node/link counters per stage.
-    Besides the rendered table, the same events land machine-readable in
-    ``BENCH_stages.json`` at the repo root, so successive sessions
+    The profile is the timing baseline for the staged runtime: wall
+    time, RSS high-water mark, and node/link counters per stage.  It is
+    printed, and its events land machine-readable in
+    ``BENCH_stages.json`` at the repo root, so successive runs
     accumulate a comparable perf trajectory (and ``repro report diff``
-    has a stable counter baseline to check against).
+    has a stable counter baseline to check against).  No tracked
+    artefact carries the wall times, so a run leaves
+    ``benchmarks/output/`` unchanged.
 
     The pipeline runs ``STAGE_ROUNDS`` times.  The headlines are medians
     over the runs: the total, ``map_s`` (the four ``map:*`` passes
@@ -151,7 +153,7 @@ def test_pipeline_stage_timing_baseline(record_artifact):
         lambda t: sum(e.wall_s for e in t.events if e.stage == "ground_truth")
     )
     telemetry = sorted(runs, key=lambda t: t.total_wall_s())[STAGE_ROUNDS // 2]
-    record_artifact("pipeline_stage_profile", telemetry.render_profile())
+    print(telemetry.render_profile())
 
     events = sorted(telemetry.events, key=lambda e: (e.start_s, e.stage))
     from record import record_bench

@@ -1,11 +1,12 @@
 """Generation-keyed SQLite time-series store for analytics metrics.
 
-Follows the battle-tested conventions of :mod:`repro.sweep.store`: WAL
-journal mode so a reader (the CLI, the coordinator) never blocks the
-writer (the ingest observer), a busy timeout instead of hand-rolled
-retry loops, and ``INSERT OR IGNORE`` against unique keys so every
-write is idempotent — re-analyzing a generation after a crash or an
-offline replay over an already-ingested WAL records nothing twice.
+Opens its file through :func:`repro.sqlitedb.transaction`, as
+:mod:`repro.sweep.store` does: WAL journal mode so a reader (the CLI,
+the coordinator) never blocks the writer (the ingest observer), and a
+busy timeout instead of hand-rolled retry loops.  Writes are
+``INSERT OR IGNORE`` against unique keys, so every write is
+idempotent — re-analyzing a generation after a crash or an offline
+replay over an already-ingested WAL records nothing twice.
 
 Layout:
 
@@ -27,11 +28,11 @@ from __future__ import annotations
 import math
 import sqlite3
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from pathlib import Path
-from typing import Iterator
 
 from repro.errors import AnalyticsError
+from repro.sqlitedb import transaction
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -88,28 +89,9 @@ class MetricStore:
                 f"cannot open metric store at {self.path}: {exc}"
             ) from exc
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA busy_timeout=10000")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
-
-    @contextmanager
-    def _tx(self) -> Iterator[sqlite3.Connection]:
-        """One transaction on a fresh connection.
-
-        Connections are opened per call and closed explicitly: sqlite3
-        Connection objects participate in reference cycles, and a
-        connection collected in a forked child can corrupt the parent's
-        WAL.  Open-use-close keeps the store fork-safe.
-        """
-        conn = self._connect()
-        try:
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+    def _tx(self) -> AbstractContextManager[sqlite3.Connection]:
+        """One transaction; see :func:`repro.sqlitedb.transaction`."""
+        return transaction(self.path)
 
     # -- write path -----------------------------------------------------------
 

@@ -110,9 +110,6 @@ class Routing:
         with self._lock:
             return self._inflight
 
-    def range_index(self, address: int) -> int:
-        return int(range_indices(self.ranges, np.array([address]))[0])
-
 
 class ClusterCoordinator(FrontEnd):
     """Scatter-gather front end over a fleet of :class:`ShardServer`.

@@ -51,11 +51,6 @@ class RecoveryReport:
 
     checks: list[RecoveryCheck]
 
-    @property
-    def all_ok(self) -> bool:
-        """True when every check passed."""
-        return all(check.ok for check in self.checks)
-
     def render(self) -> str:
         """Human-readable table."""
         lines = ["PLANTED vs RECOVERED", "-" * 78]

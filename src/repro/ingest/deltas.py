@@ -156,10 +156,6 @@ class DeltaBatch:
         """Total operations carried by this batch."""
         return self.n_adds + self.n_links + self.n_moves + self.n_remaps
 
-    def is_empty(self) -> bool:
-        """True when the batch carries no operations at all."""
-        return self.n_ops == 0
-
     def stamped(self, created_unix: float) -> "DeltaBatch":
         """The same batch with an arrival stamp (for freshness metrics)."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -575,6 +575,9 @@ class GroundTruthGenerator:
         target_inter = cfg.interdomain_link_fraction * target_total
         # No router is added from here on.
         self._router_asn = self.topology.router_asns().tolist()
+        # Every router sits in one routers_by_city group (rural ones in a
+        # pseudo-city per population point): the chain within each group
+        # plus the tree over group gateways connects every AS.
         for spec in specs:
             self._intra_pop_links(spec)
             self._backbone_links(spec)
@@ -686,68 +689,7 @@ class GroundTruthGenerator:
         ry = y.routers_by_city[cy][int(self.rng.integers(len(y.routers_by_city[cy])))]
         self._add_link_checked(rx, ry)
 
-    # -- stage 6: rural attachment and hostnames --------------------------------
-
-    def _attach_isolated(self, specs: list[_AsSpec]) -> None:
-        """Connect any degree-0 router to its AS's nearest other router."""
-        self._flush_links()
-        degrees = self.topology.degrees()
-        all_lats, all_lons = self.topology.router_coordinates()
-        for spec in specs:
-            members = np.asarray(spec.router_ids, dtype=np.intp)
-            if members.size < 2:
-                continue
-            if not np.any(degrees[members] == 0):
-                continue
-            lats = all_lats[members]
-            lons = all_lons[members]
-            for i, rid in enumerate(members.tolist()):
-                if degrees[rid] > 0:
-                    continue
-                dists = haversine_miles(lats[i], lons[i], lats, lons)
-                dists[i] = np.inf
-                order = np.argsort(dists)
-                for j in order[:5]:
-                    other = int(members[int(j)])
-                    if self._add_link_checked(rid, other):
-                        degrees[rid] += 1
-                        degrees[other] += 1
-                        break
-
-    def _connect_as_components(self, specs: list[_AsSpec]) -> None:
-        """Ensure each AS's members form one connected component."""
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        # One pass over the intra-AS subgraph of all routers: links this
-        # method adds join components of one AS and never merge another's.
-        self._flush_links()
-        a, b = self.topology.link_endpoints()
-        r_asn = self.topology.router_asns()
-        intra = r_asn[a] == r_asn[b]
-        n = self.topology.n_routers
-        graph = csr_matrix(
-            (np.ones(int(intra.sum()), dtype=np.int8), (a[intra], b[intra])),
-            shape=(n, n),
-        )
-        _, labels = connected_components(graph, directed=False)
-        for spec in specs:
-            members = spec.router_ids
-            if len(members) < 2:
-                continue
-            member_labels = labels[members]
-            base_label = int(member_labels[0])
-            if np.all(member_labels == base_label):
-                continue
-            # First member (in creation order) of each component acts as
-            # its representative, matching the old DFS discovery order.
-            representatives: dict[int, int] = {}
-            for rid, label in zip(members, member_labels.tolist()):
-                representatives.setdefault(label, rid)
-            base = members[0]
-            for label, rid in representatives.items():
-                if label != base_label:
-                    self._add_link_checked(base, rid)
+    # -- stage 6: hostnames ------------------------------------------------
 
     def _assign_hostnames(self, specs: list[_AsSpec]) -> None:
         # Naming discipline is a per-router property: an ISP either names
@@ -801,8 +743,6 @@ class GroundTruthGenerator:
         self._intra_as_links(specs)
         edges = self._as_graph_edges(specs)
         self._realize_interdomain(specs, edges)
-        self._attach_isolated(specs)
-        self._connect_as_components(specs)
         self._flush_links()
         self._assign_hostnames(specs)
         self.topology.validate()

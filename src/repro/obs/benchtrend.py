@@ -230,7 +230,11 @@ def trend_rows(
 
 
 def render_history(rows: list[TrendRow]) -> str:
-    """The ``repro bench history`` trend table."""
+    """The ``repro bench history`` trend table.
+
+    The ``worse by`` column is :attr:`TrendRow.change`: positive means
+    worse whichever direction the metric improves in.
+    """
     if not rows:
         return "BENCH HISTORY\n(no records)"
     bench_w = max(len("bench"), max(len(r.bench) for r in rows))
@@ -238,7 +242,7 @@ def render_history(rows: list[TrendRow]) -> str:
     lines = [
         "BENCH HISTORY",
         f"{'bench':<{bench_w}}  {'metric':<{metric_w}}  {'runs':>4}  "
-        f"{'previous':>12}  {'latest':>12}  {'change':>8}  flag",
+        f"{'previous':>12}  {'latest':>12}  {'worse by':>8}  flag",
     ]
     for row in rows:
         previous = "-" if row.previous is None else f"{row.previous:.4g}"

@@ -142,11 +142,6 @@ class SamplingProfiler:
 
     # -- output --------------------------------------------------------------
 
-    def stack_counts(self) -> dict[tuple[str, ...], int]:
-        """Raw ``stack tuple -> samples`` counts collected so far."""
-        with self._lock:
-            return dict(self._counts)
-
     def collapsed(self) -> str:
         """The collapsed-stack report, most-sampled stacks first."""
         with self._lock:

@@ -45,7 +45,7 @@ from repro.core.distance import (
 from repro.datasets.mapped import MappedDataset
 from repro.errors import AnalysisError, ServeError
 from repro.geo.distance import haversine_miles
-from repro.geo.regions import STUDY_REGIONS, Region, WORLD
+from repro.geo.regions import Region, WORLD
 from repro.obs.report import dataset_digest
 
 #: Spatial-index cell edge in arc-minutes (the paper's patch size).
@@ -658,11 +658,6 @@ class SnapshotIndex:
         return f_hat_at(pref, d)
 
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def preferred_regions(self) -> tuple[Region, ...]:
-        """Regions the distance-preference endpoint understands."""
-        return STUDY_REGIONS
 
     def stats(self) -> dict:
         """JSON-ready index facts for ``/stats``."""

@@ -72,11 +72,6 @@ class MetricSummary:
     hi: float
     n: int
 
-    @property
-    def half_width(self) -> float:
-        """Half the bootstrap interval — the diff tolerance unit."""
-        return (self.hi - self.lo) / 2.0
-
 
 @dataclass(frozen=True)
 class CellSummary:

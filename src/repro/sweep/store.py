@@ -31,12 +31,13 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import SweepError
+from repro.sqlitedb import transaction
 from repro.sweep.spec import SweepSpec, TrialSpec, canonical_json
 
 #: Trial lifecycle states.
@@ -157,33 +158,9 @@ class ResultStore:
                 "DEFAULT ''"
             )
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA busy_timeout=10000")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
-
-    @contextmanager
-    def _tx(self) -> Iterator[sqlite3.Connection]:
-        """One connection for one transaction, closed deterministically.
-
-        ``sqlite3.Connection`` objects sit in an internal reference
-        cycle (their statement-cache wrapper), so dropping the last
-        visible reference does NOT close them — they linger with open
-        WAL/shm handles until a cyclic GC pass.  The sweep engine forks
-        pool workers, and a worker forked while the parent holds live
-        SQLite handles inherits the library's in-process lock state;
-        its own writes then race the parent's and corrupt the database.
-        An explicit ``close()`` on every exit path is what makes the
-        store fork-safe.
-        """
-        conn = self._connect()
-        try:
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+    def _tx(self) -> AbstractContextManager[sqlite3.Connection]:
+        """One transaction; see :func:`repro.sqlitedb.transaction`."""
+        return transaction(self.path)
 
     # -- campaigns ------------------------------------------------------------
 
@@ -523,18 +500,6 @@ class ResultStore:
                 record.update(json.loads(fields_json))
             out.append(record)
         return out
-
-    def trial_report(self, campaign_id: int, key: str) -> dict[str, Any] | None:
-        """The RunReport-compatible record a trial shipped back, if any."""
-        with self._tx() as conn:
-            row = conn.execute(
-                "SELECT report_json FROM trials "
-                "WHERE campaign_id = ? AND key = ?",
-                (campaign_id, key),
-            ).fetchone()
-        if row is None or row[0] is None:
-            return None
-        return json.loads(row[0])
 
     def trial_reports(self, campaign_id: int) -> Iterator[tuple[str, dict[str, Any]]]:
         """Every trial's ``(key, report)`` that shipped one, in key order."""

@@ -23,6 +23,7 @@ from repro.geo.regions import STUDY_REGIONS
 from repro.ingest import Ingester
 from repro.measure.stream import DeltaStream
 from repro.serve.index import DEFAULT_BIN_MILES, SnapshotIndex
+from repro.sweep import ResultStore
 
 
 @pytest.fixture(scope="module")
@@ -260,15 +261,22 @@ class TestMetricStore:
         with pytest.raises(AnalyticsError):
             MetricStore(missing / "metrics.db")
 
-    def test_wal_mode_is_active(self, tmp_path):
-        path = tmp_path / "metrics.db"
-        MetricStore(path)
-        conn = sqlite3.connect(path)
-        try:
-            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
-        finally:
-            conn.close()
-        assert mode == "wal"
+
+@pytest.mark.parametrize(
+    "store_cls", [ResultStore, MetricStore], ids=lambda cls: cls.__name__
+)
+def test_store_connection_settings(tmp_path, store_cls):
+    store = store_cls(tmp_path / "store.db")
+    with store._tx() as conn:
+        pragma = {
+            name: conn.execute(f"PRAGMA {name}").fetchone()[0]
+            for name in ("journal_mode", "busy_timeout", "synchronous")
+        }
+    assert pragma == {"journal_mode": "wal", "busy_timeout": 10000,
+                      "synchronous": 1}
+    # Closed on exit, so a forked process inherits no live handle.
+    with pytest.raises(sqlite3.ProgrammingError):
+        conn.execute("SELECT 1")
 
 
 class TestRunnerIntegration:

@@ -309,10 +309,46 @@ class TestTelemetryCli:
         assert code == EXIT_DIFF
         assert "+50.0%  REGRESSED" in capsys.readouterr().out
 
+    def test_bench_history_change_column_means_worse(self, tmp_path, capsys):
+        history = tmp_path / "BENCH_history.jsonl"
+        history.write_text("\n".join([
+            self._history_line("stages", "aaa", 1.0, {
+                "total_wall_s": (1.0, "lower"),
+                "routers_per_sec": (100.0, "higher"),
+            }),
+            self._history_line("stages", "bbb", 2.0, {
+                "total_wall_s": (2.0, "lower"),
+                "routers_per_sec": (169.0, "higher"),
+            }),
+        ]) + "\n")
+        assert main(["bench", "history", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "worse by" in lines[1] and "change" not in lines[1]
+        rows = {line.split()[1]: line for line in lines[2:]}
+        # A slower run is worse; a faster one is better, so negative.
+        assert "+100.0%  REGRESSED" in rows["total_wall_s"]
+        assert "-69.0%" in rows["routers_per_sec"]
+        assert "REGRESSED" not in rows["routers_per_sec"]
+
     def test_bench_history_rejects_empty_dir(self, tmp_path, capsys):
         code = main(["bench", "history", str(tmp_path)])
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+
+def test_every_bench_record_is_in_the_envelope():
+    """Each committed ``BENCH_<name>.json`` is one ``record_bench`` envelope."""
+    from pathlib import Path
+
+    from repro.obs.benchtrend import BENCH_GLOB, BENCH_SCHEMA
+
+    root = Path(__file__).resolve().parents[1]
+    records = sorted(root.glob(BENCH_GLOB))
+    assert records
+    for path in records:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload.get("schema") == BENCH_SCHEMA, path.name
+        assert payload.get("bench") == path.stem.removeprefix("BENCH_"), path.name
 
 
 class TestBenchRecordRevision:

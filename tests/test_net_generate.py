@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.config import GroundTruthConfig, small_scenario
 from repro.errors import ConfigError
@@ -30,6 +32,24 @@ class TestConfigValidation:
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             GroundTruthConfig(long_range_fraction=1.5)
+
+
+def _assert_each_as_connected(topology):
+    """Every AS's routers form one component over its intra-AS links."""
+    a, b = topology.link_endpoints()
+    r_asn = topology.router_asns()
+    intra = r_asn[a] == r_asn[b]
+    n = topology.n_routers
+    graph = csr_matrix(
+        (np.ones(int(intra.sum()), dtype=np.int8), (a[intra], b[intra])),
+        shape=(n, n),
+    )
+    _, labels = connected_components(graph, directed=False)
+    for asn in np.unique(r_asn).tolist():
+        member_labels = labels[r_asn == asn]
+        assert np.all(member_labels == member_labels[0]), (
+            f"AS {asn} is internally disconnected"
+        )
 
 
 class TestGeneratedTopology:
@@ -67,20 +87,7 @@ class TestGeneratedTopology:
 
     def test_each_as_internally_connected(self, generated_small):
         topology, _, _ = generated_small
-        by_asn: dict[int, list[int]] = {}
-        for router in topology.routers:
-            by_asn.setdefault(router.asn, []).append(router.router_id)
-        for asn, members in by_asn.items():
-            member_set = set(members)
-            seen = {members[0]}
-            stack = [members[0]]
-            while stack:
-                current = stack.pop()
-                for neighbor in topology.neighbors(current):
-                    if neighbor in member_set and neighbor not in seen:
-                        seen.add(neighbor)
-                        stack.append(neighbor)
-            assert seen == member_set, f"AS {asn} is internally disconnected"
+        _assert_each_as_connected(topology)
 
     def test_whole_graph_one_component(self, generated_small):
         topology, _, _ = generated_small
@@ -152,10 +159,10 @@ class _ReferenceGenerator(GroundTruthGenerator):
     """The generator with its link stage written the straightforward way.
 
     Each link goes into the topology as soon as it is accepted, PoP
-    lists and weights are rebuilt per interdomain link, components are
-    found one AS at a time, and every distance goes through
-    :func:`haversine_miles`.  The production generator must draw the
-    same random numbers in the same order and build the same topology.
+    lists and weights are rebuilt per interdomain link, and every
+    distance goes through :func:`haversine_miles`.  The production
+    generator must draw the same random numbers in the same order and
+    build the same topology.
     """
 
     def _add_link_checked(self, ra, rb):
@@ -248,78 +255,12 @@ class _ReferenceGenerator(GroundTruthGenerator):
         ry = y.routers_by_city[cy][int(self.rng.integers(len(y.routers_by_city[cy])))]
         self._add_link_checked(rx, ry)
 
-    def _connect_as_components(self, specs):
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        for spec in specs:
-            members = np.asarray(spec.router_ids, dtype=np.intp)
-            if members.size < 2:
-                continue
-            a, b = self.topology.link_endpoints()
-            r_asn = self.topology.router_asns()
-            sel = (r_asn[a] == spec.asn) & (r_asn[b] == spec.asn)
-            sorted_members = np.sort(members)
-            la = np.searchsorted(sorted_members, a[sel])
-            lb = np.searchsorted(sorted_members, b[sel])
-            graph = csr_matrix(
-                (np.ones(la.shape[0], dtype=np.int8), (la, lb)),
-                shape=(members.size, members.size),
-            )
-            n_components, labels = connected_components(graph, directed=False)
-            if n_components <= 1:
-                continue
-            labels_in_order = labels[np.searchsorted(sorted_members, members)]
-            representatives = {}
-            for rid, label in zip(members.tolist(), labels_in_order.tolist()):
-                representatives.setdefault(int(label), rid)
-            base_label = int(labels_in_order[0])
-            base = int(members[0])
-            for label, rid in representatives.items():
-                if label != base_label:
-                    self._add_link_checked(base, rid)
-
-
-class _WithoutBackbone:
-    """Skips the per-AS backbone trees.
-
-    With full structural links every AS is connected and no router is
-    isolated, so the two repair passes (``_attach_isolated`` and
-    ``_connect_as_components``) add nothing.  Without the trees, ASes
-    fall apart into per-city chains and rural routers start isolated,
-    and both passes do real work.
-    """
-
-    def _backbone_links(self, spec):
-        pass
-
-
-class _RepairCounter(_WithoutBackbone, GroundTruthGenerator):
-    """Counts the links each repair pass adds."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.added = {}
-
-    def _counted(self, name, specs):
-        self._flush_links()
-        before = self.topology.n_links
-        getattr(super(), name)(specs)
-        self._flush_links()
-        self.added[name] = self.topology.n_links - before
-
-    def _attach_isolated(self, specs):
-        self._counted("_attach_isolated", specs)
-
-    def _connect_as_components(self, specs):
-        self._counted("_connect_as_components", specs)
-
 
 def _outcome(cls, world, config, rng):
-    """Everything a generator run leaves behind."""
+    """A generator run's topology, and everything the run leaves behind."""
     generator = cls(world, config, rng)
     topology = generator.generate()
-    return (
+    return topology, (
         topology_digest(topology),
         generator.report,
         generator.plan.to_dict(),
@@ -331,9 +272,10 @@ def _assert_matches_reference(world, config, rng):
     state = rng.bit_generator.state
     reference_rng = np.random.default_rng()
     reference_rng.bit_generator.state = state
-    expected = _outcome(_ReferenceGenerator, world, config, reference_rng)
-    assert _outcome(GroundTruthGenerator, world, config, rng) == expected
-    return expected
+    _, expected = _outcome(_ReferenceGenerator, world, config, reference_rng)
+    topology, outcome = _outcome(GroundTruthGenerator, world, config, rng)
+    assert outcome == expected
+    return topology, outcome
 
 
 @st.composite
@@ -366,9 +308,11 @@ class TestReferenceEquality:
     @settings(max_examples=60, deadline=None)
     @given(config=_configs(), seed=st.integers(0, 2**32 - 1))
     def test_drawn_configs(self, world_small, config, seed):
-        _assert_matches_reference(
+        topology, _ = _assert_matches_reference(
             world_small, config, np.random.default_rng(seed)
         )
+        # No pass repairs connectivity: the construction must give it.
+        _assert_each_as_connected(topology)
 
     def test_single_router_ases(self, world_small):
         # Nearly one router per AS: most ASes have no second member,
@@ -377,30 +321,10 @@ class TestReferenceEquality:
             total_routers=40, n_ases=38, tier1_count=2, tier2_count=6,
             rural_router_fraction=0.0,
         )
-        outcome = _assert_matches_reference(
+        _, outcome = _assert_matches_reference(
             world_small, config, np.random.default_rng(8)
         )
         assert list(outcome[1].as_sizes.values()).count(1) > 20
-
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_repair_passes(self, world_small, seed):
-        config = GroundTruthConfig(
-            total_routers=400, n_ases=30, tier1_count=3, tier2_count=6,
-            rural_router_fraction=0.1,
-        )
-        outcomes = [
-            _outcome(
-                type(cls.__name__, (_WithoutBackbone, cls), {}),
-                world_small, config, np.random.default_rng(seed),
-            )
-            for cls in (_ReferenceGenerator, GroundTruthGenerator)
-        ]
-        assert outcomes[1] == outcomes[0]
-        # Both passes did real work on this input.
-        counter = _RepairCounter(world_small, config, np.random.default_rng(seed))
-        counter.generate()
-        assert counter.added["_attach_isolated"] > 0
-        assert counter.added["_connect_as_components"] > 0
 
     @pytest.mark.parametrize("seed", [5, 11])
     def test_small_scenarios(self, seed):
