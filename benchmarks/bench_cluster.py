@@ -124,7 +124,7 @@ def _drive(
     return time.perf_counter() - start, sum(errors)
 
 
-def test_bench_cluster_locate_throughput(snapshot, record_artifact):
+def test_bench_cluster_locate_throughput(snapshot):
     snapshot_path, addresses = snapshot
     paths = _batch_paths(addresses, 1024)
     total_lookups = N_THREADS * BATCHES_PER_THREAD * BATCH
@@ -191,18 +191,15 @@ def test_bench_cluster_locate_throughput(snapshot, record_artifact):
             "speedup_vs_single_lookup_baseline": (speedup, "higher"),
         },
     )
-    record_artifact(
-        "cluster_throughput",
-        (
-            f"cluster batched /locate: {cluster_lps:,.0f} lookups/s "
-            f"({N_THREADS} threads x {BATCHES_PER_THREAD} batches "
-            f"of {BATCH})\n"
-            f"same-run single process, same batched load: "
-            f"{single_lps:,.0f} lookups/s\n"
-            f"stored single-lookup baseline: {baseline:,.1f} req/s "
-            f"-> speedup {speedup:.1f}x (gate: >= 2x)\n"
-            f"errors={errors}"
-        ),
+    print(
+        f"cluster batched /locate: {cluster_lps:,.0f} lookups/s "
+        f"({N_THREADS} threads x {BATCHES_PER_THREAD} batches "
+        f"of {BATCH})\n"
+        f"same-run single process, same batched load: "
+        f"{single_lps:,.0f} lookups/s\n"
+        f"stored single-lookup baseline: {baseline:,.1f} req/s "
+        f"-> speedup {speedup:.1f}x (gate: >= 2x)\n"
+        f"errors={errors}"
     )
     assert errors == 0 and single_errors == 0
     assert cluster_lps >= 2.0 * baseline, (

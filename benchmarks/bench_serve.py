@@ -85,7 +85,7 @@ def _drive(
     return wall, flat, sum(errors)
 
 
-def test_bench_locate_throughput(serve_index, record_artifact):
+def test_bench_locate_throughput(serve_index):
     """Sustained ``/locate`` throughput over keep-alive connections.
 
     The address pool is larger than one batch but far smaller than the
@@ -132,15 +132,12 @@ def test_bench_locate_throughput(serve_index, record_artifact):
         },
         merge=True,
     )
-    record_artifact(
-        "serve_throughput",
-        (
-            f"/locate throughput: {rps:,.0f} req/s over {total:,} requests "
-            f"({n_threads} threads)\n"
-            f"latency ms: p50={p50:.3f} p95={p95:.3f} p99={p99:.3f}\n"
-            f"errors={errors}  cache_hit_ratio="
-            f"{stats['cache']['hit_ratio']:.3f}"
-        ),
+    print(
+        f"/locate throughput: {rps:,.0f} req/s over {total:,} requests "
+        f"({n_threads} threads)\n"
+        f"latency ms: p50={p50:.3f} p95={p95:.3f} p99={p99:.3f}\n"
+        f"errors={errors}  cache_hit_ratio="
+        f"{stats['cache']['hit_ratio']:.3f}"
     )
     assert errors == 0
     assert rps >= MIN_THROUGHPUT_RPS, (

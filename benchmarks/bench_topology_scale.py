@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import default_scenario, large_scenario, small_scenario
-from repro.ingest.apply import topology_digest
+from repro.net.topology import topology_digest
 from repro.measure.mercator import run_mercator
 from repro.measure.skitter import run_skitter
 from repro.net.generate import generate_ground_truth

@@ -1,4 +1,4 @@
-"""BGP substrate: prefix trie, RIB tables, RouteViews-style snapshots.
+"""BGP substrate: longest-prefix match, RIB tables, RouteViews-style snapshots.
 
 Implements the paper's AS-mapping methodology: longest-prefix match of
 each interface address against an announced-prefix table, with a small
@@ -10,8 +10,7 @@ from repro.bgp.routeviews import (
     perfect_snapshot,
     snapshot_from_topology,
 )
-from repro.bgp.table import UNMAPPED_ASN, BgpTable, RibEntry
-from repro.bgp.trie import PrefixTrie
+from repro.bgp.table import UNMAPPED_ASN, BgpTable, PrefixMatch, RibEntry
 
 __all__ = [
     "build_routeviews_snapshot",
@@ -19,6 +18,6 @@ __all__ = [
     "snapshot_from_topology",
     "UNMAPPED_ASN",
     "BgpTable",
+    "PrefixMatch",
     "RibEntry",
-    "PrefixTrie",
 ]

@@ -9,7 +9,6 @@ from repro.geoloc.base import (
     GeoContext,
     Geolocator,
     MappingResult,
-    SequentialLocateMixin,
     build_context,
     locate_batch,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "GeoContext",
     "Geolocator",
     "MappingResult",
-    "SequentialLocateMixin",
     "build_context",
     "locate_batch",
     "build_loc_records",

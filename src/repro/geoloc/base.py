@@ -120,26 +120,10 @@ class Geolocator(Protocol):
         ...
 
 
-class SequentialLocateMixin:
-    """Default ``locate_many`` for locators without a batched fast path.
-
-    Mixing this in keeps per-address locators (e.g. scripted test stubs)
-    conformant with the :class:`Geolocator` protocol.
-    """
-
-    def locate_many(self, addresses: Sequence[int]) -> list[MappingResult]:
-        """Locate a batch by calling ``locate`` once per address."""
-        return [self.locate(address) for address in addresses]
-
-
 def locate_batch(
     geolocator: Geolocator, addresses: Sequence[int]
 ) -> list[MappingResult]:
-    """Batch-locate through ``locate_many`` when the tool provides it.
-
-    Falls back to per-address ``locate`` calls for minimal locators that
-    predate the batch API (duck-typed, so third-party locators keep
-    working unchanged).
+    """Batch-locate through the tool's ``locate_many``.
 
     Repeated addresses within one batch are resolved **once**: the tool
     sees each distinct address a single time (first-occurrence order)
@@ -170,11 +154,7 @@ def locate_batch(
         batch_size=len(addresses),
         unique=len(unique),
     ):
-        locate_many = getattr(geolocator, "locate_many", None)
-        if locate_many is not None:
-            unique_results = list(locate_many(unique))
-        else:
-            unique_results = [geolocator.locate(address) for address in unique]
+        unique_results = list(geolocator.locate_many(unique))
     if len(unique_results) != len(unique):
         raise GeolocationError(
             f"{tool} returned {len(unique_results)} results "

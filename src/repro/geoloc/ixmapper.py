@@ -29,6 +29,7 @@ from repro.geoloc.base import (
     GeoContext,
     MappingResult,
 )
+from repro.geoloc.whois import OrgRecord
 from repro.net.hostnames import extract_city_code
 
 
@@ -60,20 +61,22 @@ class IxMapper:
         """Batch-locate addresses with one vectorised failure draw.
 
         Consumes exactly one uniform variate per address, in order, so
-        results are bit-identical to per-address ``locate`` calls.
+        results are bit-identical to per-address ``locate`` calls.  The
+        whois registry answers the whole batch in one lookup.
         """
         n = len(addresses)
         if n == 0:
             return []
         failed = self._rng.random(n) < self._failure_rate
+        orgs = self._context.whois.lookup_many(addresses)
         return [
             MappingResult(location=None, method=METHOD_UNMAPPED)
             if fail
-            else self._resolve(address)
-            for address, fail in zip(addresses, failed)
+            else self._resolve(address, org)
+            for address, fail, org in zip(addresses, failed, orgs)
         ]
 
-    def _resolve(self, address: int) -> MappingResult:
+    def _resolve(self, address: int, org: OrgRecord | None) -> MappingResult:
         """The fallback chain for one address (no randomness)."""
         hostname = self._context.hostnames.get(address)
         if hostname is not None:
@@ -88,7 +91,6 @@ class IxMapper:
         loc = self._context.loc_records.get(address)
         if loc is not None:
             return MappingResult(location=loc, method=METHOD_DNSLOC)
-        org = self._context.whois.lookup(address)
         if org is not None:
             return MappingResult(location=org.headquarters, method=METHOD_WHOIS)
         return MappingResult(location=None, method=METHOD_UNMAPPED)

@@ -22,6 +22,7 @@ from repro.geoloc.base import (
     GeoContext,
     MappingResult,
 )
+from repro.geoloc.whois import OrgRecord
 
 
 class NetGeo:
@@ -52,22 +53,23 @@ class NetGeo:
         """Batch-locate addresses with one vectorised failure draw.
 
         Consumes exactly one uniform variate per address, in order, so
-        results are bit-identical to per-address ``locate`` calls.
+        results are bit-identical to per-address ``locate`` calls.  The
+        whois registry answers the whole batch in one lookup.
         """
         n = len(addresses)
         if n == 0:
             return []
         failed = self._rng.random(n) < self._failure_rate
+        orgs = self._context.whois.lookup_many(addresses)
         return [
             MappingResult(location=None, method=METHOD_UNMAPPED)
             if fail
-            else self._resolve(address)
-            for address, fail in zip(addresses, failed)
+            else self._resolve(org)
+            for fail, org in zip(failed, orgs)
         ]
 
-    def _resolve(self, address: int) -> MappingResult:
-        """The whois lookup for one address (no randomness)."""
-        org = self._context.whois.lookup(address)
+    def _resolve(self, org: OrgRecord | None) -> MappingResult:
+        """The whois answer for one address (no randomness)."""
         if org is None:
             return MappingResult(location=None, method=METHOD_UNMAPPED)
         return MappingResult(location=org.headquarters, method=METHOD_WHOIS)

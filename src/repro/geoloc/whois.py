@@ -11,11 +11,13 @@ interfaces at a handful of locations visible in the paper's Figure 8(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from repro.bgp.trie import PrefixTrie
+from repro.bgp.table import PrefixMatch
 from repro.geo.coords import GeoPoint
 from repro.net.addressing import AddressPlan
 from repro.net.elements import AutonomousSystem
+from repro.net.ip import Prefix
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,33 +36,40 @@ class OrgRecord:
 
 
 class WhoisRegistry:
-    """Address -> organisation lookups backed by registry allocations."""
+    """Address -> organisation lookups backed by registry allocations.
 
-    def __init__(self) -> None:
-        self._trie = PrefixTrie()
-        self._orgs: dict[int, OrgRecord] = {}
+    Allocations are matched with the same :class:`~repro.bgp.table.PrefixMatch`
+    the RIB uses.  Whois lookups are not RIB lookups, so they add nothing
+    to the ``bgp.lookups``/``bgp.misses`` counters.
+    """
+
+    def __init__(
+        self, orgs: dict[int, OrgRecord], allocations: Mapping[Prefix, int]
+    ) -> None:
+        self._orgs = orgs
+        self._match = PrefixMatch(allocations)
 
     @classmethod
     def from_plan(
         cls, plan: AddressPlan, asns: dict[int, AutonomousSystem]
     ) -> "WhoisRegistry":
         """Build the registry from the ground truth's address grants."""
-        registry = cls()
-        for asn, asys in asns.items():
-            registry._orgs[asn] = OrgRecord(
-                asn=asn, name=asys.name, headquarters=asys.headquarters
-            )
-        for prefix, asn in plan.prefix_origin_pairs():
-            registry._trie.insert(prefix, asn)
-        return registry
+        orgs = {
+            asn: OrgRecord(asn=asn, name=asys.name, headquarters=asys.headquarters)
+            for asn, asys in asns.items()
+        }
+        return cls(orgs, dict(plan.prefix_origin_pairs()))
 
-    def lookup(self, address: int) -> OrgRecord | None:
-        """The organisation registered for ``address``, if any."""
-        match = self._trie.longest_match(address)
-        if match is None:
-            return None
-        _, asn = match
-        return self._orgs.get(int(asn))  # type: ignore[arg-type]
+    def lookup_many(self, addresses: Sequence[int]) -> list[OrgRecord | None]:
+        """The organisation registered for each address, if any.
+
+        One vectorised longest-prefix match over the whole batch.
+
+        Raises:
+            AddressError: if an address lies outside the 32-bit space.
+        """
+        orgs = self._orgs
+        return [orgs.get(asn) for asn in self._match.origins(addresses).tolist()]
 
     @property
     def n_orgs(self) -> int:

@@ -1,41 +1,24 @@
-"""Applying delta batches to snapshots and topologies.
+"""Applying delta batches to mapped datasets.
 
-Two application targets share the :class:`~repro.ingest.deltas.DeltaBatch`
-vocabulary:
+:func:`patch_dataset` is the serving path's one application target: a
+pure-functional patch of a :class:`~repro.datasets.mapped.MappedDataset`
+(old rows keep their indices, adds append), returning a
+:class:`PatchInfo` describing exactly which rows changed.
 
-- :func:`patch_dataset` — the serving path: pure-functional patch of a
-  :class:`~repro.datasets.mapped.MappedDataset` (old rows keep their
-  indices, adds append), returning a :class:`PatchInfo` describing
-  exactly which rows changed;
-- :func:`apply_to_topology` — the ground-truth path: in-place mutation
-  of the SoA :class:`~repro.net.topology.Topology` through its append
-  paths, so a WAL replay reconstructs the same world state
-  (:func:`topology_digest` is the replay-equality witness).
-
-Both raise :class:`~repro.errors.IngestError` on deltas that do not fit
-the target (unknown addresses, re-added interfaces, duplicate links), so
-a journaled stream either applies cleanly or fails loudly — never half.
+It raises :class:`~repro.errors.IngestError` on deltas that do not fit
+the dataset (unknown addresses, re-added nodes, duplicate links), so a
+journaled stream either applies cleanly or fails loudly — never half.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.datasets.mapped import MappedDataset
-from repro.errors import IngestError, TopologyError
-from repro.geo.coords import GeoPoint
+from repro.errors import IngestError
 from repro.ingest.deltas import DeltaBatch
-from repro.net.elements import AutonomousSystem
-from repro.net.topology import Topology
-from repro.obs.report import hash_column
-
-#: Routers whose dataset origin AS is unmapped (:data:`UNMAPPED_ASN`)
-#: are homed under this private-use ASN in the ground-truth topology,
-#: because :class:`AutonomousSystem` requires a positive ASN.
-STUB_UNMAPPED_ASN = 64512
 
 
 @dataclass(frozen=True)
@@ -193,142 +176,3 @@ def patch_dataset(
         ),
     )
     return patched, info
-
-
-# -- ground-truth topology application ---------------------------------------
-
-
-def _ensure_ases(
-    topology: Topology, asns: np.ndarray, lats: np.ndarray, lons: np.ndarray
-) -> None:
-    """Register stub ASes for any mapped ASN the topology lacks.
-
-    The headquarters is placed at the first delta node homed there (the
-    only location evidence a measurement stream carries).
-    """
-    for asn in np.unique(asns).tolist():
-        if asn in topology.asns:
-            continue
-        where = np.nonzero(asns == asn)[0]
-        if where.size:
-            hq = GeoPoint(float(lats[where[0]]), float(lons[where[0]]))
-        else:
-            hq = GeoPoint(0.0, 0.0)
-        topology.add_as(AutonomousSystem(asn=int(asn), name=f"AS{asn}",
-                                         headquarters=hq))
-
-
-def _homed_asns(asns: np.ndarray) -> np.ndarray:
-    """Dataset origin ASNs mapped into topology-legal (positive) ASNs."""
-    return np.where(asns > 0, asns, STUB_UNMAPPED_ASN).astype(np.int64)
-
-
-def _router_ids_of(topology: Topology, addresses: np.ndarray,
-                   *, what: str) -> np.ndarray:
-    """Owning router id per interface address.
-
-    Raises:
-        IngestError: when any address is unknown to the topology.
-    """
-    pos = topology.interface_positions(addresses)
-    if np.any(pos < 0):
-        bad = addresses[pos < 0][0]
-        raise IngestError(f"{what} references unknown address {int(bad)}")
-    return topology.interface_routers()[pos].astype(np.intp)
-
-
-def apply_to_topology(topology: Topology, batch: DeltaBatch) -> None:
-    """Mutate a ground-truth topology with one delta batch, in place.
-
-    Added nodes become routers (one per node, loopback = node address)
-    via the SoA append path; added links get deterministically
-    synthesized fresh interface addresses (``max(existing) + 1``
-    onwards, two per link in batch order), so replaying the same WAL
-    always rebuilds the identical state.  Unmapped origin ASes home
-    under :data:`STUB_UNMAPPED_ASN`.
-
-    Raises:
-        IngestError: when the batch does not fit this topology
-            (re-added address, unknown move/remap target, duplicate or
-            self-loop link).
-    """
-    try:
-        if batch.n_adds:
-            homed = _homed_asns(batch.add_asns)
-            _ensure_ases(topology, homed, batch.add_lats, batch.add_lons)
-            for asn in np.unique(homed).tolist():
-                members = np.nonzero(homed == asn)[0]
-                topology.add_routers(
-                    int(asn),
-                    batch.add_lats[members],
-                    batch.add_lons[members],
-                    "",
-                    batch.add_addresses[members],
-                )
-        if batch.n_links:
-            ids_a = _router_ids_of(
-                topology, batch.add_links[:, 0], what="add_links"
-            )
-            ids_b = _router_ids_of(
-                topology, batch.add_links[:, 1], what="add_links"
-            )
-            existing = topology.interface_addresses()
-            base = int(existing.max()) + 1 if existing.size else 1
-            count = batch.n_links
-            iface_a = np.arange(
-                base, base + 2 * count, 2, dtype=np.int64
-            )
-            iface_b = iface_a + 1
-            topology.add_links(ids_a, ids_b, iface_a, iface_b)
-        if batch.n_moves:
-            ids = _router_ids_of(
-                topology, batch.move_addresses, what="move_addresses"
-            )
-            topology.move_routers(ids, batch.move_lats, batch.move_lons)
-        if batch.n_remaps:
-            homed = _homed_asns(batch.remap_asns)
-            _ensure_ases(
-                topology, homed,
-                np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64),
-            )
-            ids = _router_ids_of(
-                topology, batch.remap_addresses, what="remap_addresses"
-            )
-            topology.set_router_asns(ids, homed)
-    except TopologyError as exc:
-        raise IngestError(f"delta does not fit the topology: {exc}") from exc
-
-
-def topology_digest(topology: Topology) -> str:
-    """SHA-256 over a topology's full logical state.
-
-    Covers every SoA column (routers, links, interfaces), city codes,
-    hostnames, and the registered AS inventory — two topologies with
-    equal digests answer every structural query identically.  This is
-    the replay-equality witness for WAL round-trip tests.
-    """
-    h = hashlib.sha256()
-    lats, lons = topology.router_coordinates()
-    hash_column(h, "router_lats", lats)
-    hash_column(h, "router_lons", lons)
-    hash_column(h, "router_asns", topology.router_asns())
-    hash_column(h, "router_loopbacks", topology.router_loopbacks())
-    h.update("\x00".join(topology.router_city_codes()).encode("utf-8"))
-    end_a, end_b = topology.link_endpoints()
-    hash_column(h, "link_end_a", end_a)
-    hash_column(h, "link_end_b", end_b)
-    ifc_a, ifc_b = topology.link_interfaces()
-    hash_column(h, "link_ifc_a", ifc_a)
-    hash_column(h, "link_ifc_b", ifc_b)
-    hash_column(h, "interface_addresses", topology.interface_addresses())
-    hash_column(h, "interface_routers", topology.interface_routers())
-    hash_column(h, "interface_links", topology.interface_links())
-    for address in sorted(topology.hostnames):
-        h.update(f"{address}={topology.hostnames[address]}\x00".encode())
-    for asn in sorted(topology.asns):
-        asys = topology.asns[asn]
-        h.update(
-            f"{asn}:{asys.name}:{asys.headquarters.lat!r}:"
-            f"{asys.headquarters.lon!r}:{asys.tier}\x00".encode()
-        )
-    return h.hexdigest()

@@ -21,6 +21,7 @@ resolution.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import link_lengths_miles
 from repro.net.elements import AutonomousSystem, Interface, Link, Router
+from repro.obs.report import hash_column
 
 #: Extra routing cost per hop, in mile-equivalents; makes shortest paths
 #: prefer fewer hops among near-equal geographic alternatives, like IGP
@@ -652,68 +654,6 @@ class Topology:
             raise TopologyError(f"unknown interface address {address}")
         self.hostnames[address] = hostname
 
-    def move_routers(
-        self, router_ids: np.ndarray, lats: np.ndarray, lons: np.ndarray
-    ) -> None:
-        """Update router coordinates in place (geolocation refinements).
-
-        The streaming-ingest mutation path: a better mapping for an
-        already-known router replaces its position.  Derived structures
-        (link lengths in particular) are invalidated.
-
-        Raises:
-            TopologyError: on unknown router ids, ragged batch columns,
-                or out-of-range coordinates.
-        """
-        ids = np.asarray(router_ids, dtype=np.intp)
-        lats = np.asarray(lats, dtype=np.float64)
-        lons = np.asarray(lons, dtype=np.float64)
-        if lats.shape != ids.shape or lons.shape != ids.shape:
-            raise TopologyError("move batch columns must have equal length")
-        if ids.size == 0:
-            return
-        if ids.min() < 0 or ids.max() >= self._n_routers:
-            bad = ids[(ids < 0) | (ids >= self._n_routers)][0]
-            raise TopologyError(f"unknown router {int(bad)}")
-        if (
-            not np.all(np.isfinite(lats))
-            or not np.all(np.isfinite(lons))
-            or lats.min() < -90.0
-            or lats.max() > 90.0
-            or lons.min() < -180.0
-            or lons.max() > 180.0
-        ):
-            raise TopologyError("router coordinates out of range")
-        self._r_lat[ids] = lats
-        self._r_lon[ids] = lons
-        self._invalidate()
-
-    def set_router_asns(self, router_ids: np.ndarray, asns: np.ndarray) -> None:
-        """Re-home routers to different (already-registered) ASes.
-
-        The streaming-ingest mutation path for AS-mapping changes: a BGP
-        update re-originates a prefix and its routers move to another
-        AS.  Derived structures (interdomain flags) are invalidated.
-
-        Raises:
-            TopologyError: on unknown router ids, unknown ASNs, or
-                ragged batch columns.
-        """
-        ids = np.asarray(router_ids, dtype=np.intp)
-        asns = np.asarray(asns, dtype=np.int64)
-        if asns.shape != ids.shape:
-            raise TopologyError("remap batch columns must have equal length")
-        if ids.size == 0:
-            return
-        if ids.min() < 0 or ids.max() >= self._n_routers:
-            bad = ids[(ids < 0) | (ids >= self._n_routers)][0]
-            raise TopologyError(f"unknown router {int(bad)}")
-        for asn in np.unique(asns).tolist():
-            if asn not in self.asns:
-                raise TopologyError(f"unknown ASN {asn}")
-        self._r_asn[ids] = asns
-        self._invalidate()
-
     # ---- derived structures ---------------------------------------------
 
     def _derive(self, key: str, build):
@@ -1054,3 +994,39 @@ class Topology:
             raise TopologyError(
                 f"interface {int(self._i_addr[i])} references unknown link"
             )
+
+
+def topology_digest(topology: Topology) -> str:
+    """SHA-256 over a topology's full logical state.
+
+    Covers every SoA column (routers, links, interfaces), city codes,
+    hostnames, and the registered AS inventory — two topologies with
+    equal digests answer every structural query identically.  The
+    generator's determinism tests and the topology-scale bench compare
+    it.
+    """
+    h = hashlib.sha256()
+    lats, lons = topology.router_coordinates()
+    hash_column(h, "router_lats", lats)
+    hash_column(h, "router_lons", lons)
+    hash_column(h, "router_asns", topology.router_asns())
+    hash_column(h, "router_loopbacks", topology.router_loopbacks())
+    h.update("\x00".join(topology.router_city_codes()).encode("utf-8"))
+    end_a, end_b = topology.link_endpoints()
+    hash_column(h, "link_end_a", end_a)
+    hash_column(h, "link_end_b", end_b)
+    ifc_a, ifc_b = topology.link_interfaces()
+    hash_column(h, "link_ifc_a", ifc_a)
+    hash_column(h, "link_ifc_b", ifc_b)
+    hash_column(h, "interface_addresses", topology.interface_addresses())
+    hash_column(h, "interface_routers", topology.interface_routers())
+    hash_column(h, "interface_links", topology.interface_links())
+    for address in sorted(topology.hostnames):
+        h.update(f"{address}={topology.hostnames[address]}\x00".encode())
+    for asn in sorted(topology.asns):
+        asys = topology.asns[asn]
+        h.update(
+            f"{asn}:{asys.name}:{asys.headquarters.lat!r}:"
+            f"{asys.headquarters.lon!r}:{asys.tier}\x00".encode()
+        )
+    return h.hexdigest()

@@ -1,8 +1,8 @@
 """Synthetic population substrate (CIESIN + Nua stand-in).
 
 Builds a world of economic zones with Zipf city systems and a weighted
-population point field carrying both residents and online users; rasters
-aggregate that field onto arbitrary patch grids.
+population point field carrying both residents and online users.  The
+analyses tally that field into :class:`~repro.geo.grid.PatchGrid` cells.
 """
 
 from repro.population.cities import (
@@ -12,7 +12,6 @@ from repro.population.cities import (
     synthesize_cities,
     zipf_populations,
 )
-from repro.population.raster import PopulationRaster, rasterize
 from repro.population.worldmodel import (
     EconomicZone,
     PopulationField,
@@ -27,8 +26,6 @@ __all__ = [
     "seed_zone_names",
     "synthesize_cities",
     "zipf_populations",
-    "PopulationRaster",
-    "rasterize",
     "EconomicZone",
     "PopulationField",
     "World",

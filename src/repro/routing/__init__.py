@@ -1,11 +1,6 @@
 """Forwarding substrate: shortest-path trees and traceroute semantics."""
 
-from repro.routing.forwarding import (
-    interface_hops,
-    observed_trace,
-    path_links,
-    source_routed_path,
-)
+from repro.routing.forwarding import source_routed_path
 from repro.routing.shortest_path import (
     PredecessorTree,
     largest_component,
@@ -14,9 +9,6 @@ from repro.routing.shortest_path import (
 )
 
 __all__ = [
-    "interface_hops",
-    "observed_trace",
-    "path_links",
     "source_routed_path",
     "PredecessorTree",
     "largest_component",

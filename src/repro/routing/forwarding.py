@@ -1,70 +1,17 @@
-"""Hop-level forwarding semantics: what a traceroute actually observes.
+"""Loose source routing: the probe path Mercator uses for lateral links.
 
-A TTL-expired probe elicits an ICMP message whose source address is an
-interface *on the responding router* — specifically the inbound interface
-of the link the probe arrived on.  This module converts router-id hop
-sequences into the interface-address sequences a prober records,
-including per-hop response failures, and implements the loose
-source-routing trick Mercator uses to discover lateral links.
+Skitter and Mercator read hop sequences straight from the Dijkstra
+predecessor arrays (:mod:`repro.routing.shortest_path`) and resolve the
+inbound interface of each hop with
+:meth:`~repro.net.topology.Topology.link_interfaces_toward`.  This module
+holds Mercator's one extra path rule: a probe loose-source-routed
+through an intermediate router.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import RoutingError
-from repro.net.topology import Topology
 from repro.routing.shortest_path import PredecessorTree
-
-
-def interface_hops(topology: Topology, router_path: list[int]) -> list[int]:
-    """Interface addresses a traceroute along ``router_path`` would report.
-
-    The first hop (the source itself) is not reported — a prober never
-    sees its own router — so the result has one entry per *subsequent*
-    router: the inbound interface on that router.
-
-    Raises:
-        RoutingError: if consecutive routers are not adjacent.
-    """
-    if len(router_path) < 2:
-        return []
-    previous = np.asarray(router_path[:-1], dtype=np.intp)
-    current = np.asarray(router_path[1:], dtype=np.intp)
-    try:
-        return topology.link_interfaces_toward(previous, current).tolist()
-    except Exception as exc:  # TopologyError -> routing-level error
-        for prev, cur in zip(router_path, router_path[1:]):
-            if prev == cur or not topology.has_link(int(prev), int(cur)):
-                raise RoutingError(
-                    f"routers {prev} and {cur} are not adjacent on the path"
-                ) from exc
-        raise RoutingError(
-            f"could not resolve interfaces along {router_path!r}"
-        ) from exc
-
-
-def observed_trace(
-    topology: Topology,
-    router_path: list[int],
-    rng: np.random.Generator,
-    response_rate: float,
-    max_hops: int,
-) -> list[int | None]:
-    """The probe's-eye view of a path: interfaces with missing hops.
-
-    Each hop responds independently with ``response_rate``; silent hops
-    appear as None (the ``*`` of a real traceroute).  The trace is cut at
-    ``max_hops`` entries.
-    """
-    full = interface_hops(topology, router_path)
-    trace: list[int | None] = []
-    for address in full[:max_hops]:
-        if rng.random() < response_rate:
-            trace.append(address)
-        else:
-            trace.append(None)
-    return trace
 
 
 def source_routed_path(
@@ -103,11 +50,3 @@ def source_routed_path(
             position[router] = len(path)
             path.append(router)
     return path
-
-
-def path_links(router_path: list[int]) -> list[tuple[int, int]]:
-    """Normalised (a < b) router-id link pairs along a path."""
-    pairs = []
-    for prev, cur in zip(router_path, router_path[1:]):
-        pairs.append((prev, cur) if prev < cur else (cur, prev))
-    return pairs

@@ -1,10 +1,11 @@
 """Content-addressed on-disk artifact cache for pipeline stages.
 
-Every cache entry is keyed by a SHA-256 over (cache format version,
-scenario-config digest, stage name, upstream entry keys), so a key names
-*exactly one* artifact value: change any configuration field, the stage,
-or anything upstream and the key changes with it.  Entries therefore
-never need invalidation — stale keys are simply never asked for again.
+Every cache entry is keyed by a SHA-256 over (source digest of the
+``repro`` package, scenario-config digest, stage name, upstream entry
+keys), so a key names *exactly one* artifact value: change any source
+file, configuration field, the stage, or anything upstream and the key
+changes with it.  Entries therefore never need invalidation — stale keys
+are simply never asked for again.
 
 Artifacts are serialised by named codecs.  The default codec pickles;
 the dataset-producing stages register a JSON codec built on
@@ -15,6 +16,7 @@ the shareable artefacts stay in the library's interchange format.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -25,9 +27,6 @@ from typing import Any, Callable
 
 from repro.durable import durable_replace
 from repro.errors import CacheError
-
-#: Bump when the key derivation or on-disk layout changes.
-CACHE_FORMAT_VERSION = 3
 
 _DumpFn = Callable[[Any, Path], None]
 _LoadFn = Callable[[Path], Any]
@@ -84,13 +83,32 @@ def config_digest(config: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``*.py`` files: each file's
+    relative path and bytes, in sorted path order.
+
+    Computed once per process, on the first stage key, so runs without
+    an artifact cache never read the sources.
+    """
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    )
+    h = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        h.update(f"{name}\x00{len(data)}\x00".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
 def stage_key(
     config_hash: str, stage_name: str, upstream_keys: tuple[str, ...]
 ) -> str:
-    """Derive one stage's content key from its identity and lineage."""
-    material = "|".join(
-        (f"v{CACHE_FORMAT_VERSION}", config_hash, stage_name, *upstream_keys)
-    )
+    """Derive one stage's content key from the code, its identity and
+    lineage."""
+    material = "|".join((code_digest(), config_hash, stage_name, *upstream_keys))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 

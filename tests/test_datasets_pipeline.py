@@ -40,6 +40,9 @@ class _StubMapper:
             return MappingResult(location=None, method=METHOD_UNMAPPED)
         return MappingResult(location=location, method=METHOD_HOSTNAME)
 
+    def locate_many(self, addresses) -> list[MappingResult]:
+        return [self.locate(address) for address in addresses]
+
 
 def _table() -> BgpTable:
     return BgpTable([RibEntry(Prefix.parse("0.0.0.0/8"), 77)])

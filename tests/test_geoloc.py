@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import GeolocConfig
-from repro.errors import GeolocationError
+from repro.errors import AddressError, GeolocationError
 from repro.geo.coords import GeoPoint
 from repro.geoloc.base import (
     METHOD_DNSLOC,
@@ -20,6 +20,8 @@ from repro.geoloc.edgescape import EdgeScape
 from repro.geoloc.ixmapper import IxMapper
 from repro.geoloc.whois import WhoisRegistry
 from repro.net.addressing import AddressPlan
+from repro.net.ip import ADDRESS_SPACE
+from repro.obs import MetricsRegistry, use_metrics
 
 
 @pytest.fixture
@@ -52,18 +54,58 @@ class TestWhoisRegistry:
         plan = AddressPlan()
         prefix = plan.grant_block(100)
         registry = WhoisRegistry.from_plan(plan, toy_topology.asns)
-        record = registry.lookup(prefix.base + 5)
+        (record,) = registry.lookup_many([prefix.base + 5])
         assert record is not None
         assert record.asn == 100
         assert record.headquarters == toy_topology.asns[100].headquarters
 
     def test_lookup_miss_returns_none(self, toy_topology):
         registry = WhoisRegistry.from_plan(AddressPlan(), toy_topology.asns)
-        assert registry.lookup(123456) is None
+        assert registry.lookup_many([123456]) == [None]
 
     def test_n_orgs(self, toy_topology):
         registry = WhoisRegistry.from_plan(AddressPlan(), toy_topology.asns)
         assert registry.n_orgs == 2
+
+    def test_lookup_many_matches_naive_scan(self, toy_topology):
+        plan = AddressPlan()
+        # AS 300 holds a grant but has no organisation record.
+        for asn in (100, 200, 100, 300, 200):
+            plan.grant_block(asn)
+        registry = WhoisRegistry.from_plan(plan, toy_topology.asns)
+        grants = plan.prefix_origin_pairs()
+        edges = [
+            address
+            for prefix, _ in grants
+            for address in (prefix.base - 1, prefix.base, prefix.base + prefix.size - 1)
+        ]
+        rng = np.random.default_rng(3)
+        pool = plan.pool
+        drawn = rng.integers(pool.base, pool.base + pool.size, 500).tolist()
+        addresses = edges + drawn + [0, ADDRESS_SPACE - 1]
+
+        def naive(address):
+            for prefix, asn in grants:
+                if prefix.base <= address < prefix.base + prefix.size:
+                    return asn if asn in toy_topology.asns else None
+            return None
+
+        records = registry.lookup_many(addresses)
+        assert [r and r.asn for r in records] == [naive(a) for a in addresses]
+        assert any(r is None for r in records)
+        assert {r.asn for r in records if r is not None} == {100, 200}
+        for bad in (-1, ADDRESS_SPACE):
+            with pytest.raises(AddressError):
+                registry.lookup_many([pool.base, bad])
+
+    def test_whois_lookups_are_not_rib_lookups(self, toy_context, toy_topology):
+        registry = MetricsRegistry()
+        mapper = IxMapper(toy_context, np.random.default_rng(2), failure_rate=0.0)
+        with use_metrics(registry):
+            results = mapper.locate_many(sorted(toy_topology.interfaces))
+        assert any(r.method == METHOD_WHOIS for r in results)
+        assert registry.counter_value("bgp.lookups") == 0
+        assert registry.counter_value("bgp.misses") == 0
 
 
 class TestDnsLoc:
@@ -212,29 +254,6 @@ class TestLocateMany:
     def test_empty_batch(self, toy_context):
         mapper = IxMapper(toy_context, np.random.default_rng(5))
         assert mapper.locate_many([]) == []
-
-    def test_sequential_mixin_fallback(self, toy_context, toy_topology):
-        from repro.geoloc.base import MappingResult, SequentialLocateMixin
-
-        class Scripted(SequentialLocateMixin):
-            name = "Scripted"
-
-            def locate(self, address):
-                return MappingResult(location=None, method=METHOD_UNMAPPED)
-
-        results = Scripted().locate_many([1, 2, 3])
-        assert len(results) == 3 and not any(r.mapped for r in results)
-
-    def test_locate_batch_falls_back_without_locate_many(self):
-        from repro.geoloc.base import MappingResult, locate_batch
-
-        class Minimal:
-            name = "Minimal"
-
-            def locate(self, address):
-                return MappingResult(location=None, method=METHOD_UNMAPPED)
-
-        assert len(locate_batch(Minimal(), [1, 2])) == 2
 
 
 class TestLocateBatchDedup:

@@ -26,20 +26,16 @@ from repro.ingest import (
     Ingester,
     IngestHttpServer,
     WriteAheadLog,
-    apply_to_topology,
     delta_digest,
     delta_from_bytes,
     delta_to_bytes,
     load_delta,
     patch_dataset,
     save_delta,
-    topology_digest,
 )
 from repro.measure.stream import DeltaStream
 from repro.obs.report import dataset_digest
 from repro.serve import SnapshotIndex, SnapshotServer
-
-from tests.conftest import build_toy_topology
 
 
 @pytest.fixture(scope="module")
@@ -223,57 +219,6 @@ class TestPatchDataset:
                    add_asns=[1], add_links=[[70, 60]]),
         )
         assert new.n_links == 4
-
-
-# -- topology application ----------------------------------------------------
-
-
-class TestApplyToTopology:
-    def _batches(self) -> list[DeltaBatch]:
-        return [
-            _batch(
-                add_addresses=[5000, 5001],
-                add_lats=[34.05, 33.45],
-                add_lons=[-118.24, -112.07],
-                add_asns=[100, UNMAPPED_ASN],
-                add_links=[[5000, 5001], [5000, 1000]],
-            ),
-            _batch(
-                move_addresses=[1001],
-                move_lats=[37.9],
-                move_lons=[-122.0],
-                remap_addresses=[5001],
-                remap_asns=[200],
-            ),
-        ]
-
-    def test_replay_determinism(self):
-        first, second = build_toy_topology(), build_toy_topology()
-        for batch in self._batches():
-            apply_to_topology(first, batch)
-        for batch in self._batches():
-            apply_to_topology(second, batch)
-        assert topology_digest(first) == topology_digest(second)
-        first.validate()
-
-    def test_mutations_land(self):
-        topo = build_toy_topology()
-        digest_before = topology_digest(topo)
-        for batch in self._batches():
-            apply_to_topology(topo, batch)
-        assert topology_digest(topo) != digest_before
-        assert topo.n_routers == 8
-        lats, _ = topo.router_coordinates()
-        assert 37.9 in np.round(lats, 6)
-
-    def test_unknown_move_address_raises(self):
-        topo = build_toy_topology()
-        with pytest.raises(IngestError):
-            apply_to_topology(
-                topo,
-                _batch(move_addresses=[999999], move_lats=[0.0],
-                       move_lons=[0.0]),
-            )
 
 
 # -- write-ahead log ---------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from repro.config import GroundTruthConfig, small_scenario
 from repro.errors import ConfigError
 from repro.geo.distance import haversine_miles
-from repro.ingest.apply import topology_digest
+from repro.net.topology import topology_digest
 from repro.net.generate import GroundTruthGenerator, generate_ground_truth
 from repro.net.ip import is_private
 from repro.population.worldmodel import build_world

@@ -5,12 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.errors import RoutingError
-from repro.routing.forwarding import (
-    interface_hops,
-    observed_trace,
-    path_links,
-    source_routed_path,
-)
+from repro.routing.forwarding import source_routed_path
 from repro.routing.shortest_path import (
     largest_component,
     shortest_path_tree,
@@ -90,40 +85,6 @@ class TestLargestComponent:
         assert comp.tolist() == [0, 1, 2]
 
 
-class TestInterfaceHops:
-    def test_hops_report_inbound_interfaces(self, toy_topology):
-        hops = interface_hops(toy_topology, [0, 1, 2])
-        # Each reported address must live on the corresponding router.
-        assert toy_topology.interfaces[hops[0]].router_id == 1
-        assert toy_topology.interfaces[hops[1]].router_id == 2
-
-    def test_source_not_reported(self, toy_topology):
-        hops = interface_hops(toy_topology, [0, 1])
-        assert len(hops) == 1
-
-    def test_non_adjacent_raises(self, toy_topology):
-        with pytest.raises(RoutingError):
-            interface_hops(toy_topology, [0, 5])
-
-
-class TestObservedTrace:
-    def test_full_response(self, toy_topology):
-        rng = np.random.default_rng(0)
-        trace = observed_trace(toy_topology, [0, 1, 2, 3], rng, 1.0, 30)
-        assert None not in trace
-        assert len(trace) == 3
-
-    def test_max_hops_truncates(self, toy_topology):
-        rng = np.random.default_rng(0)
-        trace = observed_trace(toy_topology, [0, 1, 2, 3, 4, 5], rng, 1.0, 2)
-        assert len(trace) == 2
-
-    def test_zero_ish_response_rate_gives_stars(self, toy_topology):
-        rng = np.random.default_rng(0)
-        trace = observed_trace(toy_topology, [0, 1, 2, 3], rng, 1e-12, 30)
-        assert trace == [None, None, None]
-
-
 class TestSourceRoutedPath:
     def test_concatenates_legs(self, toy_topology):
         graph = toy_topology.routing_graph()
@@ -158,12 +119,3 @@ class TestSourceRoutedPath:
         path = source_routed_path(via_tree, source_tree, 5, 2)
         for a, b in zip(path, path[1:]):
             assert toy_topology.has_link(a, b)
-
-
-class TestPathLinks:
-    def test_normalised_pairs(self):
-        assert path_links([3, 1, 2]) == [(1, 3), (1, 2)]
-
-    def test_empty_and_singleton(self):
-        assert path_links([]) == []
-        assert path_links([5]) == []

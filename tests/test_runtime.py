@@ -196,6 +196,16 @@ class TestArtifactCache:
         other = stage_keys(graph, small_scenario(seed=small_config.seed + 1))
         assert all(keys[name] != other[name] for name in keys)
 
+    def test_stage_keys_cover_the_code(self, small_config, monkeypatch):
+        """A code change retires every cached artefact of the old code."""
+        from repro.runtime import cache
+
+        graph = build_pipeline_graph()
+        keys = stage_keys(graph, small_config)
+        monkeypatch.setattr(cache, "code_digest", lambda: "0" * 64)
+        edited = stage_keys(graph, small_config)
+        assert all(keys[name] != edited[name] for name in keys)
+
 
 class TestTelemetry:
     def test_events_and_profile(self):

@@ -85,6 +85,14 @@ class TestAdjacencyEquivalence:
             a, b = int(link_a[i]), int(link_b[i])
             assert forward[i] == topology.link_interface_toward(a, b)
             assert backward[i] == topology.link_interface_toward(b, a)
+        # Each inbound interface lives on the responding router.
+        owners = topology.interface_routers()
+        assert np.array_equal(
+            owners[topology.interface_positions(forward)], link_b[sample]
+        )
+        assert np.array_equal(
+            owners[topology.interface_positions(backward)], link_a[sample]
+        )
 
     def test_link_interfaces_toward_rejects_non_adjacent(self):
         topology = build_toy_topology()
