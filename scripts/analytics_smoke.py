@@ -8,8 +8,8 @@ processes, exactly as an operator would:
    followed by one remap-heavy batch that reassigns 400 interfaces to
    new ASes, collapsing the intradomain link share;
 2. ``repro ingest run --analytics`` consumes the spool at
-   publish-every-batch cadence, maintaining per-generation paper
-   metrics incrementally and scoring ``intradomain_share`` for drift:
+   publish-every-batch cadence, computing per-generation paper
+   metrics and scoring ``intradomain_share`` for drift:
    the five benign generations stay quiet, the remap batch raises
    **exactly one** trigger alert, visible on the ingester's
    ``/metrics`` endpoint (``repro_analytics_*`` gauges) and in

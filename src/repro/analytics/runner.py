@@ -1,16 +1,16 @@
 """Hooking continuous analytics into the ingest path.
 
 An :class:`AnalyticsRunner` is the :class:`~repro.ingest.runner.Ingester`
-observer: each applied batch advances the incremental
-:class:`~repro.analytics.engine.AnalyticsEngine`, and each published
-generation snapshots the engine's metrics into the
-:class:`~repro.analytics.store.MetricStore`, feeds the
-:class:`~repro.analytics.drift.DriftDetector`, publishes drift events
-on the telemetry bus, and refreshes the ``repro_analytics_*`` gauges.
+observer: each published generation's metrics are computed from scratch
+by an :class:`~repro.analytics.engine.AnalyticsEngine`, stored in the
+:class:`~repro.analytics.store.MetricStore`, fed to the
+:class:`~repro.analytics.drift.DriftDetector`, drift events are
+published on the telemetry bus, and the ``repro_analytics_*`` gauges
+are refreshed.
 
-The observer is deliberately fail-open: an analytics bug marks the
-engine stale (re-seeded from the live index at the next publish, with
-an error counter bumped) rather than failing the ingest write path.
+The observer is deliberately fail-open: an error while computing a
+generation's metrics bumps ``analytics.metric_errors`` and skips that
+generation rather than failing the ingest write path.
 
 :func:`replay_wal` is the offline twin — ``repro analytics run`` drives
 it over a base snapshot plus an ingest WAL to produce the same
@@ -26,7 +26,7 @@ from repro.analytics.drift import DriftConfig, DriftDetector, DriftEvent
 from repro.analytics.engine import AnalyticsEngine
 from repro.analytics.store import MetricStore
 from repro.datasets.mapped import MappedDataset
-from repro.errors import AnalyticsError, ReproError
+from repro.errors import ReproError
 from repro.ingest.deltas import DeltaBatch
 from repro.ingest.wal import WriteAheadLog
 from repro.obs.bus import publish as bus_publish
@@ -40,7 +40,7 @@ DEFAULT_DB_NAME = "analytics.db"
 
 
 class AnalyticsRunner:
-    """Ingester observer that maintains and persists per-gen metrics."""
+    """Ingester observer that computes and persists per-gen metrics."""
 
     def __init__(
         self,
@@ -61,13 +61,11 @@ class AnalyticsRunner:
             metrics=drift_metrics,
             thresholds=drift_thresholds,
         )
-        self.engine: AnalyticsEngine | None = None
         self.alerts_total = sum(
             1
             for alert in self.store.alerts(self.campaign_id, limit=10_000)
             if alert["kind"] == "trigger"
         )
-        self._stale = False
         # Warm the detector baseline from the stored series so a
         # restarted process scores against history, not a cold start.
         # Events are dropped: any alert they would raise was already
@@ -80,71 +78,49 @@ class AnalyticsRunner:
     # -- observer protocol ----------------------------------------------------
 
     def attach(self, ingester) -> None:
-        """Seed from the ingester's live index and start observing."""
-        self.engine = AnalyticsEngine(
-            ingester.index.dataset, index=ingester.index
-        )
+        """Start observing the ingester's batches and publishes."""
         ingester.observer = self
 
     def on_apply(self, batch: DeltaBatch, index: SnapshotIndex) -> None:
-        """Advance the engine past one applied batch (fail-open)."""
-        if self.engine is None:
-            return
-        try:
-            self.engine.apply(batch, index)
-        except ReproError:
-            self._stale = True
-            incr("analytics.apply_errors")
-        set_gauge(
-            "analytics.engine_gen",
-            float(self.engine.gen if not self._stale else -1),
-        )
+        """Per-batch hook: metrics are computed per published generation."""
 
     def on_publish(self, facts: dict, index: SnapshotIndex) -> None:
         """Persist the published generation's metrics and score drift."""
-        if self.engine is None or self._stale or self.engine.gen != index.gen:
-            # Fail-open recovery: one from-scratch seed, then resume
-            # incremental maintenance.
-            self.engine = AnalyticsEngine(index.dataset, index=index)
-            self._stale = False
-            incr("analytics.reseeds")
+        self._record(
+            index,
+            seq=int(facts.get("seq", 0)),
+            snapshot_hash=str(facts.get("snapshot_hash", "")),
+        )
+
+    # -- shared plumbing ------------------------------------------------------
+
+    def record_baseline(self, index: SnapshotIndex, *, seq: int = 0) -> bool:
+        """Store ``index``'s generation outside the publish path (the
+        seed generation of a run); False when present or failed."""
+        return self._record(index, seq=seq, snapshot_hash=index.snapshot_hash)
+
+    def _record(
+        self, index: SnapshotIndex, *, seq: int, snapshot_hash: str
+    ) -> bool:
+        """Compute, store and score one generation (fail-open)."""
         gen = int(index.gen)
-        metrics = self.engine.metrics()
+        try:
+            metrics = AnalyticsEngine(index.dataset, index=index).metrics()
+        except ReproError:
+            incr("analytics.metric_errors")
+            return False
         fresh = self.store.record_generation(
             self.campaign_id,
             gen,
             metrics,
-            seq=int(facts.get("seq", 0)),
-            snapshot_hash=str(facts.get("snapshot_hash", "")),
+            seq=seq,
+            snapshot_hash=snapshot_hash,
             n_nodes=index.dataset.n_nodes,
             n_links=index.dataset.n_links,
         )
         if fresh:
             # Only a first-time generation feeds the detector —
             # a crash-replayed publish must not double-count.
-            for event in self.detector.update_all(gen, metrics):
-                self._emit(event)
-        self._export_gauges(gen)
-
-    # -- shared plumbing ------------------------------------------------------
-
-    def record_baseline(self, index: SnapshotIndex, *, seq: int = 0) -> bool:
-        """Store the engine's current generation outside the publish
-        path (the seed generation of a run); False when present."""
-        if self.engine is None:
-            raise AnalyticsError("record_baseline requires a seeded engine")
-        gen = int(index.gen)
-        metrics = self.engine.metrics()
-        fresh = self.store.record_generation(
-            self.campaign_id,
-            gen,
-            metrics,
-            seq=seq,
-            snapshot_hash=index.snapshot_hash,
-            n_nodes=index.dataset.n_nodes,
-            n_links=index.dataset.n_links,
-        )
-        if fresh:
             for event in self.detector.update_all(gen, metrics):
                 self._emit(event)
         self._export_gauges(gen)
@@ -255,7 +231,6 @@ def replay_wal(
         drift_thresholds=drift_thresholds,
     )
     index = SnapshotIndex(dataset, cell_arcmin)
-    runner.engine = AnalyticsEngine(dataset, index=index)
     runner.record_baseline(index)
     recorded = 1
     alerts_before = runner.alerts_total
@@ -263,7 +238,6 @@ def replay_wal(
     try:
         for seq, batch in wal.replay_deltas(0):
             index = index.apply_delta(batch)
-            runner.on_apply(batch, index)
             runner.on_publish(
                 {"seq": seq, "snapshot_hash": index.snapshot_hash}, index
             )

@@ -60,26 +60,6 @@ class PrefixMatch:
             pairs = np.asarray(sorted(by_length[length]), dtype=np.int64)
             self._levels.append((length, pairs[:, 0].copy(), pairs[:, 1].copy()))
 
-    def match(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Longest-match length and origin per address (-1 and
-        :data:`UNMAPPED_ASN` where nothing matches)."""
-        lengths = np.full(addresses.shape, -1, dtype=np.int64)
-        asns = np.full(addresses.shape, UNMAPPED_ASN, dtype=np.int64)
-        open_rows = np.arange(addresses.size)
-        for length, bases, origins in self._levels:
-            if open_rows.size == 0:
-                break
-            shift = ADDRESS_BITS - length
-            masked = (addresses[open_rows] >> shift) << shift
-            slots = np.searchsorted(bases, masked)
-            slots[slots == bases.size] = 0
-            hit = bases[slots] == masked
-            rows = open_rows[hit]
-            lengths[rows] = length
-            asns[rows] = origins[slots[hit]]
-            open_rows = open_rows[~hit]
-        return lengths, asns
-
     def origins(self, addresses) -> np.ndarray:
         """Origin of the longest route covering each address.
 
@@ -96,7 +76,19 @@ class PrefixMatch:
         ):
             bad = addresses[(addresses < 0) | (addresses >= ADDRESS_SPACE)][0]
             raise AddressError(f"address {int(bad)!r} outside 32-bit space")
-        return self.match(addresses)[1]
+        asns = np.full(addresses.shape, UNMAPPED_ASN, dtype=np.int64)
+        open_rows = np.arange(addresses.size)
+        for length, bases, origins in self._levels:
+            if open_rows.size == 0:
+                break
+            shift = ADDRESS_BITS - length
+            masked = (addresses[open_rows] >> shift) << shift
+            slots = np.searchsorted(bases, masked)
+            slots[slots == bases.size] = 0
+            hit = bases[slots] == masked
+            asns[open_rows[hit]] = origins[slots[hit]]
+            open_rows = open_rows[~hit]
+        return asns
 
 
 class BgpTable:
@@ -165,18 +157,3 @@ class BgpTable:
         """
         check_address(address)
         return int(self.origin_many([address])[0])
-
-    def matching_prefix(self, address: int) -> Prefix | None:
-        """The longest announced prefix covering ``address``, if any."""
-        check_address(address)
-        lengths, _ = self._prefix_match().match(np.array([address], dtype=np.int64))
-        length = int(lengths[0])
-        if length < 0:
-            return None
-        shift = ADDRESS_BITS - length
-        return Prefix((address >> shift) << shift, length)
-
-    def map_addresses(self, addresses: list[int]) -> dict[int, int]:
-        """Bulk origin lookup: address -> ASN (or UNMAPPED_ASN)."""
-        asns = self.origin_many(addresses)
-        return dict(zip(addresses, asns.tolist()))

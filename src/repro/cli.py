@@ -41,8 +41,8 @@ Subcommands:
   latest analyzed generation and recorded drift alerts; ``history``
   prints one metric's per-generation series; ``diff`` compares two
   analyzed generations metric by metric.  ``repro ingest run
-  --analytics`` maintains the same store live, incrementally, on every
-  published generation.
+  --analytics`` maintains the same store live, on every published
+  generation.
 
 ``run``, ``serve``, and ``sweep run``/``resume`` all take
 ``--profile-sampling OUT.collapsed`` to run the stdlib sampling
@@ -1028,8 +1028,8 @@ def _ingest_run_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--analytics", action="store_true",
-        help="maintain per-generation paper metrics incrementally and "
-        "store them in the analytics database on every publish",
+        help="compute per-generation paper metrics and store them in "
+        "the analytics database on every publish",
     )
     parser.add_argument(
         "--analytics-db", default=None, metavar="PATH",

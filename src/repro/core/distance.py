@@ -118,48 +118,6 @@ def pair_counts(
     return counts
 
 
-def preference_from_counts(
-    region_name: str,
-    bin_miles: float,
-    link_counts: np.ndarray,
-    pair_counts: np.ndarray,
-    n_nodes: int,
-) -> DistancePreference:
-    """Assemble a :class:`DistancePreference` from integer histograms.
-
-    The analytics engine's path: it keeps ``link_counts`` /
-    ``pair_counts`` up to date incrementally and rebuilds the table with
-    the same ``f_hat`` expression :func:`preference_function` uses —
-    bitwise the same division on bitwise the same counts.
-    ``link_lengths`` is empty: these tables serve the query path, not
-    the Table V analyses.
-    """
-    if bin_miles <= 0:
-        raise AnalysisError("bin_miles must be positive")
-    link_counts = np.asarray(link_counts, dtype=np.int64)
-    pair_counts = np.asarray(pair_counts, dtype=np.int64)
-    if link_counts.shape != pair_counts.shape:
-        raise AnalysisError("link and pair histograms disagree on shape")
-    if link_counts.ndim != 1:
-        raise AnalysisError("histograms must be one-dimensional")
-    if (link_counts < 0).any() or (pair_counts < 0).any():
-        raise AnalysisError("histogram counts must be non-negative")
-    n_bins = int(link_counts.size)
-    edges = np.arange(n_bins + 1, dtype=float) * bin_miles
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_hat = np.where(pair_counts > 0, link_counts / pair_counts, np.nan)
-    return DistancePreference(
-        region=region_name,
-        bin_miles=float(bin_miles),
-        bin_left=edges[:-1],
-        link_counts=link_counts,
-        pair_counts=pair_counts,
-        f_hat=f_hat,
-        n_nodes=int(n_nodes),
-        link_lengths=np.empty(0),
-    )
-
-
 def f_hat_at(pref: DistancePreference, d: float) -> float | None:
     """``f_hat`` evaluated at distance ``d`` (None where unpopulated).
 

@@ -94,17 +94,6 @@ class PatchGrid:
             w = np.asarray(weights, dtype=float)[keep]
         return np.bincount(idx, weights=w, minlength=self.n_cells)
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lats, lons)`` of every cell centre, in flat-index order."""
-        rows = np.arange(self.n_rows, dtype=float)
-        cols = np.arange(self.n_cols, dtype=float)
-        lat_centers = self.region.south + (rows + 0.5) * self.cell_deg
-        lon_centers = self.region.west + (cols + 0.5) * self.cell_deg
-        lat_centers = np.minimum(lat_centers, self.region.north)
-        lon_centers = np.minimum(lon_centers, self.region.east)
-        lat_grid, lon_grid = np.meshgrid(lat_centers, lon_centers, indexing="ij")
-        return lat_grid.ravel(), lon_grid.ravel()
-
     def cell_edge_miles(self) -> float:
         """North-south cell edge length in miles.
 

@@ -21,7 +21,7 @@ from repro.obs import current_metrics
 from repro.obs import span as obs_span
 from repro.geo.coords import GeoPoint
 from repro.geoloc.dnsloc import build_loc_records
-from repro.geoloc.whois import WhoisRegistry
+from repro.geoloc.whois import OrgRecord, WhoisRegistry
 from repro.net.addressing import AddressPlan
 from repro.net.topology import Topology
 from repro.population.worldmodel import World
@@ -118,6 +118,47 @@ class Geolocator(Protocol):
         ``locate`` calls would, so batch size never changes results.
         """
         ...
+
+
+class WhoisBackedGeolocator:
+    """Shared batch path of the tools that fall back on whois.
+
+    One uniform failure draw per address, in order, and one whois
+    lookup for the whole batch; each surviving address then goes
+    through the tool's deterministic :meth:`_resolve` chain.  Batch
+    size therefore never changes results: ``locate`` is a batch of one.
+    """
+
+    def __init__(
+        self, context: GeoContext, rng: np.random.Generator, failure_rate: float
+    ) -> None:
+        if not (0.0 <= failure_rate <= 1.0):
+            raise GeolocationError("failure_rate must be in [0, 1]")
+        self._context = context
+        self._rng = rng
+        self._failure_rate = failure_rate
+
+    def locate(self, address: int) -> MappingResult:
+        """Locate one address."""
+        return self.locate_many((address,))[0]
+
+    def locate_many(self, addresses: Sequence[int]) -> list[MappingResult]:
+        """Batch-locate addresses with one vectorised failure draw."""
+        n = len(addresses)
+        if n == 0:
+            return []
+        failed = self._rng.random(n) < self._failure_rate
+        orgs = self._context.whois.lookup_many(addresses)
+        return [
+            MappingResult(location=None, method=METHOD_UNMAPPED)
+            if fail
+            else self._resolve(address, org)
+            for address, fail, org in zip(addresses, failed, orgs)
+        ]
+
+    def _resolve(self, address: int, org: OrgRecord | None) -> MappingResult:
+        """The tool's fallback chain for one address (no randomness)."""
+        raise NotImplementedError
 
 
 def locate_batch(

@@ -11,8 +11,6 @@ than IxMapper's (the paper reports 0.3-0.6% vs 1-1.5%).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import GeolocationError
@@ -25,13 +23,14 @@ from repro.geoloc.base import (
     METHOD_WHOIS,
     GeoContext,
     MappingResult,
+    WhoisBackedGeolocator,
 )
 from repro.geoloc.whois import OrgRecord
 from repro.net.hostnames import extract_city_code
 from repro.net.topology import Topology
 
 
-class EdgeScape:
+class EdgeScape(WhoisBackedGeolocator):
     """ISP-feed-first geolocator with hostname and whois fallbacks."""
 
     def __init__(
@@ -44,11 +43,7 @@ class EdgeScape:
     ) -> None:
         if not (0.0 <= isp_coverage <= 1.0):
             raise GeolocationError("isp_coverage must be in [0, 1]")
-        if not (0.0 <= failure_rate <= 1.0):
-            raise GeolocationError("failure_rate must be in [0, 1]")
-        self._context = context
-        self._rng = rng
-        self._failure_rate = failure_rate
+        super().__init__(context, rng, failure_rate)
         # Which ASes share location feeds: one draw per AS, fixed for the
         # lifetime of the tool (a contract either exists or does not).
         asn_list = list(topology.asns)
@@ -128,29 +123,6 @@ class EdgeScape:
     def covered_asns(self) -> set[int]:
         """ASes with ISP location feeds."""
         return set(self._covered_asns)
-
-    def locate(self, address: int) -> MappingResult:
-        """Locate an address via ISP feed, then hostname, then whois."""
-        return self.locate_many((address,))[0]
-
-    def locate_many(self, addresses: Sequence[int]) -> list[MappingResult]:
-        """Batch-locate addresses with one vectorised failure draw.
-
-        Consumes exactly one uniform variate per address, in order, so
-        results are bit-identical to per-address ``locate`` calls.  The
-        whois registry answers the whole batch in one lookup.
-        """
-        n = len(addresses)
-        if n == 0:
-            return []
-        failed = self._rng.random(n) < self._failure_rate
-        orgs = self._context.whois.lookup_many(addresses)
-        return [
-            MappingResult(location=None, method=METHOD_UNMAPPED)
-            if fail
-            else self._resolve(address, org)
-            for address, fail, org in zip(addresses, failed, orgs)
-        ]
 
     def _resolve(self, address: int, org: OrgRecord | None) -> MappingResult:
         """The fallback chain for one address (no randomness)."""

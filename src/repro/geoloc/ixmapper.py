@@ -16,8 +16,6 @@ whois, or random lookup failure), matching the paper's ~1-1.5%.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import GeolocationError
@@ -28,12 +26,13 @@ from repro.geoloc.base import (
     METHOD_WHOIS,
     GeoContext,
     MappingResult,
+    WhoisBackedGeolocator,
 )
 from repro.geoloc.whois import OrgRecord
 from repro.net.hostnames import extract_city_code
 
 
-class IxMapper:
+class IxMapper(WhoisBackedGeolocator):
     """Hostname-first geolocator with LOC and whois fallbacks."""
 
     def __init__(
@@ -42,39 +41,12 @@ class IxMapper:
         rng: np.random.Generator,
         failure_rate: float = 0.012,
     ) -> None:
-        if not (0.0 <= failure_rate <= 1.0):
-            raise GeolocationError("failure_rate must be in [0, 1]")
-        self._context = context
-        self._rng = rng
-        self._failure_rate = failure_rate
+        super().__init__(context, rng, failure_rate)
 
     @property
     def name(self) -> str:
         """Tool name as used in dataset labels."""
         return "IxMapper"
-
-    def locate(self, address: int) -> MappingResult:
-        """Locate an address via hostname, then LOC, then whois."""
-        return self.locate_many((address,))[0]
-
-    def locate_many(self, addresses: Sequence[int]) -> list[MappingResult]:
-        """Batch-locate addresses with one vectorised failure draw.
-
-        Consumes exactly one uniform variate per address, in order, so
-        results are bit-identical to per-address ``locate`` calls.  The
-        whois registry answers the whole batch in one lookup.
-        """
-        n = len(addresses)
-        if n == 0:
-            return []
-        failed = self._rng.random(n) < self._failure_rate
-        orgs = self._context.whois.lookup_many(addresses)
-        return [
-            MappingResult(location=None, method=METHOD_UNMAPPED)
-            if fail
-            else self._resolve(address, org)
-            for address, fail, org in zip(addresses, failed, orgs)
-        ]
 
     def _resolve(self, address: int, org: OrgRecord | None) -> MappingResult:
         """The fallback chain for one address (no randomness)."""

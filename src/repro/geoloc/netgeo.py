@@ -11,21 +11,19 @@ hostname/ISP techniques moved the state of the art.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.errors import GeolocationError
 from repro.geoloc.base import (
     METHOD_UNMAPPED,
     METHOD_WHOIS,
     GeoContext,
     MappingResult,
+    WhoisBackedGeolocator,
 )
 from repro.geoloc.whois import OrgRecord
 
 
-class NetGeo:
+class NetGeo(WhoisBackedGeolocator):
     """Whois-registry-only geolocator (every host maps to its org HQ)."""
 
     def __init__(
@@ -34,42 +32,15 @@ class NetGeo:
         rng: np.random.Generator,
         failure_rate: float = 0.05,
     ) -> None:
-        if not (0.0 <= failure_rate <= 1.0):
-            raise GeolocationError("failure_rate must be in [0, 1]")
-        self._context = context
-        self._rng = rng
-        self._failure_rate = failure_rate
+        super().__init__(context, rng, failure_rate)
 
     @property
     def name(self) -> str:
         """Tool name as used in dataset labels."""
         return "NetGeo"
 
-    def locate(self, address: int) -> MappingResult:
-        """Locate an address via whois only."""
-        return self.locate_many((address,))[0]
-
-    def locate_many(self, addresses: Sequence[int]) -> list[MappingResult]:
-        """Batch-locate addresses with one vectorised failure draw.
-
-        Consumes exactly one uniform variate per address, in order, so
-        results are bit-identical to per-address ``locate`` calls.  The
-        whois registry answers the whole batch in one lookup.
-        """
-        n = len(addresses)
-        if n == 0:
-            return []
-        failed = self._rng.random(n) < self._failure_rate
-        orgs = self._context.whois.lookup_many(addresses)
-        return [
-            MappingResult(location=None, method=METHOD_UNMAPPED)
-            if fail
-            else self._resolve(org)
-            for fail, org in zip(failed, orgs)
-        ]
-
-    def _resolve(self, org: OrgRecord | None) -> MappingResult:
-        """The whois answer for one address (no randomness)."""
+    def _resolve(self, address: int, org: OrgRecord | None) -> MappingResult:
+        """The whois answer (the address itself plays no part)."""
         if org is None:
             return MappingResult(location=None, method=METHOD_UNMAPPED)
         return MappingResult(location=org.headquarters, method=METHOD_WHOIS)

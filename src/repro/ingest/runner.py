@@ -76,7 +76,7 @@ class Ingester:
         #: :class:`repro.analytics.runner.AnalyticsRunner`) — notified
         #: after each applied batch and each published generation.
         #: Attached after construction, so WAL-replayed batches are not
-        #: observed (the observer seeds from the recovered index).
+        #: observed (each publish hands the observer the whole index).
         self.observer = None
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,10 +6,14 @@ streaming-ingest path can be driven without a live measurement
 infrastructure.  A :class:`DeltaStream` tracks the evolving snapshot
 state (addresses, coordinates, origin ASes, adjacency) and emits
 :class:`~repro.ingest.deltas.DeltaBatch` es that are always *valid*
-against it: adds are fresh addresses placed near existing
-infrastructure, links never duplicate an adjacency, moves and remaps
-target known addresses.  Batches are a pure function of the seed RNG,
-so a replayed stream is byte-for-byte reproducible.
+against it: adds are fresh addresses, links never duplicate an
+adjacency, moves and remaps target known addresses.  Nodes appear only
+where mapped infrastructure already is: an added node takes the exact
+coordinates of a random existing node, and a moved node jumps to the
+point of another, so the stream's points stay the base snapshot's
+point set, as a city-granularity mapper's output would.  Batches are a
+pure function of the seed RNG, so a replayed stream is byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ from repro.bgp.table import UNMAPPED_ASN
 from repro.datasets.mapped import MappedDataset
 from repro.errors import MeasurementError
 from repro.ingest.deltas import DeltaBatch
-
-#: Degrees of coordinate jitter when placing new or moved nodes near an
-#: anchor (roughly metro scale — new interfaces appear where
-#: infrastructure already is, the paper's central observation).
-_JITTER_DEG = 2.0
 
 
 class DeltaStream:
@@ -81,13 +80,6 @@ class DeltaStream:
 
     # -- generation ----------------------------------------------------------
 
-    def _jittered(self, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates near anchor rows, clipped to the legal ranges."""
-        n = anchors.shape[0]
-        lats = self._lats[anchors] + self._rng.normal(0.0, _JITTER_DEG, n)
-        lons = self._lons[anchors] + self._rng.normal(0.0, _JITTER_DEG, n)
-        return np.clip(lats, -90.0, 90.0), np.clip(lons, -180.0, 180.0)
-
     def _pick_asns(self, n: int) -> np.ndarray:
         """Origin ASes for new nodes: existing, brand new, or unmapped."""
         asns = self._rng.choice(self._known_asns, size=n)
@@ -120,7 +112,7 @@ class DeltaStream:
         )
         self._next_address += n_adds
         anchors = self._rng.integers(0, n_before, size=n_adds)
-        add_lats, add_lons = self._jittered(anchors)
+        add_lats, add_lons = self._lats[anchors], self._lons[anchors]
         add_asns = self._pick_asns(n_adds)
         self._addresses = np.concatenate([self._addresses, add_addresses])
         self._lats = np.concatenate([self._lats, add_lats])
@@ -155,7 +147,8 @@ class DeltaStream:
         move_rows = self._rng.choice(
             n_before, size=min(n_moves, n_before), replace=False
         )
-        move_lats, move_lons = self._jittered(move_rows)
+        targets = self._rng.integers(0, self.n_nodes, size=move_rows.shape[0])
+        move_lats, move_lons = self._lats[targets], self._lons[targets]
         self._lats[move_rows] = move_lats
         self._lons[move_rows] = move_lons
 

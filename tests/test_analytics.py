@@ -1,4 +1,4 @@
-"""Continuous analytics: differential engine, drift, store, runner."""
+"""Continuous analytics: engine, drift, store, runner."""
 
 import os
 import sqlite3
@@ -15,12 +15,17 @@ from repro.analytics import (
     analytics_lag,
     replay_wal,
 )
-from repro.core.density import patch_regression
-from repro.core.distance import PAPER_BIN_MILES, preference_function
+from repro.core.distance import (
+    N_BINS,
+    PAPER_BIN_MILES,
+    preference_function,
+    waxman_fit,
+)
 from repro.datasets.serialize import save_dataset
-from repro.errors import AnalyticsError
+from repro.errors import AnalysisError, AnalyticsError
+from repro.geo.distance import haversine_miles
 from repro.geo.regions import STUDY_REGIONS
-from repro.ingest import Ingester
+from repro.ingest import Ingester, patch_dataset
 from repro.measure.stream import DeltaStream
 from repro.serve.index import DEFAULT_BIN_MILES, SnapshotIndex
 from repro.sweep import ResultStore
@@ -31,23 +36,13 @@ def dataset(pipeline_small):
     return pipeline_small.dataset("IxMapper", "Skitter")
 
 
-@pytest.fixture(scope="module")
-def field(pipeline_small):
-    return pipeline_small.world.field
-
-
-def _advance(dataset, field, batches, *, seed=42, **kwargs):
-    """Apply ``batches`` DeltaStream batches through index + engine."""
+def _streamed(dataset, batches, *, seed=42):
+    """The index after ``batches`` DeltaStream batches over ``dataset``."""
     index = SnapshotIndex(dataset)
-    engine = AnalyticsEngine(
-        dataset, population=field, index=index, **kwargs
-    )
     stream = DeltaStream(dataset, np.random.default_rng(seed))
     for spec in batches:
-        batch = stream.next_batch(**spec)
-        index = index.apply_delta(batch)
-        engine.apply(batch, index)
-    return engine, index
+        index = index.apply_delta(stream.next_batch(**spec))
+    return index
 
 
 MIXED = [dict(n_adds=6, n_links=8, n_moves=3, n_remaps=2)] * 5
@@ -57,82 +52,70 @@ ADD_ONLY = [dict(n_adds=25, n_links=30, n_moves=0, n_remaps=0)] * 3
 
 
 class TestEngineDifferential:
+    """The engine's metrics against the core instruments, on a streamed
+    dataset whose added and moved nodes share points with the base."""
+
     @pytest.mark.parametrize(
         "batches", [MIXED, MOVE_HEAVY, REMAP_HEAVY, ADD_ONLY],
         ids=["mixed", "move-heavy", "remap-heavy", "add-only"],
     )
-    def test_state_matches_from_scratch_bit_for_bit(
-        self, dataset, field, batches
-    ):
-        engine, index = _advance(dataset, field, batches)
-        fresh = AnalyticsEngine(
-            index.dataset, population=field, index=index
-        )
-        for name, state in engine.regions.items():
-            other = fresh.regions[name]
-            assert np.array_equal(state.mask, other.mask)
-            assert state.n_nodes == other.n_nodes
-            # Integer state must be *identical*, not merely close.
-            assert np.array_equal(state.pair_counts, other.pair_counts)
-            assert np.array_equal(state.link_counts, other.link_counts)
-            assert np.array_equal(state.occupancy, other.occupancy)
-        assert engine.intradomain_links == fresh.intradomain_links
-        assert engine.interdomain_links == fresh.interdomain_links
+    def test_state_matches_from_scratch_bit_for_bit(self, dataset, batches):
+        """Metrics over the live delta-patched index (and its memoised
+        per-AS table) equal those of a dataset rebuilt batch by batch."""
+        index = _streamed(dataset, batches)
+        stream = DeltaStream(dataset, np.random.default_rng(42))
+        rebuilt = dataset
+        for spec in batches:
+            rebuilt, _ = patch_dataset(rebuilt, stream.next_batch(**spec))
+        live = AnalyticsEngine(index.dataset, index=index).metrics()
+        assert live == AnalyticsEngine(rebuilt).metrics()
 
-    def test_histograms_match_core_preference_function(self, dataset, field):
-        engine, index = _advance(dataset, field, MIXED)
+    def test_histograms_match_core_preference_function(self, dataset):
+        index = _streamed(dataset, MIXED)
+        final = index.dataset
+        metrics = AnalyticsEngine(final, index=index).metrics()
         for region in STUDY_REGIONS:
             bin_miles = PAPER_BIN_MILES.get(region.name, DEFAULT_BIN_MILES)
-            pref = preference_function(index.dataset, region, bin_miles)
-            state = engine.regions[region.name]
-            assert np.array_equal(state.pair_counts, pref.pair_counts)
-            assert np.array_equal(state.link_counts, pref.link_counts)
-            assert state.n_nodes == pref.n_nodes
-
-    def test_alpha_matches_core_patch_regression(self, dataset, field):
-        engine, index = _advance(dataset, field, MIXED)
-        metrics = engine.metrics()
-        for region in STUDY_REGIONS:
-            expected = patch_regression(index.dataset, field, region)
-            assert metrics[f"alpha.{region.name}"] == pytest.approx(
-                expected.fit.slope, rel=1e-9
+            pref = preference_function(final, region, bin_miles)
+            edges = np.arange(N_BINS + 1, dtype=float) * bin_miles
+            # Per-pair counts, no distinct-point grouping.
+            sub = final.restrict(region)
+            i, j = np.triu_indices(sub.n_nodes, k=1)
+            pairs = haversine_miles(
+                sub.lats[i], sub.lons[i], sub.lats[j], sub.lons[j]
             )
+            assert np.array_equal(
+                pref.pair_counts, np.histogram(pairs, bins=edges)[0]
+            )
+            a, b = sub.links[:, 0], sub.links[:, 1]
+            lengths = haversine_miles(
+                sub.lats[a], sub.lons[a], sub.lats[b], sub.lons[b]
+            )
+            assert np.array_equal(
+                pref.link_counts, np.histogram(lengths, bins=edges)[0]
+            )
+            assert metrics[f"region_nodes.{region.name}"] == pref.n_nodes
+            try:
+                l_miles = waxman_fit(pref).l_miles
+            except AnalysisError:
+                assert f"waxman_l.{region.name}" not in metrics
+            else:
+                assert metrics[f"waxman_l.{region.name}"] == l_miles
 
-    def test_domain_counts_match_dataset_masks(self, dataset, field):
-        engine, index = _advance(dataset, field, REMAP_HEAVY)
+    def test_domain_counts_match_dataset_masks(self, dataset):
+        index = _streamed(dataset, REMAP_HEAVY)
         final = index.dataset
-        assert engine.intradomain_links == int(
-            final.intradomain_mask().sum()
-        )
-        assert engine.interdomain_links == int(
-            final.interdomain_mask().sum()
-        )
+        metrics = AnalyticsEngine(final, index=index).metrics()
+        intra = int(final.intradomain_mask().sum())
+        inter = int(final.interdomain_mask().sum())
+        assert metrics["intradomain_links"] == intra
+        assert metrics["interdomain_links"] == inter
+        assert metrics["intradomain_share"] == intra / (intra + inter)
 
-    def test_metrics_match_from_scratch_metrics(self, dataset, field):
-        engine, index = _advance(dataset, field, MIXED)
-        fresh = AnalyticsEngine(
-            index.dataset, population=field, index=index
-        )
-        live, scratch = engine.metrics(), fresh.metrics()
-        assert set(live) == set(scratch)
-        for name, value in live.items():
-            assert value == pytest.approx(scratch[name], rel=1e-9), name
-
-    def test_generation_guard(self, dataset, field):
-        index = SnapshotIndex(dataset)
-        engine = AnalyticsEngine(dataset, index=index)
-        stream = DeltaStream(dataset, np.random.default_rng(0))
-        batch = stream.next_batch()
-        index = index.apply_delta(batch)
-        skipped = index.apply_delta(
-            stream.next_batch()
-        )  # engine never saw `batch`s successor
-        with pytest.raises(AnalyticsError):
-            engine.apply(batch, skipped)
-
-    def test_metrics_are_finite(self, dataset, field):
-        engine, _ = _advance(dataset, field, MIXED)
-        for name, value in engine.metrics().items():
+    def test_metrics_are_finite(self, dataset):
+        index = _streamed(dataset, MIXED)
+        metrics = AnalyticsEngine(index.dataset, index=index).metrics()
+        for name, value in metrics.items():
             assert np.isfinite(value), name
 
 
@@ -373,25 +356,34 @@ class TestRunnerIntegration:
         for gen, metrics in before.items():
             assert store.generation(cid, gen)["metrics"] == metrics
 
-    def test_observer_survives_engine_failure(self, dataset, tmp_path):
+    def test_observer_survives_engine_failure(
+        self, dataset, tmp_path, monkeypatch
+    ):
         base = tmp_path / "base.npz"
         save_dataset(dataset, base)
         ingester = Ingester(base, tmp_path / "out", publish_batches=1)
         runner = AnalyticsRunner(tmp_path / "out" / "analytics.db")
         runner.attach(ingester)
+        metrics = AnalyticsEngine.metrics
+        calls = []
 
-        def explode(batch, index):
-            raise AnalyticsError("injected engine failure")
+        def explode_once(engine):
+            calls.append(engine)
+            if len(calls) == 1:
+                raise AnalyticsError("injected metrics failure")
+            return metrics(engine)
 
-        runner.engine.apply = explode  # type: ignore[method-assign]
+        monkeypatch.setattr(AnalyticsEngine, "metrics", explode_once)
         stream = DeltaStream(dataset, np.random.default_rng(3))
-        result = ingester.submit(stream.next_batch())
+        first = ingester.submit(stream.next_batch())
+        second = ingester.submit(stream.next_batch())
         ingester.close()
-        # Ingest kept working, and the publish path re-seeded a fresh
-        # engine so the generation still landed in the store.
-        assert result["status"] == "applied"
+        # Ingest kept applying through the failed generation, and the
+        # next generation's metrics still landed in the store.
+        assert first["status"] == second["status"] == "applied"
+        assert len(calls) == 2
         cid = runner.store.campaign_id("ingest")
-        assert runner.store.latest_gen(cid) == ingester.index.gen
+        assert runner.store.generations(cid) == [ingester.index.gen]
 
 
 class TestCoordinatorEndpoints:

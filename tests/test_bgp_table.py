@@ -69,19 +69,6 @@ class TestBgpTable:
         assert table.origin_of(parse_address("16.33.0.1")) == 2
         assert table.origin_of(parse_address("16.128.0.1")) == 1
 
-    def test_matching_prefix(self):
-        table = BgpTable([RibEntry(Prefix.parse("16.0.0.0/8"), 1)])
-        assert str(table.matching_prefix(parse_address("16.1.1.1"))) == "16.0.0.0/8"
-        assert table.matching_prefix(parse_address("99.0.0.1")) is None
-
-    def test_map_addresses_bulk(self):
-        table = BgpTable([RibEntry(Prefix.parse("16.0.0.0/8"), 5)])
-        out = table.map_addresses(
-            [parse_address("16.0.0.1"), parse_address("20.0.0.1")]
-        )
-        assert out[parse_address("16.0.0.1")] == 5
-        assert out[parse_address("20.0.0.1")] == UNMAPPED_ASN
-
     def test_origin_many_is_parallel_int64(self):
         table = BgpTable([RibEntry(Prefix.parse("16.0.0.0/8"), 5)])
         out = table.origin_many(
@@ -124,9 +111,6 @@ class TestBgpTable:
             naive.append(best_asn)
         assert table.origin_many(probes).tolist() == naive
         assert [table.origin_of(address) for address in probes] == naive
-        for address, asn in zip(probes, naive):
-            prefix = table.matching_prefix(address)
-            assert (prefix is None) == (asn == UNMAPPED_ASN)
 
     def test_len_counts_prefixes(self):
         table = BgpTable(

@@ -11,7 +11,6 @@ from repro.core import distance
 from repro.core.distance import (
     cumulated_preference,
     pair_counts,
-    preference_from_counts,
     preference_function,
     sensitivity_limit,
     waxman_fit,
@@ -169,55 +168,6 @@ class TestPairCountsRows:
                 total = total + np.histogram(d, bins=edges)[0]
         assert full.sum() == 90 * 89 // 2
         assert total.tolist() == full.tolist()
-
-
-class TestPreferenceFromCounts:
-    def test_matches_preference_function(self):
-        ds = _waxman_dataset()
-        direct = preference_function(ds, REGION, bin_miles=25.0)
-        rebuilt = preference_from_counts(
-            REGION.name,
-            25.0,
-            direct.link_counts,
-            direct.pair_counts,
-            direct.n_nodes,
-        )
-        assert np.array_equal(rebuilt.link_counts, direct.link_counts)
-        assert np.array_equal(rebuilt.pair_counts, direct.pair_counts)
-        usable = rebuilt.pair_counts > 0
-        assert np.array_equal(
-            rebuilt.f_hat[usable], direct.f_hat[usable]
-        )
-        assert np.isnan(rebuilt.f_hat[~usable]).all()
-
-    def test_empty_bins_give_nan_not_error(self):
-        pref = preference_from_counts(
-            "R", 10.0, np.zeros(5, np.int64), np.zeros(5, np.int64), 0
-        )
-        assert np.isnan(pref.f_hat).all()
-        assert pref.link_lengths.size == 0
-
-    def test_zero_length_histograms(self):
-        pref = preference_from_counts(
-            "R", 10.0, np.zeros(0, np.int64), np.zeros(0, np.int64), 0
-        )
-        assert pref.f_hat.shape == (0,)
-        assert pref.bin_left.shape == (0,)
-
-    def test_invalid_inputs_raise(self):
-        ones = np.ones(5, np.int64)
-        with pytest.raises(AnalysisError):
-            preference_from_counts("R", 0.0, ones, ones, 5)
-        with pytest.raises(AnalysisError):
-            preference_from_counts("R", 10.0, ones, np.ones(4, np.int64), 5)
-        with pytest.raises(AnalysisError):
-            preference_from_counts("R", 10.0, -ones, ones, 5)
-        with pytest.raises(AnalysisError):
-            preference_from_counts("R", 10.0, ones, -ones, 5)
-        with pytest.raises(AnalysisError):
-            preference_from_counts(
-                "R", 10.0, ones.reshape(1, 5), ones.reshape(1, 5), 5
-            )
 
 
 class TestPreferenceFunction:

@@ -224,6 +224,25 @@ class TestPatchDataset:
 # -- write-ahead log ---------------------------------------------------------
 
 
+class TestDeltaStream:
+    def test_nodes_stay_on_the_base_point_set(self, dataset):
+        """Added and moved nodes land only where mapped nodes already are."""
+        points = set(zip(dataset.lats.tolist(), dataset.lons.tolist()))
+        stream = DeltaStream(dataset, np.random.default_rng(5))
+        shapes = [
+            dict(n_adds=8, n_links=6, n_moves=4, n_remaps=2),
+            dict(n_adds=0, n_links=2, n_moves=20, n_remaps=0),
+            dict(n_adds=20, n_links=25, n_moves=0, n_remaps=5),
+        ]
+        current = dataset
+        for k in range(200):
+            current, _ = patch_dataset(
+                current, stream.next_batch(**shapes[k % len(shapes)])
+            )
+        assert current.n_nodes > dataset.n_nodes
+        assert set(zip(current.lats.tolist(), current.lons.tolist())) <= points
+
+
 class TestWriteAheadLog:
     def test_append_and_replay(self, tmp_path):
         path = tmp_path / "test.wal"
