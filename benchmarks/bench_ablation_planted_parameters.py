@@ -65,8 +65,8 @@ def _us_truth_city_slope(result, min_count: int = 5) -> float:
     cities = result.world.cities
     code_to_index = {c.code: i for i, c in enumerate(cities)}
     counts = np.zeros(len(cities))
-    for router in result.topology.routers:
-        index = code_to_index.get(router.city_code)
+    for city_code in result.topology.router_city_codes():
+        index = code_to_index.get(city_code)
         if index is not None:
             counts[index] += 1
     pops = np.array([c.population for c in cities])

@@ -24,28 +24,21 @@ def test_x3_latency_labeling(result, benchmark, record_artifact):
         # predicted (mapped-geometry) vs true (annotated) latency.
         true_ms = []
         predicted_ms = []
-        address_to_node = {
-            int(a): i for i, a in enumerate(dataset.addresses)
-        }
         mapped_lengths = dataset.link_lengths()
-        for k in range(dataset.n_links):
-            ia = int(dataset.links[k, 0])
-            ib = int(dataset.links[k, 1])
-            addr_a = int(dataset.addresses[ia])
-            addr_b = int(dataset.addresses[ib])
-            iface_a = topology.interfaces.get(addr_a)
-            iface_b = topology.interfaces.get(addr_b)
-            if iface_a is None or iface_b is None:
+        # Owning router of each observed link endpoint (-1: not a
+        # ground-truth interface).
+        positions = topology.interface_positions(dataset.addresses[dataset.links])
+        owners = np.where(
+            positions >= 0, topology.interface_routers()[positions], -1
+        ).tolist()
+        for k, (ra, rb) in enumerate(owners):
+            if ra < 0 or rb < 0 or not topology.has_link(ra, rb):
                 continue
-            try:
-                link = topology.link_between(iface_a.router_id, iface_b.router_id)
-            except Exception:
-                continue
-            true_ms.append(float(annotations.latencies_ms[link.link_id]))
+            link_id = topology.link_id(ra, rb)
+            true_ms.append(float(annotations.latencies_ms[link_id]))
             predicted_ms.append(
                 float(mapped_lengths[k]) * PROPAGATION_MS_PER_MILE + PER_HOP_MS
             )
-        del address_to_node
         return np.asarray(true_ms), np.asarray(predicted_ms)
 
     true_ms, predicted_ms = benchmark.pedantic(compute, rounds=1, iterations=1)

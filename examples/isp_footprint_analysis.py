@@ -92,7 +92,7 @@ def main() -> None:
         print()
         print("small-AS variability (Figure 10's other regime):")
         for idx, tag in ((compact, "most compact"), (spread, "most dispersed")):
-            nodes = dataset.nodes_of_as(int(table.asns[idx]))
+            nodes = table.nodes(idx)
             x, y = WORLD_ALBERS.project(dataset.lats[nodes], dataset.lons[nodes])
             area = convex_hull_area(np.column_stack([x, y]))
             print(

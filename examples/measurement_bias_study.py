@@ -28,30 +28,30 @@ from repro.measure.mercator import run_mercator
 from repro.measure.skitter import run_skitter
 
 
+def owners(topology, addresses) -> np.ndarray:
+    """Owning router of each interface address.
+
+    A node is an interface address (Skitter) or a router's loopback
+    (Mercator), and a loopback is one of its router's interfaces.
+    """
+    positions = topology.interface_positions(np.asarray(addresses, dtype=np.int64))
+    return topology.interface_routers()[positions]
+
+
 def link_recall(topology, inventory) -> float:
     """Fraction of true links with at least one observed counterpart."""
-    observed_router_pairs = set()
-    by_loopback = {r.loopback: r.router_id for r in topology.routers}
-    for a, b in inventory.links:
-        ra = by_loopback.get(a)
-        rb = by_loopback.get(b)
-        if ra is None:
-            ra = topology.interfaces[a].router_id
-        if rb is None:
-            rb = topology.interfaces[b].router_id
-        observed_router_pairs.add((min(ra, rb), max(ra, rb)))
+    pairs = np.array(list(inventory.links), dtype=np.int64).reshape(-1, 2)
+    ra = owners(topology, pairs[:, 0])
+    rb = owners(topology, pairs[:, 1])
+    observed_router_pairs = set(
+        zip(np.minimum(ra, rb).tolist(), np.maximum(ra, rb).tolist())
+    )
     return len(observed_router_pairs) / topology.n_links
 
 
 def router_recall(topology, inventory) -> float:
     """Fraction of true routers observed at least once."""
-    by_loopback = {r.loopback: r.router_id for r in topology.routers}
-    seen = set()
-    for address in inventory.nodes:
-        rid = by_loopback.get(address)
-        if rid is None:
-            rid = topology.interfaces[address].router_id
-        seen.add(rid)
+    seen = set(owners(topology, list(inventory.nodes)).tolist())
     return len(seen) / topology.n_routers
 
 
@@ -105,25 +105,18 @@ def main() -> None:
 
     # --- geolocation error ------------------------------------------------
     print("\nGeolocation error against true router positions:")
-    truth_by_address = {
-        address: topology.routers[iface.router_id].location
-        for address, iface in topology.interfaces.items()
-    }
+    true_lats, true_lons = topology.router_coordinates()
     for mapper in ("IxMapper", "EdgeScape"):
         dataset = result.dataset(mapper, "Skitter")
-        errors = []
-        for i in range(dataset.n_nodes):
-            truth = truth_by_address.get(int(dataset.addresses[i]))
-            if truth is None:
-                continue
-            errors.append(
-                float(
-                    haversine_miles(
-                        dataset.lats[i], dataset.lons[i], truth.lat, truth.lon
-                    )
-                )
+        positions = topology.interface_positions(dataset.addresses)
+        known = positions >= 0
+        routers = topology.interface_routers()[positions[known]]
+        errors_arr = np.asarray(
+            haversine_miles(
+                dataset.lats[known], dataset.lons[known],
+                true_lats[routers], true_lons[routers],
             )
-        errors_arr = np.asarray(errors)
+        )
         print(
             f"  {mapper:10s} median {np.median(errors_arr):6.1f} mi, "
             f"mean {errors_arr.mean():6.1f} mi, "

@@ -155,36 +155,14 @@ class MappedDataset:
 
     # -- AS structure -----------------------------------------------------------
 
-    def known_asns(self) -> np.ndarray:
-        """Sorted distinct mapped ASNs (unmapped sentinel excluded)."""
-        return np.unique(self.asns[self.asns != UNMAPPED_ASN])
-
-    def as_node_counts(self) -> dict[int, int]:
-        """ASN -> number of nodes mapped to it."""
-        asns, counts = np.unique(
-            self.asns[self.asns != UNMAPPED_ASN], return_counts=True
-        )
-        return {int(a): int(c) for a, c in zip(asns, counts)}
-
-    def as_graph_edges(self) -> set[tuple[int, int]]:
-        """Distinct AS-AS adjacencies implied by interdomain links."""
-        edges: set[tuple[int, int]] = set()
-        mask = self.interdomain_mask()
-        if not mask.any():
-            return edges
-        a = self.asns[self.links[mask, 0]]
-        b = self.asns[self.links[mask, 1]]
-        for x, y in zip(a, b):
-            edges.add((int(min(x, y)), int(max(x, y))))
-        return edges
-
     def as_degree_array(self) -> np.ndarray:
-        """AS-graph degree of each of :meth:`known_asns`, in that order.
+        """AS-graph degree of each distinct mapped ASN, in ascending ASN
+        order (the unmapped sentinel excluded).
 
         Distinct AS adjacencies are counted once however many
         interdomain links realise them.
         """
-        asns = self.known_asns()
+        asns = np.unique(self.asns[self.asns != UNMAPPED_ASN])
         degree = np.zeros(asns.size, dtype=np.int64)
         mask = self.interdomain_mask()
         if mask.any():
@@ -197,13 +175,3 @@ class MappedDataset:
             degree += np.bincount(edges // asns.size, minlength=asns.size)
             degree += np.bincount(edges % asns.size, minlength=asns.size)
         return degree
-
-    def as_degrees(self) -> dict[int, int]:
-        """ASN -> degree in the AS graph, every known ASN (zeros included)."""
-        return dict(
-            zip(self.known_asns().tolist(), self.as_degree_array().tolist())
-        )
-
-    def nodes_of_as(self, asn: int) -> np.ndarray:
-        """Node indices mapped to the given AS."""
-        return np.flatnonzero(self.asns == asn)

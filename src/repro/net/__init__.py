@@ -1,6 +1,6 @@
 """Ground-truth network model: the planted Internet under measurement.
 
-Exports the element types, IP/prefix utilities, the topology container,
+Exports the AS record, IP/prefix utilities, the topology container,
 and the population-driven ground-truth generator.
 """
 
@@ -12,13 +12,7 @@ from repro.net.annotate import (
     latency_matrix_sample,
     path_latency_ms,
 )
-from repro.net.elements import (
-    AutonomousSystem,
-    Interface,
-    Link,
-    PointOfPresence,
-    Router,
-)
+from repro.net.elements import AutonomousSystem
 from repro.net.generate import (
     GenerationReport,
     GroundTruthGenerator,
@@ -46,10 +40,6 @@ __all__ = [
     "path_latency_ms",
     "AsBlock",
     "AutonomousSystem",
-    "Interface",
-    "Link",
-    "PointOfPresence",
-    "Router",
     "GenerationReport",
     "GroundTruthGenerator",
     "generate_ground_truth",

@@ -29,7 +29,7 @@ BANDWIDTH_CLASSES_MBPS = (2488.0, 622.0, 155.0, 45.0)
 
 @dataclass(frozen=True)
 class LinkAnnotations:
-    """Per-link latency and bandwidth, parallel to ``topology.links``.
+    """Per-link latency and bandwidth, indexed by link id.
 
     Attributes:
         latencies_ms: one-way propagation + forwarding latency.
@@ -96,8 +96,7 @@ def path_latency_ms(
     """
     total = 0.0
     for a, b in zip(router_path, router_path[1:]):
-        link = topology.link_between(a, b)
-        total += float(annotations.latencies_ms[link.link_id])
+        total += float(annotations.latencies_ms[topology.link_id(a, b)])
     return total
 
 

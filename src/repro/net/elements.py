@@ -1,15 +1,16 @@
-"""Ground-truth network elements: ASes, routers, interfaces, links.
+"""Ground-truth autonomous systems.
 
-These model the *real* (planted) Internet that the measurement
-simulators observe.  The paper's distinction between routers (Mercator's
-unit) and interfaces (Skitter's unit) is first-class here: a
-:class:`Router` owns one :class:`Interface` per incident link plus a
-loopback, and every :class:`Link` connects two specific interfaces.
+An :class:`AutonomousSystem` is the one per-element record of the
+planted Internet.  Routers, links and interfaces — the paper's two
+measurement units are routers (Mercator) and interfaces (Skitter) — are
+rows of :class:`~repro.net.topology.Topology`'s columns: a router owns
+one interface per incident link plus a loopback, and every link
+connects two specific interfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
@@ -48,99 +49,3 @@ class AutonomousSystem:
         """DNS domain for this AS's router hostnames."""
         slug = "".join(ch for ch in self.name.lower() if ch.isalnum())
         return f"{slug or 'as' + str(self.asn)}.net"
-
-
-@dataclass(frozen=True, slots=True)
-class Router:
-    """A ground-truth router.
-
-    Attributes:
-        router_id: dense index, unique within a topology.
-        asn: owning AS number.
-        location: true geographic position.
-        city_code: code of the city whose PoP hosts this router
-            (empty when the router is not in any city PoP).
-        loopback: canonical loopback address (Mercator's alias-resolution
-            target collapses interfaces to this address).
-    """
-
-    router_id: int
-    asn: int
-    location: GeoPoint
-    city_code: str
-    loopback: int
-
-    def __post_init__(self) -> None:
-        if self.router_id < 0:
-            raise TopologyError(f"router_id must be >= 0, got {self.router_id}")
-
-
-@dataclass(frozen=True, slots=True)
-class Interface:
-    """A router interface with its own IP address.
-
-    Attributes:
-        address: IPv4 address as an integer, unique within a topology.
-        router_id: owning router.
-        link_id: incident link, or -1 for a loopback interface.
-    """
-
-    address: int
-    router_id: int
-    link_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class Link:
-    """A physical link between two routers, via two named interfaces.
-
-    Attributes:
-        link_id: dense index, unique within a topology.
-        router_a, router_b: endpoint router ids (a < b by convention).
-        interface_a, interface_b: endpoint interface addresses.
-        length_miles: great-circle length of the link.
-        interdomain: True when the endpoints belong to different ASes.
-    """
-
-    link_id: int
-    router_a: int
-    router_b: int
-    interface_a: int
-    interface_b: int
-    length_miles: float
-    interdomain: bool
-
-    def __post_init__(self) -> None:
-        if self.router_a == self.router_b:
-            raise TopologyError(f"link {self.link_id} is a self-loop")
-        if self.length_miles < 0:
-            raise TopologyError(f"link {self.link_id} has negative length")
-
-    def other_router(self, router_id: int) -> int:
-        """The endpoint opposite ``router_id``.
-
-        Raises:
-            TopologyError: if ``router_id`` is not an endpoint.
-        """
-        if router_id == self.router_a:
-            return self.router_b
-        if router_id == self.router_b:
-            return self.router_a
-        raise TopologyError(f"router {router_id} is not on link {self.link_id}")
-
-
-@dataclass(slots=True)
-class PointOfPresence:
-    """An AS's presence in one city: a bundle of co-located routers.
-
-    Attributes:
-        asn: owning AS.
-        city_code: hosting city code.
-        location: city centre.
-        router_ids: routers deployed at this PoP.
-    """
-
-    asn: int
-    city_code: str
-    location: GeoPoint
-    router_ids: list[int] = field(default_factory=list)

@@ -7,30 +7,26 @@ knows nothing about how it was generated or how it will be measured.
 
 Storage is column-oriented: router latitude/longitude/ASN/loopback
 arrays, link endpoint/interface arrays, and interface address/owner
-arrays, all growable numpy columns.  Scalar access goes through
-lightweight view sequences (``topology.routers[i]``,
-``topology.links[i]``, ``topology.interfaces[addr]``) that materialise
-the familiar :mod:`repro.net.elements` value objects on demand, so call
-sites keep reading naturally while bulk consumers index the columns
-directly.  Derived structures — link lengths, interdomain flags, the
-CSR adjacency, the per-router interface CSR, the sorted-address lookup,
-and the directed-edge inbound-interface table — are built lazily, cached
-until the next mutation, and shared by routing, measurement, and alias
-resolution.
+arrays, all growable numpy columns.  The columns are the interface:
+mutators take whole batches, and every reader gets read-only column
+views (``router_asns()``, ``link_endpoints()``,
+``interface_addresses()``, ...) and indexes them directly.  Derived
+structures — link lengths, interdomain flags, the sorted-address
+lookup, and the directed-edge inbound-interface table — are built
+lazily, cached until the next mutation, and shared by routing,
+measurement, and alias resolution.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
-
 import numpy as np
 from scipy import sparse
 
 from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import link_lengths_miles
-from repro.net.elements import AutonomousSystem, Interface, Link, Router
+from repro.net.elements import AutonomousSystem
 from repro.obs.report import hash_column
 
 #: Extra routing cost per hop, in mile-equivalents; makes shortest paths
@@ -61,171 +57,14 @@ def _readonly(array: np.ndarray, size: int) -> np.ndarray:
     return view
 
 
-class _RouterSeq:
-    """Sequence view over the router columns, yielding :class:`Router`."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, topology: "Topology") -> None:
-        self._t = topology
-
-    def __len__(self) -> int:
-        return self._t._n_routers
-
-    def _make(self, i: int) -> Router:
-        t = self._t
-        return Router(
-            router_id=i,
-            asn=int(t._r_asn[i]),
-            location=GeoPoint(float(t._r_lat[i]), float(t._r_lon[i])),
-            city_code=t._r_city[i],
-            loopback=int(t._r_loopback[i]),
-        )
-
-    def __getitem__(self, index):
-        n = self._t._n_routers
-        if isinstance(index, slice):
-            return [self._make(i) for i in range(*index.indices(n))]
-        i = int(index)
-        if i < 0:
-            i += n
-        if i < 0 or i >= n:
-            raise IndexError("router index out of range")
-        return self._make(i)
-
-    def __iter__(self) -> Iterator[Router]:
-        for i in range(self._t._n_routers):
-            yield self._make(i)
-
-
-class _LinkSeq:
-    """Sequence view over the link columns, yielding :class:`Link`."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, topology: "Topology") -> None:
-        self._t = topology
-
-    def __len__(self) -> int:
-        return self._t._n_links
-
-    def _make(self, i: int) -> Link:
-        t = self._t
-        a = int(t._l_a[i])
-        b = int(t._l_b[i])
-        # Use the cached length column when built; otherwise compute the
-        # single length so scalar access never forces an O(n_links) build.
-        lengths = t._derived.get("lengths")
-        if lengths is not None:
-            length = float(lengths[i])
-        else:
-            length = float(
-                link_lengths_miles(
-                    t._r_lat[: t._n_routers],
-                    t._r_lon[: t._n_routers],
-                    np.array([a], dtype=np.intp),
-                    np.array([b], dtype=np.intp),
-                )[0]
-            )
-        return Link(
-            link_id=i,
-            router_a=a,
-            router_b=b,
-            interface_a=int(t._l_ia[i]),
-            interface_b=int(t._l_ib[i]),
-            length_miles=length,
-            interdomain=bool(t._r_asn[a] != t._r_asn[b]),
-        )
-
-    def __getitem__(self, index):
-        n = self._t._n_links
-        if isinstance(index, slice):
-            return [self._make(i) for i in range(*index.indices(n))]
-        i = int(index)
-        if i < 0:
-            i += n
-        if i < 0 or i >= n:
-            raise IndexError("link index out of range")
-        return self._make(i)
-
-    def __iter__(self) -> Iterator[Link]:
-        for i in range(self._t._n_links):
-            yield self._make(i)
-
-
-class _InterfaceMap:
-    """Mapping view over the interface columns, keyed by address.
-
-    Point lookups binary-search the sorted-address cache; assignment
-    writes through to the columns (used by tests to simulate corruption,
-    and kept for dict compatibility).
-    """
-
-    __slots__ = ("_t",)
-
-    def __init__(self, topology: "Topology") -> None:
-        self._t = topology
-
-    def __len__(self) -> int:
-        return self._t._n_interfaces
-
-    def __contains__(self, address: object) -> bool:
-        return address in self._t._addr_set
-
-    def _make(self, i: int) -> Interface:
-        t = self._t
-        return Interface(
-            address=int(t._i_addr[i]),
-            router_id=int(t._i_router[i]),
-            link_id=int(t._i_link[i]),
-        )
-
-    def __getitem__(self, address: int) -> Interface:
-        i = self._t._interface_position(address)
-        if i < 0:
-            raise KeyError(address)
-        return self._make(i)
-
-    def get(self, address: int, default=None):
-        i = self._t._interface_position(address)
-        if i < 0:
-            return default
-        return self._make(i)
-
-    def __setitem__(self, address: int, iface: Interface) -> None:
-        t = self._t
-        i = t._interface_position(address)
-        if i >= 0:
-            t._i_router[i] = iface.router_id
-            t._i_link[i] = iface.link_id
-        else:
-            t._append_interface(address, iface.router_id, iface.link_id)
-        t._invalidate()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._t.interface_addresses().tolist())
-
-    def keys(self) -> Iterator[int]:
-        return iter(self)
-
-    def values(self) -> Iterator[Interface]:
-        for i in range(self._t._n_interfaces):
-            yield self._make(i)
-
-    def items(self) -> Iterator[tuple[int, Interface]]:
-        t = self._t
-        for i in range(t._n_interfaces):
-            yield int(t._i_addr[i]), self._make(i)
-
-
 class Topology:
-    """Mutable ground-truth topology: column storage plus lazy views.
+    """Mutable ground-truth topology: column storage plus lazy derivations.
+
+    Routers and links are dense ids (row ``i`` of their columns);
+    interfaces are keyed by address.
 
     Attributes:
         asns: AS number -> :class:`AutonomousSystem` (insertion-ordered).
-        routers: dense sequence view, ``routers[i].router_id == i``.
-        links: dense sequence view, ``links[i].link_id == i``.
-        interfaces: mapping view, interface address -> :class:`Interface`.
         hostnames: interface address -> DNS hostname.
     """
 
@@ -255,10 +94,6 @@ class Topology:
         self._pair_to_link: dict[tuple[int, int], int] = {}
         # Lazily-built derived structures, cleared on mutation.
         self._derived: dict[str, object] = {}
-        # Ergonomic views.
-        self.routers = _RouterSeq(self)
-        self.links = _LinkSeq(self)
-        self.interfaces = _InterfaceMap(self)
 
     # ---- pickling --------------------------------------------------------
 
@@ -396,17 +231,6 @@ class Topology:
     def _invalidate(self) -> None:
         self._derived.clear()
 
-    def _append_interface(self, address: int, router_id: int, link_id: int) -> None:
-        n = self._n_interfaces
-        self._i_addr = _grown(self._i_addr, n, 1)
-        self._i_router = _grown(self._i_router, n, 1)
-        self._i_link = _grown(self._i_link, n, 1)
-        self._i_addr[n] = address
-        self._i_router[n] = router_id
-        self._i_link[n] = link_id
-        self._n_interfaces = n + 1
-        self._addr_set.add(address)
-
     def add_as(self, asys: AutonomousSystem) -> None:
         """Register an AS.
 
@@ -416,34 +240,6 @@ class Topology:
         if asys.asn in self.asns:
             raise TopologyError(f"duplicate ASN {asys.asn}")
         self.asns[asys.asn] = asys
-
-    def add_router(
-        self, asn: int, location: GeoPoint, city_code: str, loopback: int
-    ) -> Router:
-        """Create and register a router; also registers its loopback interface.
-
-        Raises:
-            TopologyError: if the AS is unknown or the loopback address is
-                already taken.
-        """
-        if asn not in self.asns:
-            raise TopologyError(f"unknown ASN {asn}")
-        if loopback in self._addr_set:
-            raise TopologyError(f"duplicate interface address {loopback}")
-        i = self._n_routers
-        self._r_lat = _grown(self._r_lat, i, 1)
-        self._r_lon = _grown(self._r_lon, i, 1)
-        self._r_asn = _grown(self._r_asn, i, 1)
-        self._r_loopback = _grown(self._r_loopback, i, 1)
-        self._r_lat[i] = location.lat
-        self._r_lon[i] = location.lon
-        self._r_asn[i] = asn
-        self._r_loopback[i] = loopback
-        self._r_city.append(city_code)
-        self._n_routers = i + 1
-        self._append_interface(loopback, i, -1)
-        self._invalidate()
-        return self.routers[i]
 
     def add_routers(
         self,
@@ -456,8 +252,7 @@ class Topology:
         """Register a batch of routers sharing one AS and city code.
 
         Returns the assigned router ids (consecutive).  Loopback
-        interfaces are registered in router order, matching a sequence of
-        scalar :meth:`add_router` calls.
+        interfaces are registered in router order.
 
         Raises:
             TopologyError: if the AS is unknown or any loopback address is
@@ -507,49 +302,6 @@ class Topology:
         self._invalidate()
         return ids
 
-    def add_link(
-        self, router_a: int, router_b: int, interface_a: int, interface_b: int
-    ) -> Link:
-        """Create a link between two routers with fresh interface addresses.
-
-        Endpoint order is normalised so ``router_a < router_b``.
-
-        Raises:
-            TopologyError: on unknown routers, self-loops, duplicate
-                interface addresses, or a pre-existing link between the
-                same router pair.
-        """
-        if router_a == router_b:
-            raise TopologyError("refusing to add a self-loop")
-        for rid in (router_a, router_b):
-            if rid < 0 or rid >= self._n_routers:
-                raise TopologyError(f"unknown router {rid}")
-        if router_a > router_b:
-            router_a, router_b = router_b, router_a
-            interface_a, interface_b = interface_b, interface_a
-        if (router_a, router_b) in self._pair_to_link:
-            raise TopologyError(
-                f"link between routers {router_a} and {router_b} already exists"
-            )
-        for addr in (interface_a, interface_b):
-            if addr in self._addr_set:
-                raise TopologyError(f"duplicate interface address {addr}")
-        i = self._n_links
-        self._l_a = _grown(self._l_a, i, 1)
-        self._l_b = _grown(self._l_b, i, 1)
-        self._l_ia = _grown(self._l_ia, i, 1)
-        self._l_ib = _grown(self._l_ib, i, 1)
-        self._l_a[i] = router_a
-        self._l_b[i] = router_b
-        self._l_ia[i] = interface_a
-        self._l_ib[i] = interface_b
-        self._n_links = i + 1
-        self._append_interface(interface_a, router_a, i)
-        self._append_interface(interface_b, router_b, i)
-        self._pair_to_link[(router_a, router_b)] = i
-        self._invalidate()
-        return self.links[i]
-
     def add_links(
         self,
         router_a: np.ndarray,
@@ -561,7 +313,7 @@ class Topology:
 
         Endpoints are normalised per link so ``router_a < router_b``.
         Interfaces are registered in ``(a, b)`` order per link, in batch
-        order, matching a sequence of scalar :meth:`add_link` calls.
+        order.
 
         Raises:
             TopologyError: on self-loops, unknown routers, duplicate
@@ -644,16 +396,6 @@ class Topology:
         self._invalidate()
         return ids
 
-    def set_hostname(self, address: int, hostname: str) -> None:
-        """Attach a DNS hostname to an interface address.
-
-        Raises:
-            TopologyError: if the interface does not exist.
-        """
-        if address not in self._addr_set:
-            raise TopologyError(f"unknown interface address {address}")
-        self.hostnames[address] = hostname
-
     # ---- derived structures ---------------------------------------------
 
     def _derive(self, key: str, build):
@@ -679,28 +421,6 @@ class Topology:
         flags.setflags(write=False)
         return flags
 
-    def _build_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = self._l_a[: self._n_links]
-        b = self._l_b[: self._n_links]
-        ids = np.arange(self._n_links, dtype=np.intp)
-        heads = np.concatenate([a, b])
-        tails = np.concatenate([b, a])
-        link_ids = np.concatenate([ids, ids])
-        order = np.lexsort((tails, heads))
-        heads = heads[order]
-        counts = np.bincount(heads, minlength=self._n_routers)
-        indptr = np.zeros(self._n_routers + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, tails[order], link_ids[order]
-
-    def _build_interface_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        owners = self._i_router[: self._n_interfaces]
-        order = np.argsort(owners, kind="stable")
-        counts = np.bincount(owners, minlength=self._n_routers)
-        indptr = np.zeros(self._n_routers + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, order
-
     def _build_address_index(self) -> tuple[np.ndarray, np.ndarray]:
         addrs = self._i_addr[: self._n_interfaces]
         order = np.argsort(addrs)
@@ -717,14 +437,6 @@ class Topology:
         keys = origin * np.int64(self._n_routers) + target
         order = np.argsort(keys)
         return keys[order], inbound[order]
-
-    def _interface_position(self, address) -> int:
-        """Column index of an interface address, or -1 when absent."""
-        if address not in self._addr_set:
-            return -1
-        sorted_addrs, order = self._derive("addr", self._build_address_index)
-        pos = int(np.searchsorted(sorted_addrs, address))
-        return int(order[pos])
 
     def interface_positions(self, addresses: np.ndarray) -> np.ndarray:
         """Column indices of interface addresses; -1 where unknown."""
@@ -754,28 +466,10 @@ class Topology:
         """Number of interfaces, loopbacks included."""
         return self._n_interfaces
 
-    def neighbors(self, router_id: int) -> list[int]:
-        """Router ids adjacent to ``router_id``, in ascending order.
-
-        Raises:
-            TopologyError: on unknown router.
-        """
-        if router_id < 0 or router_id >= self._n_routers:
-            raise TopologyError(f"unknown router {router_id}")
-        indptr, nbrs, _ = self._derive("adj", self._build_adjacency)
-        return nbrs[indptr[router_id]:indptr[router_id + 1]].tolist()
-
     def has_link(self, router_a: int, router_b: int) -> bool:
         """True when the two routers are directly connected."""
         key = (router_a, router_b) if router_a < router_b else (router_b, router_a)
         return key in self._pair_to_link
-
-    def degree(self, router_id: int) -> int:
-        """Number of links incident to the router."""
-        if router_id < 0 or router_id >= self._n_routers:
-            raise TopologyError(f"unknown router {router_id}")
-        indptr, _, _ = self._derive("adj", self._build_adjacency)
-        return int(indptr[router_id + 1] - indptr[router_id])
 
     def degrees(self) -> np.ndarray:
         """Link count per router, indexed by router id."""
@@ -858,8 +552,8 @@ class Topology:
             (data, (rows, cols)), shape=(self._n_routers, self._n_routers)
         )
 
-    def link_between(self, router_a: int, router_b: int) -> Link:
-        """The link joining two routers.
+    def link_id(self, router_a: int, router_b: int) -> int:
+        """Id of the link joining two routers, in either order.
 
         Raises:
             TopologyError: when they are not directly connected.
@@ -870,33 +564,7 @@ class Topology:
             raise TopologyError(
                 f"no link between routers {router_a} and {router_b}"
             )
-        return self.links[link_id]
-
-    def incident_links(self, router_id: int) -> list[int]:
-        """Link ids incident to a router.
-
-        Raises:
-            TopologyError: on unknown router.
-        """
-        if router_id < 0 or router_id >= self._n_routers:
-            raise TopologyError(f"unknown router {router_id}")
-        indptr, _, link_ids = self._derive("adj", self._build_adjacency)
-        return link_ids[indptr[router_id]:indptr[router_id + 1]].tolist()
-
-    def interfaces_of_router(self, router_id: int) -> list[Interface]:
-        """All interfaces (loopback included) on a router.
-
-        Served from the per-router interface CSR: O(degree), not
-        O(n_interfaces).
-        """
-        if router_id < 0 or router_id >= self._n_routers:
-            return []
-        indptr, order = self._derive("iface_csr", self._build_interface_csr)
-        make = self.interfaces._make
-        return [
-            make(int(i))
-            for i in order[indptr[router_id]:indptr[router_id + 1]]
-        ]
+        return link_id
 
     def link_interface_toward(self, from_router: int, to_router: int) -> int:
         """Interface address on ``to_router``'s side of the shared link.
@@ -907,16 +575,7 @@ class Topology:
         Raises:
             TopologyError: when the routers are not adjacent.
         """
-        key = (
-            (from_router, to_router)
-            if from_router < to_router
-            else (to_router, from_router)
-        )
-        link_id = self._pair_to_link.get(key)
-        if link_id is None:
-            raise TopologyError(
-                f"no link between routers {from_router} and {to_router}"
-            )
+        link_id = self.link_id(from_router, to_router)
         if self._l_a[link_id] == to_router:
             return int(self._l_ia[link_id])
         return int(self._l_ib[link_id])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import time
 from typing import Any, TextIO
 
 #: Root logger name for the whole package.
@@ -51,11 +50,6 @@ class JsonLogFormatter(logging.Formatter):
         if record.exc_info:
             payload["exc_info"] = self.formatException(record.exc_info)
         return json.dumps(payload, sort_keys=False)
-
-    def formatTime(  # pragma: no cover - unused with numeric ts
-        self, record: logging.LogRecord, datefmt: str | None = None
-    ) -> str:
-        return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(record.created))
 
 
 class BusLogHandler(logging.Handler):

@@ -45,9 +45,9 @@ def artifact_counters(value: Any) -> dict[str, int]:
     """Best-effort node/link counters for a stage artifact.
 
     Understands anything exposing ``n_nodes``/``n_links`` (inventories,
-    mapped datasets), topology-like objects exposing ``routers`` /
-    ``interfaces`` mappings, BGP tables exposing ``entries``, and tuples
-    of the above (first member providing each counter wins).
+    mapped datasets), topologies exposing ``n_routers``/``n_interfaces``,
+    BGP tables exposing ``entries``, and tuples of the above (first
+    member providing each counter wins).
     """
     counters: dict[str, int] = {}
     if isinstance(value, tuple):
@@ -61,12 +61,12 @@ def artifact_counters(value: Any) -> dict[str, int]:
         counters["nodes"] = n_nodes
     if isinstance(n_links, int):
         counters["links"] = n_links
-    routers = getattr(value, "routers", None)
-    interfaces = getattr(value, "interfaces", None)
-    if hasattr(routers, "__len__"):
-        counters.setdefault("nodes", len(routers))
-    if hasattr(interfaces, "__len__"):
-        counters.setdefault("interfaces", len(interfaces))
+    n_routers = getattr(value, "n_routers", None)
+    n_interfaces = getattr(value, "n_interfaces", None)
+    if isinstance(n_routers, int):
+        counters.setdefault("nodes", n_routers)
+    if isinstance(n_interfaces, int):
+        counters.setdefault("interfaces", n_interfaces)
     entries = getattr(value, "entries", None)
     if hasattr(entries, "__len__"):
         counters.setdefault("entries", len(entries))

@@ -25,12 +25,11 @@ from repro.errors import OverloadError, ServeError
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LruCache
 from repro.serve.client import ConnectError, QueryError, SnapshotClient
-from repro.serve.index import AsSummary, PartitionData, SnapshotIndex
+from repro.serve.index import PartitionData, SnapshotIndex
 from repro.serve.retry import BackoffPolicy, call_with_retries
 from repro.serve.server import SnapshotServer
 
 __all__ = [
-    "AsSummary",
     "BackoffPolicy",
     "ConnectError",
     "LruCache",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,36 +56,10 @@ DEFAULT_BIN_MILES = 35.0
 _MILES_PER_DEG = 69.0
 
 
-@dataclass(frozen=True, slots=True)
-class AsSummary:
-    """Precomputed Section VI facts about one AS.
-
-    Attributes:
-        asn: the autonomous system number.
-        n_nodes: nodes mapped to this AS.
-        n_locations: distinct rounded locations among them.
-        degree: degree in the observed AS graph.
-        centroid_lat, centroid_lon: mean node position.
-        hull_area_sq_miles: convex-hull extent (Albers projection).
-    """
-
-    asn: int
-    n_nodes: int
-    n_locations: int
-    degree: int
-    centroid_lat: float
-    centroid_lon: float
-    hull_area_sq_miles: float
-
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return asdict(self)
-
-
 def _as_record(dataset: MappedDataset, table: AsTable, i: int) -> dict:
-    """The ``/as/<asn>`` payload of the AS at position ``i``: the
-    :class:`AsSummary` fields plus up to five sample addresses in
-    dataset order."""
+    """The ``/as/<asn>`` payload of the AS at position ``i``: its
+    :class:`~repro.core.asgeo.AsTable` row (size, degree, centroid and
+    hull extent) plus up to five sample addresses in dataset order."""
     sample = dataset.addresses[table.nodes(i)[:5]]
     return {
         "asn": int(table.asns[i]),
@@ -574,27 +548,10 @@ class SnapshotIndex:
             self._as_table = as_table(self.dataset)
         return self._as_table
 
-    def as_summary(self, asn: int) -> AsSummary | None:
-        """The summary of one AS (None when unknown)."""
-        record = self.as_record(asn)
-        if record is None:
-            return None
-        return AsSummary(
-            **{k: v for k, v in record.items() if k != "sample_addresses"}
-        )
-
-    def as_nodes(self, asn: int) -> np.ndarray:
-        """Node rows mapped to an AS (empty when unknown or on a partition)."""
-        if self.partition is not None:
-            return np.empty(0, dtype=np.intp)
-        table = self.as_table()
-        i = table.find(asn)
-        return np.empty(0, dtype=np.intp) if i < 0 else table.nodes(i)
-
     def as_record(self, asn: int) -> dict | None:
         """The full ``/as/<asn>`` payload (None when unknown).
 
-        Summary fields plus up to five sample addresses in dataset
+        The AS-table row plus up to five sample addresses in dataset
         order.  On a partition this is the precomputed full-snapshot
         record of an *owned* AS — byte-for-byte what a single-process
         index would build — so the coordinator can relay one shard's
@@ -689,8 +646,11 @@ class SnapshotIndex:
 
 
 def check_point(lat: float, lon: float) -> tuple[float, float]:
-    """Validate one query coordinate; shared with the coordinator so
-    both serving paths reject bad input with identical messages.
+    """Validate one query coordinate.
+
+    The coordinator does not call this: it relays the shards' ``/near``
+    errors, which come from here, so both serving paths reject bad
+    input with identical messages.
 
     Raises:
         ServeError: when either component is non-finite or out of range.

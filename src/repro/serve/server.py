@@ -638,8 +638,9 @@ _REASONS = {
 }
 
 
-# --- small helpers (public: the cluster coordinator reuses them so its
-# --- wire format stays byte-identical with the single-process server) --------
+# --- small helpers (public: the cluster coordinator imports the request
+# --- parsers, overload_body and locate_miss_message, and shard servers
+# --- encode_json, so errors and bodies match the single-process server) ------
 
 
 def encode_json(payload: Any) -> bytes:
@@ -743,9 +744,9 @@ def preference_payload(
 ) -> dict[str, Any]:
     """The ``/distance-preference`` response body for a computed curve.
 
-    Shared between the single-process server (curve from its own index)
-    and the coordinator (curve rebuilt from merged shard histograms) so
-    both emit byte-identical JSON.
+    The coordinator forwards ``/distance-preference`` to one shard,
+    which builds this same body from its full-snapshot index, so the
+    cluster relays the single-process JSON byte for byte.
     """
     payload: dict[str, Any] = {
         "region": pref.region,

@@ -77,27 +77,24 @@ def build_toy_topology() -> Topology:
             asn=200, name="eastnet", headquarters=GeoPoint(40.71, -74.01)
         )
     )
-    west = [
-        GeoPoint(37.77, -122.42),
-        GeoPoint(37.80, -122.27),
-        GeoPoint(38.58, -121.49),
-    ]
-    east = [
-        GeoPoint(40.71, -74.01),
-        GeoPoint(39.95, -75.17),
-        GeoPoint(38.90, -77.04),
-    ]
-    for i, point in enumerate(west):
-        topo.add_router(asn=100, location=point, city_code="SFO", loopback=1000 + i)
-    for i, point in enumerate(east):
-        topo.add_router(
-            asn=200, location=point, city_code="NYC", loopback=1003 + i
-        )
-    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    for k, (a, b) in enumerate(pairs):
-        topo.add_link(a, b, 2000 + 2 * k, 2001 + 2 * k)
-    for address in list(topo.interfaces):
-        topo.set_hostname(address, f"0.so-1-0-0.CR1.XXX{address % 7}.example.net")
+    topo.add_routers(
+        100,
+        lats=np.array([37.77, 37.80, 38.58]),
+        lons=np.array([-122.42, -122.27, -121.49]),
+        city_code="SFO",
+        loopbacks=np.array([1000, 1001, 1002]),
+    )
+    topo.add_routers(
+        200,
+        lats=np.array([40.71, 39.95, 38.90]),
+        lons=np.array([-74.01, -75.17, -77.04]),
+        city_code="NYC",
+        loopbacks=np.array([1003, 1004, 1005]),
+    )
+    k = np.arange(5)
+    topo.add_links(k, k + 1, 2000 + 2 * k, 2001 + 2 * k)
+    for address in topo.interface_addresses().tolist():
+        topo.hostnames[address] = f"0.so-1-0-0.CR1.XXX{address % 7}.example.net"
     return topo
 
 

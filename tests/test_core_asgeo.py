@@ -128,7 +128,6 @@ class TestAsTable:
             assert getattr(table, name).tolist() == ref[name], name
         nodes = [table.nodes(i).tolist() for i in range(table.n_ases)]
         assert nodes == ref["nodes"]
-        assert dataset.as_degrees() == dict(zip(ref["asns"], ref["degree"]))
 
     def test_views_share_the_table(self):
         ds = _dataset()

@@ -116,19 +116,6 @@ class TestRestrict:
 
 class TestAsStructure:
     def test_known_asns_excludes_sentinel(self):
-        assert _dataset().known_asns().tolist() == [1, 2]
-
-    def test_as_node_counts(self):
-        counts = _dataset().as_node_counts()
-        assert counts == {1: 3, 2: 2}
-
-    def test_as_graph_edges(self):
-        edges = _dataset().as_graph_edges()
-        assert edges == {(1, 2)}
-
-    def test_as_degrees(self):
-        degrees = _dataset().as_degrees()
-        assert degrees == {1: 1, 2: 1}
-
-    def test_nodes_of_as(self):
-        assert _dataset().nodes_of_as(1).tolist() == [0, 1, 2]
+        # One degree per mapped ASN (1 and 2); link (4, 5) to the
+        # unmapped node adds no AS-graph edge.
+        assert _dataset().as_degree_array().tolist() == [1, 1]

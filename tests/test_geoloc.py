@@ -42,10 +42,14 @@ def toy_context(toy_topology) -> GeoContext:
         hostnames=dict(toy_topology.hostnames),
         whois=whois,
         loc_records={},
-        as_of_address={
-            a: toy_topology.routers[i.router_id].asn
-            for a, i in toy_topology.interfaces.items()
-        },
+        as_of_address=dict(
+            zip(
+                toy_topology.interface_addresses().tolist(),
+                toy_topology.router_asns()[
+                    toy_topology.interface_routers()
+                ].tolist(),
+            )
+        ),
     )
 
 
@@ -101,8 +105,9 @@ class TestWhoisRegistry:
     def test_whois_lookups_are_not_rib_lookups(self, toy_context, toy_topology):
         registry = MetricsRegistry()
         mapper = IxMapper(toy_context, np.random.default_rng(2), failure_rate=0.0)
+        addresses = sorted(toy_topology.interface_addresses().tolist())
         with use_metrics(registry):
-            results = mapper.locate_many(sorted(toy_topology.interfaces))
+            results = mapper.locate_many(addresses)
         assert any(r.method == METHOD_WHOIS for r in results)
         assert registry.counter_value("bgp.lookups") == 0
         assert registry.counter_value("bgp.misses") == 0
@@ -115,22 +120,23 @@ class TestDnsLoc:
 
     def test_rate_one_covers_all_interfaces(self, toy_topology):
         records = build_loc_records(toy_topology, 1.0, np.random.default_rng(0))
-        assert set(records) == set(toy_topology.interfaces)
+        assert set(records) == set(toy_topology.interface_addresses().tolist())
 
     def test_records_carry_true_location(self, toy_topology):
         records = build_loc_records(toy_topology, 1.0, np.random.default_rng(0))
+        lats, lons = toy_topology.router_coordinates()
+        owners = toy_topology.interface_routers()
         for address, location in records.items():
-            router = toy_topology.routers[
-                toy_topology.interfaces[address].router_id
-            ]
-            assert location == router.location
+            (position,) = toy_topology.interface_positions(np.array([address]))
+            router = owners[position]
+            assert location == GeoPoint(float(lats[router]), float(lons[router]))
 
 
 class TestIxMapper:
     def test_hostname_mapping_hits_city(self, toy_context, toy_topology):
         # Hostname embeds "XXX<digit>" which is unknown; rewrite one to a
         # known code to exercise the hostname path.
-        address = toy_topology.routers[0].loopback
+        address = int(toy_topology.router_loopbacks()[0])
         toy_context.hostnames[address] = "0.so-1-0-0.CR1.SFO1.westnet.net"
         mapper = IxMapper(toy_context, np.random.default_rng(0), failure_rate=0.0)
         result = mapper.locate(address)
@@ -138,7 +144,7 @@ class TestIxMapper:
         assert result.location == GeoPoint(37.77, -122.42)
 
     def test_unknown_code_falls_back_to_whois(self, toy_context, toy_topology):
-        address = toy_topology.routers[0].loopback
+        address = int(toy_topology.router_loopbacks()[0])
         mapper = IxMapper(toy_context, np.random.default_rng(0), failure_rate=0.0)
         result = mapper.locate(address)
         # Toy hostnames carry the unknown code "XXX<n>" -> whois HQ.
@@ -146,8 +152,9 @@ class TestIxMapper:
         assert result.location == toy_topology.asns[100].headquarters
 
     def test_loc_record_preferred_over_whois(self, toy_context, toy_topology):
-        address = toy_topology.routers[0].loopback
-        true_location = toy_topology.routers[0].location
+        address = int(toy_topology.router_loopbacks()[0])
+        lats, lons = toy_topology.router_coordinates()
+        true_location = GeoPoint(float(lats[0]), float(lons[0]))
         toy_context.loc_records[address] = true_location
         mapper = IxMapper(toy_context, np.random.default_rng(0), failure_rate=0.0)
         result = mapper.locate(address)
@@ -156,7 +163,7 @@ class TestIxMapper:
 
     def test_failure_rate_one_never_maps(self, toy_context, toy_topology):
         mapper = IxMapper(toy_context, np.random.default_rng(0), failure_rate=1.0)
-        result = mapper.locate(toy_topology.routers[0].loopback)
+        result = mapper.locate(int(toy_topology.router_loopbacks()[0]))
         assert result.method == METHOD_UNMAPPED
         assert not result.mapped
 
@@ -180,7 +187,7 @@ class TestEdgeScape:
             toy_context, toy_topology, np.random.default_rng(0),
             isp_coverage=1.0, failure_rate=0.0,
         )
-        address = toy_topology.routers[0].loopback
+        address = int(toy_topology.router_loopbacks()[0])
         result = mapper.locate(address)
         assert result.method == METHOD_ISP
         assert result.location == GeoPoint(37.77, -122.42)  # SFO centre
@@ -190,7 +197,7 @@ class TestEdgeScape:
             toy_context, toy_topology, np.random.default_rng(0),
             isp_coverage=0.0, failure_rate=0.0,
         )
-        result = mapper.locate(toy_topology.routers[0].loopback)
+        result = mapper.locate(int(toy_topology.router_loopbacks()[0]))
         assert result.method in (METHOD_HOSTNAME, METHOD_WHOIS)
 
     def test_coverage_is_per_as(self, toy_context, toy_topology):
@@ -206,7 +213,7 @@ class TestEdgeScape:
             toy_context, toy_topology, np.random.default_rng(0),
             isp_coverage=1.0, failure_rate=1.0,
         )
-        result = mapper.locate(toy_topology.routers[0].loopback)
+        result = mapper.locate(int(toy_topology.router_loopbacks()[0]))
         assert not result.mapped
 
     def test_invalid_parameters_rejected(self, toy_context, toy_topology):
@@ -221,7 +228,7 @@ class TestLocateMany:
     """The batch API must be bit-identical to sequential locate calls."""
 
     def _toy_addresses(self, toy_topology):
-        return sorted(toy_topology.interfaces)
+        return sorted(toy_topology.interface_addresses().tolist())
 
     def test_ixmapper_batch_matches_sequential(self, toy_context, toy_topology):
         addresses = self._toy_addresses(toy_topology)
@@ -248,7 +255,7 @@ class TestLocateMany:
     def test_locate_delegates_to_locate_many(self, toy_context, toy_topology):
         a = IxMapper(toy_context, np.random.default_rng(5), failure_rate=0.0)
         b = IxMapper(toy_context, np.random.default_rng(5), failure_rate=0.0)
-        address = toy_topology.routers[0].loopback
+        address = int(toy_topology.router_loopbacks()[0])
         assert a.locate(address) == b.locate_many([address])[0]
 
     def test_empty_batch(self, toy_context):
@@ -310,7 +317,7 @@ class TestLocateBatchDedup:
         """Dedup must not perturb results for duplicate-free batches."""
         from repro.geoloc.base import locate_batch
 
-        addresses = sorted(toy_topology.interfaces)
+        addresses = sorted(toy_topology.interface_addresses().tolist())
         via_wrapper = locate_batch(
             IxMapper(toy_context, np.random.default_rng(11), failure_rate=0.3),
             addresses,
@@ -341,11 +348,11 @@ class TestBuildContext:
             world_small, topology, plan, GeolocConfig(),
             np.random.default_rng(0),
         )
-        assert set(context.hostnames) == set(topology.interfaces)
+        assert set(context.hostnames) == set(topology.interface_addresses().tolist())
         assert context.whois.n_orgs == len(topology.asns)
         assert len(context.city_locations) == len(world_small.cities)
         # DNS LOC records exist at roughly the configured (rare) rate.
-        rate = len(context.loc_records) / len(topology.interfaces)
+        rate = len(context.loc_records) / topology.n_interfaces
         assert 0.0 < rate < 0.02
 
     def test_mappers_achieve_high_coverage(self, world_small, generated_small):
@@ -357,7 +364,9 @@ class TestBuildContext:
         from repro.net.ip import is_private
 
         addresses = [
-            a for a in list(topology.interfaces)[:800] if not is_private(a)
+            a
+            for a in topology.interface_addresses()[:800].tolist()
+            if not is_private(a)
         ]
         ix_mapped = sum(ix.locate(a).mapped for a in addresses)
         es_mapped = sum(es.locate(a).mapped for a in addresses)

@@ -9,20 +9,27 @@ from repro.measure.alias import merge_members, resolve_aliases
 from repro.measure.mercator import run_mercator
 
 
+def _owners(topology, addresses) -> list[int]:
+    """Owning router id of each interface address, in the given order."""
+    positions = topology.interface_positions(np.array(list(addresses)))
+    assert np.all(positions >= 0)
+    return topology.interface_routers()[positions].tolist()
+
+
 class TestResolveAliases:
     def test_full_success_collapses_to_loopbacks(self, toy_topology):
-        addresses = {
-            link.interface_a for link in toy_topology.links
-        } | {link.interface_b for link in toy_topology.links}
+        ifc_a, ifc_b = toy_topology.link_interfaces()
+        addresses = set(ifc_a.tolist()) | set(ifc_b.tolist())
         mapping = resolve_aliases(
             toy_topology, addresses, np.random.default_rng(0), 1.0
         )
+        loopbacks = toy_topology.router_loopbacks()
         for address, canonical in mapping.items():
-            router = toy_topology.interfaces[address].router_id
-            assert canonical == toy_topology.routers[router].loopback
+            (router,) = _owners(toy_topology, [address])
+            assert canonical == loopbacks[router]
 
     def test_failure_leaves_interfaces_alone(self, toy_topology):
-        addresses = {toy_topology.links[0].interface_a}
+        addresses = {int(toy_topology.link_interfaces()[0][0])}
         mapping = resolve_aliases(
             toy_topology, addresses, np.random.default_rng(0), 1e-12
         )
@@ -61,7 +68,7 @@ class TestRunMercator:
         )
         inventory.validate()
         assert inventory.kind == "mercator"
-        loopbacks = {r.loopback for r in toy_topology.routers}
+        loopbacks = set(toy_topology.router_loopbacks().tolist())
         assert inventory.nodes <= loopbacks
 
     def test_alias_members_recorded(self, toy_topology):
@@ -118,14 +125,10 @@ class TestRunMercator:
             self._config(n_targets=200, n_source_routed=100),
             np.random.default_rng(3),
         )
-        by_loopback = {r.loopback: r.router_id for r in topology.routers}
+        # A node is a router's loopback or, where alias resolution
+        # failed, one of its interfaces: either way its owner is the router.
         for a, b in list(inventory.links)[:200]:
-            ra = by_loopback.get(a, None)
-            rb = by_loopback.get(b, None)
-            if ra is None:
-                ra = topology.interfaces[a].router_id
-            if rb is None:
-                rb = topology.interfaces[b].router_id
+            ra, rb = _owners(topology, [a, b])
             assert topology.has_link(ra, rb)
 
     def test_tiny_topology_rejected(self):

@@ -13,6 +13,13 @@ from repro.measure.skitter import (
 )
 
 
+def _owners(topology, addresses) -> list[int]:
+    """Owning router id of each interface address, in the given order."""
+    positions = topology.interface_positions(np.array(list(addresses)))
+    assert np.all(positions >= 0)
+    return topology.interface_routers()[positions].tolist()
+
+
 def _config(**overrides) -> SkitterConfig:
     base = dict(n_monitors=2, destinations_per_monitor=4, response_rate=1.0)
     base.update(overrides)
@@ -22,7 +29,7 @@ def _config(**overrides) -> SkitterConfig:
 class TestChooseMonitors:
     def test_monitors_in_distinct_ases_when_possible(self, toy_topology):
         monitors = choose_monitors(toy_topology, 2, np.random.default_rng(0))
-        asns = {toy_topology.routers[m].asn for m in monitors}
+        asns = set(toy_topology.router_asns()[monitors].tolist())
         assert len(asns) == 2
 
     def test_relaxes_distinct_as_constraint(self, toy_topology):
@@ -63,9 +70,7 @@ class TestRunSkitter:
         inventory.validate()
         assert inventory.kind == "skitter"
         # 4 intermediate inbound interfaces + 5 destination loopbacks.
-        routers_seen = {
-            toy_topology.interfaces[a].router_id for a in inventory.nodes
-        }
+        routers_seen = set(_owners(toy_topology, inventory.nodes))
         assert routers_seen == {1, 2, 3, 4, 5}
 
     def test_destinations_recorded_as_loopbacks(self, toy_topology):
@@ -76,8 +81,9 @@ class TestRunSkitter:
             toy_topology, _config(n_monitors=1), np.random.default_rng(0),
             campaign=campaign,
         )
-        assert toy_topology.routers[5].loopback in inventory.destinations
-        assert toy_topology.routers[5].loopback in inventory.nodes
+        loopback = int(toy_topology.router_loopbacks()[5])
+        assert loopback in inventory.destinations
+        assert loopback in inventory.nodes
 
     def test_links_connect_consecutive_hops(self, toy_topology):
         campaign = SkitterCampaign(
@@ -118,9 +124,7 @@ class TestRunSkitter:
             np.random.default_rng(0),
             campaign=campaign,
         )
-        routers_seen = {
-            toy_topology.interfaces[a].router_id for a in inventory.nodes
-        }
+        routers_seen = set(_owners(toy_topology, inventory.nodes))
         assert routers_seen == {1, 2}
 
     def test_union_of_monitors_sees_more(self, generated_small):
@@ -146,6 +150,5 @@ class TestRunSkitter:
             np.random.default_rng(6),
         )
         for a, b in list(inventory.links)[:200]:
-            ra = topology.interfaces[a].router_id
-            rb = topology.interfaces[b].router_id
+            ra, rb = _owners(topology, [a, b])
             assert topology.has_link(ra, rb)

@@ -63,9 +63,7 @@ class TestPathLatency:
         total = path_latency_ms(toy_topology, annotations, path)
         manual = sum(
             float(
-                annotations.latencies_ms[
-                    toy_topology.link_between(a, b).link_id
-                ]
+                annotations.latencies_ms[toy_topology.link_id(a, b)]
             )
             for a, b in zip(path, path[1:])
         )

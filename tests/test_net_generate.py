@@ -73,8 +73,7 @@ class TestGeneratedTopology:
 
     def test_no_isolated_routers(self, generated_small):
         topology, _, _ = generated_small
-        for router in topology.routers:
-            assert topology.degree(router.router_id) > 0
+        assert np.all(topology.degrees() > 0)
 
     def test_interdomain_fraction_in_band(self, generated_small):
         _, _, report = generated_small
@@ -98,26 +97,31 @@ class TestGeneratedTopology:
 
     def test_hostnames_assigned_to_every_interface(self, generated_small):
         topology, _, _ = generated_small
-        assert set(topology.hostnames) == set(topology.interfaces)
+        addresses = set(topology.interface_addresses().tolist())
+        assert set(topology.hostnames) == addresses
 
     def test_some_private_interfaces_planted(self, generated_small):
         topology, _, _ = generated_small
-        private = [a for a in topology.interfaces if is_private(a)]
+        private = [
+            a for a in topology.interface_addresses().tolist() if is_private(a)
+        ]
         # ~0.5% of interfaces; should exist but stay rare.
         assert 0 < len(private) < 0.03 * topology.n_interfaces
 
     def test_interface_addresses_unique(self, generated_small):
         topology, _, _ = generated_small
-        addresses = list(topology.interfaces)
+        addresses = topology.interface_addresses().tolist()
         assert len(addresses) == len(set(addresses))
 
     def test_addresses_belong_to_owner_as_blocks(self, generated_small):
         topology, plan, _ = generated_small
         checked = 0
-        for address, iface in topology.interfaces.items():
+        owner_asns = topology.router_asns()[topology.interface_routers()]
+        for address, asn in zip(
+            topology.interface_addresses().tolist(), owner_asns.tolist()
+        ):
             if is_private(address):
                 continue
-            asn = topology.routers[iface.router_id].asn
             assert any(p.contains(address) for p in plan.prefixes_of(asn))
             checked += 1
             if checked > 500:
@@ -132,12 +136,12 @@ class TestGeneratedTopology:
     def test_intradomain_links_shorter_on_average(self, generated_small):
         topology, _, _ = generated_small
         lengths = topology.link_lengths()
-        inter = np.array([link.interdomain for link in topology.links])
+        inter = topology.link_interdomain()
         assert lengths[~inter].mean() < lengths[inter].mean()
 
     def test_city_routers_carry_city_codes(self, generated_small):
         topology, _, _ = generated_small
-        with_code = sum(1 for r in topology.routers if r.city_code)
+        with_code = sum(1 for code in topology.router_city_codes() if code)
         assert with_code > 0.8 * topology.n_routers
 
     def test_deterministic_given_seed(self, world_small):
@@ -170,8 +174,9 @@ class _ReferenceGenerator(GroundTruthGenerator):
             return False
         asn_a = int(self.topology.router_asns()[ra])
         asn_b = int(self.topology.router_asns()[rb])
-        self.topology.add_link(
-            ra, rb, self._allocate_address(asn_a), self._allocate_address(asn_b)
+        self.topology.add_links(
+            [ra], [rb],
+            [self._allocate_address(asn_a)], [self._allocate_address(asn_b)],
         )
         return True
 

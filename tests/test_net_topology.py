@@ -5,8 +5,29 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
-from repro.net.elements import AutonomousSystem, Link, Router
-from repro.net.topology import Topology
+from repro.net.elements import AutonomousSystem
+from repro.net.topology import Topology, topology_digest
+
+from tests.conftest import build_toy_topology
+
+
+def _add_routers(topology: Topology, asn: int, loopbacks: list[int]):
+    n = len(loopbacks)
+    return topology.add_routers(
+        asn, np.full(n, 40.0), np.full(n, -100.0), "", np.array(loopbacks)
+    )
+
+
+def _add_links(topology: Topology, pairs: list[tuple[int, int]]):
+    """Add links between router pairs on fresh addresses 9000, 9001, ..."""
+    a, b = np.array(pairs).T
+    fresh = 9000 + 2 * np.arange(len(pairs))
+    return topology.add_links(a, b, fresh, fresh + 1)
+
+
+def _assert_unchanged(topology: Topology) -> None:
+    """A rejected batch leaves no trace: the toy topology digest holds."""
+    assert topology_digest(topology) == topology_digest(build_toy_topology())
 
 
 class TestElements:
@@ -26,22 +47,6 @@ class TestElements:
                 asn=1, name="x", headquarters=GeoPoint(0.0, 0.0), tier=4
             )
 
-    def test_router_rejects_negative_id(self):
-        with pytest.raises(TopologyError):
-            Router(router_id=-1, asn=1, location=GeoPoint(0, 0), city_code="",
-                   loopback=5)
-
-    def test_link_rejects_self_loop(self):
-        with pytest.raises(TopologyError):
-            Link(0, 1, 1, 10, 11, 0.0, False)
-
-    def test_link_other_router(self):
-        link = Link(0, 1, 2, 10, 11, 5.0, False)
-        assert link.other_router(1) == 2
-        assert link.other_router(2) == 1
-        with pytest.raises(TopologyError):
-            link.other_router(3)
-
 
 class TestTopologyConstruction:
     def test_toy_shape(self, toy_topology):
@@ -57,49 +62,92 @@ class TestTopologyConstruction:
             )
 
     def test_router_unknown_as_rejected(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.add_router(999, GeoPoint(0, 0), "", 5000)
+        with pytest.raises(TopologyError, match="unknown ASN"):
+            _add_routers(toy_topology, 999, [5000])
+        _assert_unchanged(toy_topology)
 
     def test_duplicate_loopback_rejected(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.add_router(100, GeoPoint(0, 0), "", 1000)
+        with pytest.raises(TopologyError, match="duplicate interface address 1000"):
+            _add_routers(toy_topology, 100, [5000, 1000])
+        _assert_unchanged(toy_topology)
+
+    def test_duplicate_loopback_within_batch_rejected(self, toy_topology):
+        with pytest.raises(TopologyError, match="duplicate interface address 5001"):
+            _add_routers(toy_topology, 100, [5000, 5001, 5001])
+        _assert_unchanged(toy_topology)
+
+    def test_router_batch_ids_are_consecutive(self, toy_topology):
+        ids = _add_routers(toy_topology, 200, [5000, 5001])
+        assert ids.tolist() == [6, 7]
+        assert toy_topology.router_loopbacks()[6:].tolist() == [5000, 5001]
+        assert toy_topology.router_city_codes()[6:] == ["", ""]
+        positions = toy_topology.interface_positions(np.array([5000, 5001]))
+        assert toy_topology.interface_routers()[positions].tolist() == [6, 7]
+        assert toy_topology.interface_links()[positions].tolist() == [-1, -1]
+        toy_topology.validate()
 
     def test_self_loop_link_rejected(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.add_link(0, 0, 9000, 9001)
+        with pytest.raises(TopologyError, match="self-loop"):
+            _add_links(toy_topology, [(0, 4), (3, 3)])
+        _assert_unchanged(toy_topology)
 
     def test_duplicate_link_rejected(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.add_link(0, 1, 9000, 9001)
-        with pytest.raises(TopologyError):
-            toy_topology.add_link(1, 0, 9002, 9003)
+        for pair in ((0, 1), (1, 0)):
+            with pytest.raises(TopologyError, match="between routers 0 and 1"):
+                _add_links(toy_topology, [(0, 4), pair])
+        _assert_unchanged(toy_topology)
+
+    def test_duplicate_link_within_batch_rejected(self, toy_topology):
+        for batch in ([(0, 4), (0, 4)], [(0, 4), (4, 0)]):
+            with pytest.raises(TopologyError, match="between routers 0 and 4"):
+                _add_links(toy_topology, batch)
+        _assert_unchanged(toy_topology)
 
     def test_duplicate_interface_rejected(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.add_link(0, 4, 2000, 9001)
+        with pytest.raises(TopologyError, match="duplicate interface address 2000"):
+            toy_topology.add_links([0], [4], [2000], [9001])
+        with pytest.raises(TopologyError, match="duplicate interface address 1005"):
+            toy_topology.add_links([0], [4], [9000], [1005])
+        _assert_unchanged(toy_topology)
+
+    def test_duplicate_interface_within_batch_rejected(self, toy_topology):
+        with pytest.raises(TopologyError, match="duplicate interface address 9000"):
+            toy_topology.add_links([0, 0], [4, 5], [9000, 9002], [9001, 9000])
+        with pytest.raises(TopologyError, match="duplicate interface address 9000"):
+            toy_topology.add_links([0], [4], [9000], [9000])
+        _assert_unchanged(toy_topology)
 
     def test_unknown_router_link_rejected(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.add_link(0, 77, 9000, 9001)
+        for a, b in ((0, 77), (77, 0), (-1, 0)):
+            with pytest.raises(TopologyError, match="unknown router"):
+                toy_topology.add_links([a], [b], [9000], [9001])
+        _assert_unchanged(toy_topology)
 
     def test_endpoint_normalisation(self, toy_topology):
-        link = toy_topology.add_link(5, 0, 9000, 9001)
-        assert link.router_a == 0 and link.router_b == 5
-        assert link.interface_a == 9001 and link.interface_b == 9000
+        ids = toy_topology.add_links([5, 1], [0, 3], [9000, 9002], [9001, 9003])
+        assert ids.tolist() == [5, 6]
+        end_a, end_b = toy_topology.link_endpoints()
+        ifc_a, ifc_b = toy_topology.link_interfaces()
+        assert (end_a[5], end_b[5], ifc_a[5], ifc_b[5]) == (0, 5, 9001, 9000)
+        assert (end_a[6], end_b[6], ifc_a[6], ifc_b[6]) == (1, 3, 9002, 9003)
+        # Interfaces keep their owners and are registered (a, b) per link.
+        assert toy_topology.interface_addresses()[-4:].tolist() == [
+            9001, 9000, 9002, 9003
+        ]
+        assert toy_topology.interface_routers()[-4:].tolist() == [0, 5, 1, 3]
+        assert toy_topology.interface_links()[-4:].tolist() == [5, 5, 6, 6]
+        assert toy_topology.link_id(5, 0) == 5
+        toy_topology.validate()
 
 
 class TestTopologyQueries:
     def test_neighbors(self, toy_topology):
-        assert set(toy_topology.neighbors(1)) == {0, 2}
-        assert toy_topology.neighbors(0) == [1]
-
-    def test_unknown_router_neighbors_raise(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.neighbors(42)
+        graph = toy_topology.routing_graph()
+        assert graph[1].indices.tolist() == [0, 2]
+        assert graph[0].indices.tolist() == [1]
 
     def test_degree(self, toy_topology):
-        assert toy_topology.degree(0) == 1
-        assert toy_topology.degree(2) == 2
+        assert toy_topology.degrees().tolist() == [1, 2, 2, 2, 2, 1]
 
     def test_has_link_symmetric(self, toy_topology):
         assert toy_topology.has_link(0, 1)
@@ -107,10 +155,9 @@ class TestTopologyQueries:
         assert not toy_topology.has_link(0, 5)
 
     def test_interdomain_flag(self, toy_topology):
-        cross = toy_topology.link_between(2, 3)
-        within = toy_topology.link_between(0, 1)
-        assert cross.interdomain
-        assert not within.interdomain
+        interdomain = toy_topology.link_interdomain()
+        assert interdomain[toy_topology.link_id(2, 3)]
+        assert not interdomain[toy_topology.link_id(0, 1)]
 
     def test_link_lengths_positive(self, toy_topology):
         lengths = toy_topology.link_lengths()
@@ -126,26 +173,22 @@ class TestTopologyQueries:
         asns = toy_topology.router_asns()
         assert asns.tolist() == [100, 100, 100, 200, 200, 200]
 
-    def test_link_between_missing_raises(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.link_between(0, 5)
+    def test_link_id_either_order(self, toy_topology):
+        assert toy_topology.link_id(3, 4) == toy_topology.link_id(4, 3) == 3
 
-    def test_incident_links(self, toy_topology):
-        ids = toy_topology.incident_links(2)
-        assert len(ids) == 2
+    def test_link_id_missing_raises(self, toy_topology):
+        with pytest.raises(TopologyError, match="no link between routers 0 and 5"):
+            toy_topology.link_id(0, 5)
 
     def test_link_interface_toward(self, toy_topology):
-        link = toy_topology.link_between(0, 1)
+        ifc_a, ifc_b = toy_topology.link_interfaces()
+        link = toy_topology.link_id(0, 1)
         toward_1 = toy_topology.link_interface_toward(0, 1)
         toward_0 = toy_topology.link_interface_toward(1, 0)
-        assert {toward_0, toward_1} == {link.interface_a, link.interface_b}
+        assert {toward_0, toward_1} == {int(ifc_a[link]), int(ifc_b[link])}
         # The interface toward router 1 must belong to router 1.
-        assert toy_topology.interfaces[toward_1].router_id == 1
-
-    def test_interfaces_of_router(self, toy_topology):
-        interfaces = toy_topology.interfaces_of_router(2)
-        # Loopback + 2 link interfaces.
-        assert len(interfaces) == 3
+        position = toy_topology.interface_positions(np.array([toward_1]))
+        assert toy_topology.interface_routers()[position].tolist() == [1]
 
 
 class TestRoutingGraph:
@@ -170,15 +213,11 @@ class TestValidate:
     def test_valid_topology_passes(self, toy_topology):
         toy_topology.validate()
 
-    def test_hostname_requires_known_interface(self, toy_topology):
-        with pytest.raises(TopologyError):
-            toy_topology.set_hostname(424242, "x.example.net")
-
     def test_corruption_detected(self, toy_topology):
         # Simulate corruption: break an interface's link reference.
-        from repro.net.elements import Interface
-
-        address = toy_topology.links[0].interface_a
-        toy_topology.interfaces[address] = Interface(address, 0, 99)
-        with pytest.raises(TopologyError):
+        address = toy_topology.link_interfaces()[0][0]
+        position = toy_topology.interface_positions(np.array([address]))[0]
+        toy_topology._i_link[position] = 99
+        toy_topology._invalidate()
+        with pytest.raises(TopologyError, match="inconsistent"):
             toy_topology.validate()

@@ -32,7 +32,7 @@ class TestNetGeo:
             as_of_address={},
         )
         mapper = NetGeo(context, np.random.default_rng(0), failure_rate=0.0)
-        result = mapper.locate(toy_topology.routers[0].loopback)
+        result = mapper.locate(int(toy_topology.router_loopbacks()[0]))
         assert result.method == METHOD_WHOIS
         assert result.location == toy_topology.asns[100].headquarters
 
@@ -79,15 +79,15 @@ class TestNetGeo:
         # Pick the largest AS; all its interfaces must land on one point.
         from collections import Counter
 
-        sizes = Counter(r.asn for r in topology.routers)
+        router_asns = topology.router_asns()
+        sizes = Counter(router_asns.tolist())
         asn, _count = sizes.most_common(1)[0]
         locations = set()
         from repro.net.ip import is_private
 
-        for address, iface in topology.interfaces.items():
+        owner_asns = router_asns[topology.interface_routers()]
+        for address in topology.interface_addresses()[owner_asns == asn].tolist():
             if is_private(address):
-                continue
-            if topology.routers[iface.router_id].asn != asn:
                 continue
             result = mapper.locate(address)
             if result.mapped:

@@ -296,21 +296,21 @@ class TestArtifactCounters:
 
     def test_object_with_both_n_nodes_and_routers(self):
         class Hybrid:
-            n_nodes = 42  # explicit counter beats len(routers)
-            routers = {"r1": None, "r2": None}
-            interfaces = {"if1": None}
+            n_nodes = 42  # explicit counter beats n_routers
+            n_routers = 2
+            n_interfaces = 1
 
         assert artifact_counters(Hybrid()) == {
             "nodes": 42,
             "interfaces": 1,
         }
 
-    def test_topology_like_uses_len(self):
-        class Topology:
-            routers = [1, 2, 3]
-            interfaces = [1]
-
-        assert artifact_counters(Topology()) == {"nodes": 3, "interfaces": 1}
+    def test_topology_counts_routers_and_interfaces(self, toy_topology):
+        assert artifact_counters(toy_topology) == {
+            "links": 5,
+            "nodes": 6,
+            "interfaces": 16,
+        }
 
     def test_non_int_n_nodes_ignored(self):
         class Weird:

@@ -140,21 +140,25 @@ class TestSnapshotIndex:
         with pytest.raises(ServeError):
             index.within_radius(0.0, 0.0, -5.0)
 
-    def test_as_summary_matches_dataset(self, index, dataset):
-        counts = dataset.as_node_counts()
-        assert index.n_ases == len(counts)
-        asn = max(counts, key=counts.get)
-        summary = index.as_summary(asn)
-        assert summary.n_nodes == counts[asn]
-        assert summary.degree == dataset.as_degrees()[asn]
-        nodes = index.as_nodes(asn)
-        assert summary.centroid_lat == pytest.approx(
+    def test_as_record_matches_dataset(self, index, dataset):
+        mapped = dataset.asns[dataset.asns != UNMAPPED_ASN]
+        asns, counts = np.unique(mapped, return_counts=True)
+        assert index.n_ases == asns.size
+        asn = int(asns[np.argmax(counts)])
+        record = index.as_record(asn)
+        nodes = np.flatnonzero(dataset.asns == asn)
+        assert record["n_nodes"] == nodes.size
+        assert record["degree"] == int(
+            dataset.as_degree_array()[np.searchsorted(asns, asn)]
+        )
+        assert record["centroid_lat"] == pytest.approx(
             float(np.mean(dataset.lats[nodes]))
         )
+        assert record["sample_addresses"] == dataset.addresses[nodes[:5]].tolist()
 
     def test_unknown_as(self, index):
-        assert index.as_summary(999_999_999) is None
-        assert index.as_nodes(999_999_999).size == 0
+        assert index.as_record(999_999_999) is None
+        assert index.as_table().find(999_999_999) == -1
 
     def test_distance_preference_matches_core(self, index, dataset):
         region = region_by_name("US")
@@ -329,9 +333,9 @@ class TestServerEndToEnd:
         assert err.value.status == 404
 
     def test_as_endpoint(self, client, index, dataset):
-        asn = max(dataset.as_node_counts())
+        asn = int(index.as_table().asns.max())
         payload = client.as_info(asn)
-        assert payload["n_nodes"] == index.as_summary(asn).n_nodes
+        assert payload == index.as_record(asn)
         assert len(payload["sample_addresses"]) >= 1
 
     def test_near_endpoint(self, client, index):
