@@ -3,15 +3,15 @@
 One per-AS table feeds every analysis:
 
 * :func:`as_table` — node count, distinct locations, AS-graph degree,
-  centroid and convex-hull extent of every mapped AS, built from one
-  AS-grouped sort.  The serving index (``/as/<asn>``) and the streaming
-  analytics read the same table.
+  centroid and convex-hull extent of every mapped AS, built in
+  whole-array passes with no loop over ASes.  The serving index
+  (``/as/<asn>``) and the streaming analytics read the same table.
 * :func:`as_size_measures` — per-AS size triple: node count (interfaces
   or routers), number of distinct locations, and degree in the AS graph.
 * :func:`size_distributions` / :func:`size_correlations` — Figures 7-8:
   all three measures are long-tailed and pairwise correlated, with
   interfaces-vs-locations the tightest pair.
-* :func:`hull_areas` / :func:`hull_summary` — Figures 9-10: convex-hull
+* :func:`hull_areas` / :func:`hull_vs_size` — Figures 9-10: convex-hull
   area of each AS's node set under the Albers equal-area projection;
   ~80% of ASes have zero extent, small ASes vary wildly, and every AS
   beyond a size cutoff is maximally dispersed.
@@ -34,7 +34,8 @@ from repro.core.stats import (
 )
 from repro.datasets.mapped import LOCATION_DECIMALS, MappedDataset
 from repro.errors import AnalysisError, GeoError
-from repro.geo.hull import sorted_hull_area
+from repro.geo.coords import distinct_points
+from repro.geo.hull import grouped_hull_areas
 from repro.geo.projection import WORLD_ALBERS
 from repro.geo.regions import Region
 
@@ -48,7 +49,8 @@ class AsTable:
         n_nodes: mapped nodes per AS.
         n_locations: distinct rounded locations per AS.
         degree: AS-graph degree per AS.
-        centroid_lat, centroid_lon: mean node position per AS.
+        centroid_lat, centroid_lon: mean node position per AS, the
+            coordinates summed in row order.
         hull_area: convex-hull extent per AS in square miles (world
             Albers projection).
         rows: node rows grouped by AS, ascending within each AS.
@@ -93,15 +95,32 @@ def _run_starts(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _dense_rank(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of each ``(a, b)`` pair in lexicographic order, equal pairs
+    sharing a rank, and the position of each rank's first pair."""
+    order = np.lexsort((b, a))
+    new = _run_starts(a[order], b[order])
+    rank = np.empty(a.size, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
+
+
+def _distinct_keys(group: np.ndarray, key: np.ndarray, n_keys: int) -> np.ndarray:
+    """The distinct ``(group, key)`` pairs as sorted codes
+    ``group * n_keys + key``."""
+    codes = np.sort(group * n_keys + key)
+    return codes[_run_starts(codes)]
+
+
 def as_table(dataset: MappedDataset) -> AsTable:
     """The per-AS table of a dataset, for every mapped AS.
 
     Every figure equals a computation over that AS's own rows alone:
-    ``np.unique`` over rounded location keys, ``np.mean`` of the rows'
-    coordinates in row order, and
+    ``np.unique`` over rounded location keys, the sum of the rows'
+    coordinates in row order divided by the node count, and
     :func:`~repro.geo.hull.convex_hull_area` over the projected points.
-    The hull is only computed for ASes with at least three distinct
-    projected points; with fewer it is zero.
+    All ASes are computed together in whole-array passes; no Python loop
+    runs over ASes.
 
     Raises:
         GeoError: when a mapped node's projected position is not finite.
@@ -116,47 +135,68 @@ def as_table(dataset: MappedDataset) -> AsTable:
     lats = dataset.lats[rows]
     lons = dataset.lons[rows]
 
-    key_lat = np.round(lats, LOCATION_DECIMALS)
-    key_lon = np.round(lons, LOCATION_DECIMALS)
-    order = np.lexsort((key_lon, key_lat, group))
-    new = _run_starts(group[order], key_lat[order], key_lon[order])
-    n_locations = np.bincount(group[order][new], minlength=asns.size)
+    # Distinct (AS, point) pairs as integer codes: only the distinct
+    # points are rounded and projected, and the per-AS sorts below are
+    # integer sorts of these pairs.
+    plats, plons, _, point = distinct_points(lats, lons)
+    n_points = plats.size
+    pair_group, pair_point = np.divmod(
+        _distinct_keys(group, point, n_points), n_points
+    )
+
+    rank, _ = _dense_rank(
+        np.round(plats, LOCATION_DECIMALS), np.round(plons, LOCATION_DECIMALS)
+    )
+    located = _distinct_keys(pair_group, rank[pair_point], n_points)
+    n_locations = np.bincount(located // n_points, minlength=asns.size)
 
     # Distinct projected points per AS, sorted by (x, y) and deduped
-    # exactly as convex_hull does (first of each run kept); fewer than
-    # three have no extent.
-    x, y = WORLD_ALBERS.project(dataset.lats, dataset.lons)
-    x, y = x[rows], y[rows]
+    # exactly as convex_hull does.
+    x, y = WORLD_ALBERS.project(plats, plons)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise GeoError("points must be finite")
-    order = np.lexsort((y, x, group))
-    order = order[_run_starts(group[order], x[order], y[order])]
-    bounds = np.searchsorted(group[order], np.arange(asns.size + 1)).tolist()
-    points = np.column_stack([x[order], y[order]]).tolist()
-    hull_area = np.zeros(asns.size)
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi - lo >= 3:
-            hull_area[i] = sorted_hull_area(points[lo:hi])
+    rank, first = _dense_rank(x, y)
+    hull_group, hull_rank = np.divmod(
+        _distinct_keys(pair_group, rank[pair_point], n_points), n_points
+    )
+    hull_point = first[hull_rank]
+    hull_area = grouped_hull_areas(
+        x[hull_point], y[hull_point], hull_group, asns.size
+    )
 
-    # np.mean of a float array is np.add.reduce over it divided by the
-    # count; calling the reduction directly skips mean's overhead.
-    centroid_lat = np.empty(asns.size)
-    centroid_lon = np.empty(asns.size)
-    for i, (lo, hi) in enumerate(zip(starts.tolist(), offsets[1:].tolist())):
-        centroid_lat[i] = np.add.reduce(lats[lo:hi]) / (hi - lo)
-        centroid_lon[i] = np.add.reduce(lons[lo:hi]) / (hi - lo)
+    # Row-order sums: bincount adds each AS's rows in ascending row order.
+    centroid_lat = np.bincount(group, weights=lats, minlength=asns.size) / n_nodes
+    centroid_lon = np.bincount(group, weights=lons, minlength=asns.size) / n_nodes
 
     return AsTable(
         asns=asns,
         n_nodes=n_nodes.astype(np.int64),
         n_locations=n_locations.astype(np.int64),
-        degree=dataset.as_degree_array(),
+        degree=_as_degree(dataset, rows, group, asns.size),
         centroid_lat=centroid_lat,
         centroid_lon=centroid_lon,
         hull_area=hull_area,
         rows=rows,
         offsets=offsets,
     )
+
+
+def _as_degree(
+    dataset: MappedDataset, rows: np.ndarray, group: np.ndarray, n_ases: int
+) -> np.ndarray:
+    """AS-graph degree per table position: distinct AS adjacencies,
+    counted once however many interdomain links realise them."""
+    if dataset.n_links == 0:
+        return np.zeros(n_ases, dtype=np.int64)
+    position = np.full(dataset.n_nodes, -1, dtype=np.int64)
+    position[rows] = group
+    a, b = position[dataset.links].T
+    inter = (a >= 0) & (b >= 0) & (a != b)
+    a, b = a[inter], b[inter]
+    lo, hi = np.divmod(
+        _distinct_keys(np.minimum(a, b), np.maximum(a, b), n_ases), n_ases
+    )
+    return np.bincount(lo, minlength=n_ases) + np.bincount(hi, minlength=n_ases)
 
 
 def as_size_measures(dataset: MappedDataset) -> AsTable:

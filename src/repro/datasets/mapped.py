@@ -152,26 +152,3 @@ class MappedDataset:
             asns=self.asns[kept],
             links=new_links,
         )
-
-    # -- AS structure -----------------------------------------------------------
-
-    def as_degree_array(self) -> np.ndarray:
-        """AS-graph degree of each distinct mapped ASN, in ascending ASN
-        order (the unmapped sentinel excluded).
-
-        Distinct AS adjacencies are counted once however many
-        interdomain links realise them.
-        """
-        asns = np.unique(self.asns[self.asns != UNMAPPED_ASN])
-        degree = np.zeros(asns.size, dtype=np.int64)
-        mask = self.interdomain_mask()
-        if mask.any():
-            a = np.searchsorted(asns, self.asns[self.links[mask, 0]])
-            b = np.searchsorted(asns, self.asns[self.links[mask, 1]])
-            # Distinct edges by sort and compare: np.unique hashes
-            # integers, which is several times slower at this size.
-            edges = np.sort(np.minimum(a, b) * asns.size + np.maximum(a, b))
-            edges = edges[np.append(True, edges[1:] != edges[:-1])]
-            degree += np.bincount(edges // asns.size, minlength=asns.size)
-            degree += np.bincount(edges % asns.size, minlength=asns.size)
-        return degree

@@ -25,7 +25,7 @@ from repro.geo.distance import (
 )
 from repro.geo.fractal import BoxCountResult, box_counting_dimension
 from repro.geo.grid import PAPER_PATCH_ARCMIN, PatchGrid, joint_tally
-from repro.geo.hull import convex_hull, convex_hull_area, polygon_area
+from repro.geo.hull import convex_hull, convex_hull_area, grouped_hull_areas
 from repro.geo.projection import (
     WORLD_ALBERS,
     AlbersEqualArea,
@@ -64,7 +64,7 @@ __all__ = [
     "joint_tally",
     "convex_hull",
     "convex_hull_area",
-    "polygon_area",
+    "grouped_hull_areas",
     "WORLD_ALBERS",
     "AlbersEqualArea",
     "equirectangular_miles",

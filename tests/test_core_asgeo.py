@@ -1,5 +1,8 @@
 """Tests for repro.core.asgeo (Section VI analyses)."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,15 @@ def _dataset() -> MappedDataset:
     )
 
 
+def _row_order_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum of ``values``: the centroid's definition.
+
+    Neither ``np.mean`` (pairwise summation) nor, from Python 3.12 on,
+    the builtin ``sum`` (compensated summation) adds in plain row order.
+    """
+    return functools.reduce(operator.add, values.tolist(), 0.0)
+
+
 def _naive_as_table(dataset: MappedDataset) -> dict[str, list]:
     """The reference for :func:`as_table`: every AS on its own rows."""
     x, y = WORLD_ALBERS.project(dataset.lats, dataset.lons)
@@ -69,8 +81,8 @@ def _naive_as_table(dataset: MappedDataset) -> dict[str, list]:
         ref["n_nodes"].append(nodes.size)
         ref["n_locations"].append(np.unique(keys, axis=0).shape[0])
         ref["degree"].append(sum(asn in edge for edge in edges))
-        ref["centroid_lat"].append(float(np.mean(dataset.lats[nodes])))
-        ref["centroid_lon"].append(float(np.mean(dataset.lons[nodes])))
+        ref["centroid_lat"].append(_row_order_sum(dataset.lats[nodes]) / nodes.size)
+        ref["centroid_lon"].append(_row_order_sum(dataset.lons[nodes]) / nodes.size)
         ref["hull_area"].append(
             convex_hull_area(np.column_stack([x[nodes], y[nodes]]))
         )
@@ -128,6 +140,22 @@ class TestAsTable:
             assert getattr(table, name).tolist() == ref[name], name
         nodes = [table.nodes(i).tolist() for i in range(table.n_ases)]
         assert nodes == ref["nodes"]
+
+    def test_empty_and_unmapped_only_datasets(self):
+        for asns in ([], [UNMAPPED_ASN, UNMAPPED_ASN]):
+            n = len(asns)
+            table = as_table(
+                MappedDataset(
+                    label="e", kind="skitter",
+                    addresses=np.arange(n, dtype=np.int64),
+                    lats=np.full(n, 10.0), lons=np.arange(n, dtype=float),
+                    asns=np.array(asns, dtype=np.int64),
+                    links=np.array([[0, 1]] if n else [], dtype=np.intp).reshape(-1, 2),
+                )
+            )
+            assert table.n_ases == 0
+            assert table.hull_area.shape == table.degree.shape == (0,)
+            assert table.offsets.tolist() == [0]
 
     def test_views_share_the_table(self):
         ds = _dataset()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bgp.table import UNMAPPED_ASN
+from repro.core.asgeo import as_table
 from repro.datasets.mapped import MappedDataset
 from repro.errors import DatasetError
 from repro.geo.regions import Region
@@ -118,4 +119,6 @@ class TestAsStructure:
     def test_known_asns_excludes_sentinel(self):
         # One degree per mapped ASN (1 and 2); link (4, 5) to the
         # unmapped node adds no AS-graph edge.
-        assert _dataset().as_degree_array().tolist() == [1, 1]
+        table = as_table(_dataset())
+        assert table.asns.tolist() == [1, 2]
+        assert table.degree.tolist() == [1, 1]

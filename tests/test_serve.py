@@ -148,9 +148,13 @@ class TestSnapshotIndex:
         record = index.as_record(asn)
         nodes = np.flatnonzero(dataset.asns == asn)
         assert record["n_nodes"] == nodes.size
-        assert record["degree"] == int(
-            dataset.as_degree_array()[np.searchsorted(asns, asn)]
-        )
+        # Distinct interdomain AS pairs, counted apart from the table.
+        pairs = {
+            (min(a, b), max(a, b))
+            for a, b in dataset.asns[dataset.links].tolist()
+            if a != b and UNMAPPED_ASN not in (a, b)
+        }
+        assert record["degree"] == sum(asn in pair for pair in pairs)
         assert record["centroid_lat"] == pytest.approx(
             float(np.mean(dataset.lats[nodes]))
         )
