@@ -1,15 +1,16 @@
 """Benchmark: per-batch index apply, per-AS table, publish freshness.
 
 Streaming ingestion turns measurement arrival into servable freshness.
-Each batch patches the dataset and rebuilds the serving index from
-scratch (``SnapshotIndex.apply_delta``); the per-AS table behind
-``/as`` and the analytics is built lazily, once per generation that
-needs it.  Both costs grow with snapshot size, so the bench tiles the
-small-scenario snapshot 12x (~35k nodes, ~900 ASes — the shape of the
-default scenario, without its multi-minute pipeline) and reports:
+Each batch patches the dataset and wraps it in a new serving index
+(``SnapshotIndex.apply_delta``), whose lookup structures and per-AS
+table are built on first read: the table behind ``/as`` and the
+analytics once per generation that needs it.  Both costs grow with
+snapshot size, so the bench tiles the small-scenario snapshot 12x
+(~35k nodes, ~900 ASes — the shape of the default scenario, without
+its multi-minute pipeline) and reports:
 
-- **apply** — mean ``SnapshotIndex.apply_delta`` per batch (dataset
-  patch plus index rebuild);
+- **apply** — mean ``SnapshotIndex.apply_delta`` per batch (the
+  dataset patch; nothing reads the index's lookup structures);
 - **AS table** — mean first ``SnapshotIndex.as_table()`` call on each
   post-batch index.
 

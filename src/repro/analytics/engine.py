@@ -73,11 +73,14 @@ class AnalyticsEngine:
             out["mean_locations_per_as"] = float(np.mean(table.n_locations))
             out["mean_as_degree"] = float(np.mean(table.degree))
 
+        # Region tallies over the distinct points; each stands for
+        # ``counts`` nodes.
+        plats, plons, counts, _ = ds.points
         for region in STUDY_REGIONS:
             name = region.name
-            mask = region.contains_mask(ds.lats, ds.lons)
-            occupancy = PatchGrid(region=region).tally(ds.lats, ds.lons)
-            out[f"region_nodes.{name}"] = float(np.count_nonzero(mask))
+            in_region = region.contains_mask(plats, plons)
+            occupancy = PatchGrid(region=region).tally(plats, plons)
+            out[f"region_nodes.{name}"] = float(counts[in_region].sum())
             out[f"occupied_cells.{name}"] = float(np.count_nonzero(occupancy))
             bin_miles = PAPER_BIN_MILES.get(name, DEFAULT_BIN_MILES)
             try:

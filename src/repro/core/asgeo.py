@@ -34,7 +34,6 @@ from repro.core.stats import (
 )
 from repro.datasets.mapped import LOCATION_DECIMALS, MappedDataset
 from repro.errors import AnalysisError, GeoError
-from repro.geo.coords import distinct_points
 from repro.geo.hull import grouped_hull_areas
 from repro.geo.projection import WORLD_ALBERS
 from repro.geo.regions import Region
@@ -126,7 +125,10 @@ def as_table(dataset: MappedDataset) -> AsTable:
         GeoError: when a mapped node's projected position is not finite.
     """
     mapped = np.flatnonzero(dataset.asns != UNMAPPED_ASN)
-    rows = mapped[np.argsort(dataset.asns[mapped], kind="stable")]
+    # Rows grouped by AS, ascending within each AS: the key ASN * n + row
+    # is unique, so an unstable sort gives the stable order.
+    key = dataset.asns[mapped].astype(np.int64) * dataset.n_nodes + mapped
+    rows = mapped[np.argsort(key)]
     starts = np.flatnonzero(_run_starts(dataset.asns[rows]))
     asns = dataset.asns[rows[starts]]
     offsets = np.append(starts, rows.size)
@@ -135,13 +137,13 @@ def as_table(dataset: MappedDataset) -> AsTable:
     lats = dataset.lats[rows]
     lons = dataset.lons[rows]
 
-    # Distinct (AS, point) pairs as integer codes: only the distinct
-    # points are rounded and projected, and the per-AS sorts below are
-    # integer sorts of these pairs.
-    plats, plons, _, point = distinct_points(lats, lons)
+    # Distinct (AS, point) pairs as integer codes over the dataset's
+    # distinct points: only points are rounded and projected, and the
+    # per-AS sorts below are integer sorts of these pairs.
+    plats, plons, _, inverse = dataset.points
     n_points = plats.size
     pair_group, pair_point = np.divmod(
-        _distinct_keys(group, point, n_points), n_points
+        _distinct_keys(group, inverse[rows], n_points), n_points
     )
 
     rank, _ = _dense_rank(
@@ -151,13 +153,17 @@ def as_table(dataset: MappedDataset) -> AsTable:
     n_locations = np.bincount(located // n_points, minlength=asns.size)
 
     # Distinct projected points per AS, sorted by (x, y) and deduped
-    # exactly as convex_hull does.
-    x, y = WORLD_ALBERS.project(plats, plons)
+    # exactly as convex_hull does.  Only the points of mapped rows are
+    # projected (an unmapped node's position is never checked).
+    used = np.zeros(n_points, dtype=bool)
+    used[pair_point] = True
+    x, y = WORLD_ALBERS.project(plats[used], plons[used])
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise GeoError("points must be finite")
+    slot = np.cumsum(used) - 1
     rank, first = _dense_rank(x, y)
     hull_group, hull_rank = np.divmod(
-        _distinct_keys(pair_group, rank[pair_point], n_points), n_points
+        _distinct_keys(pair_group, rank[slot[pair_point]], n_points), n_points
     )
     hull_point = first[hull_rank]
     hull_area = grouped_hull_areas(

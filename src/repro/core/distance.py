@@ -30,7 +30,7 @@ from repro.core.stats import LinearFit, least_squares_fit, semilog_fit
 from repro.datasets.mapped import MappedDataset
 from repro.errors import AnalysisError
 from repro.geo.coords import distinct_points
-from repro.geo.distance import haversine_miles
+from repro.geo.distance import haversine_miles, link_lengths_miles
 from repro.geo.regions import Region
 
 #: Paper bin sizes per study region name (miles).
@@ -86,20 +86,37 @@ def pair_counts(
 ) -> np.ndarray:
     """Exact node-pair counts per distance bin, taken over distinct points.
 
-    Nodes are grouped by their ``(lat, lon)``; the distance between two
-    distinct points counts ``w_i * w_j`` pairs and the ``w * (w - 1) / 2``
-    pairs within one point lie at distance zero, in bin 0.  Binning uses
-    the ``np.histogram`` edges of the link histogram with integer
-    weights, so the result equals a per-pair count exactly: haversine
-    is bitwise symmetric, so which end of a pair comes first does not
-    change its bin.
+    Nodes are grouped by their ``(lat, lon)``
+    (:func:`~repro.geo.coords.distinct_points`) and counted by
+    :func:`point_pair_counts`.
     """
     if bin_miles <= 0:
         raise AnalysisError("bin_miles must be positive")
-    counts = np.zeros(n_bins, dtype=np.int64)
     if lats.shape[0] < 2 or n_bins == 0:
-        return counts
+        return np.zeros(n_bins, dtype=np.int64)
     plats, plons, weights, _ = distinct_points(lats, lons)
+    return point_pair_counts(plats, plons, weights, bin_miles, n_bins)
+
+
+def point_pair_counts(
+    plats: np.ndarray,
+    plons: np.ndarray,
+    weights: np.ndarray,
+    bin_miles: float,
+    n_bins: int,
+) -> np.ndarray:
+    """Node-pair counts per distance bin of nodes grouped at points.
+
+    ``(plats, plons)`` are distinct points in lexicographic order and
+    ``weights`` the number of nodes at each.  The distance between two
+    points counts ``w_i * w_j`` pairs and the ``w * (w - 1) / 2`` pairs
+    within one point lie at distance zero, in bin 0.  Binning uses the
+    ``np.histogram`` edges of the link histogram with integer weights,
+    so the result equals a per-pair count exactly: haversine is bitwise
+    symmetric, so which end of a pair comes first does not change its
+    bin.
+    """
+    counts = np.zeros(n_bins, dtype=np.int64)
     weights = weights.astype(np.int64)
     counts[0] += int(np.sum(weights * (weights - 1) // 2))
     m = plats.size
@@ -145,15 +162,26 @@ def preference_function(
     """
     if bin_miles <= 0 or n_bins < 10:
         raise AnalysisError("bin_miles must be positive and n_bins >= 10")
-    sub = dataset.restrict(region)
-    if sub.n_nodes < 10:
+    # Region membership is a property of a position, so it is decided
+    # once per distinct point; nodes and links inherit it.
+    plats, plons, counts, inverse = dataset.points
+    in_region = region.contains_mask(plats, plons)
+    n_nodes = int(counts[in_region].sum())
+    if n_nodes < 10:
         raise AnalysisError(
-            f"region {region.name!r} has only {sub.n_nodes} mapped nodes"
+            f"region {region.name!r} has only {n_nodes} mapped nodes"
         )
-    lengths = sub.link_lengths()
+    if dataset.n_links:
+        a, b = dataset.links[:, 0], dataset.links[:, 1]
+        keep = in_region[inverse[a]] & in_region[inverse[b]]
+        lengths = link_lengths_miles(dataset.lats, dataset.lons, a[keep], b[keep])
+    else:
+        lengths = np.empty(0)
     edges = np.arange(n_bins + 1, dtype=float) * bin_miles
     link_counts, _ = np.histogram(lengths, bins=edges)
-    pairs = pair_counts(sub.lats, sub.lons, bin_miles, n_bins)
+    pairs = point_pair_counts(
+        plats[in_region], plons[in_region], counts[in_region], bin_miles, n_bins
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         f_hat = np.where(pairs > 0, link_counts / pairs, np.nan)
     return DistancePreference(
@@ -163,7 +191,7 @@ def preference_function(
         link_counts=link_counts.astype(np.int64),
         pair_counts=pairs,
         f_hat=f_hat,
-        n_nodes=sub.n_nodes,
+        n_nodes=n_nodes,
         link_lengths=lengths,
     )
 

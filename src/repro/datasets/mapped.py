@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.bgp.table import UNMAPPED_ASN
 from repro.errors import DatasetError
+from repro.geo.coords import distinct_points
 from repro.geo.distance import link_lengths_miles
 from repro.geo.regions import Region
 
@@ -45,6 +46,12 @@ class MappedDataset:
         asns: origin AS per node (:data:`UNMAPPED_ASN` when the BGP
             table had no covering prefix).
         links: integer array of shape (n_links, 2): node indices.
+
+    The columns are read-only once the dataset is built: derived
+    structures (:attr:`points`, and the lookup tables of every index
+    over the dataset) are memoised on first read, which is only sound
+    while the data under them cannot change.  A caller that needs a
+    changed column builds a new dataset from copies.
     """
 
     label: str
@@ -69,6 +76,17 @@ class MappedDataset:
                 raise DatasetError("link index out of range")
             if np.any(self.links[:, 0] == self.links[:, 1]):
                 raise DatasetError("dataset contains a self-loop link")
+        for name in ("addresses", "lats", "lons", "asns", "links"):
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        # Pickle the columns alone: the copy is rebuilt through the
+        # constructor, so it is read-only too and its memos start empty.
+        return (
+            type(self),
+            (self.label, self.kind, self.addresses, self.lats, self.lons,
+             self.asns, self.links),
+        )
 
     # -- basic shape ---------------------------------------------------------
 
@@ -97,6 +115,24 @@ class MappedDataset:
         if self.n_nodes == 0:
             return 0
         return int(np.unique(self.location_keys(), axis=0).shape[0])
+
+    @property
+    def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct node positions, ``(lats, lons, counts, inverse)``
+        of :func:`~repro.geo.coords.distinct_points`, built on first read
+        and memoised (read-only, like the columns).
+
+        Mapped nodes sit at few distinct points, so per-region and per-AS
+        work (pair counts, region membership, hull projection) runs over
+        these instead of over every node.
+        """
+        memo = self.__dict__.get("_points")
+        if memo is None:
+            memo = distinct_points(self.lats, self.lons)
+            for array in memo:
+                array.flags.writeable = False
+            object.__setattr__(self, "_points", memo)
+        return memo
 
     # -- geometry ------------------------------------------------------------
 

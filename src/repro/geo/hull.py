@@ -26,8 +26,11 @@ def hull_edges(
     ``(group, x, y)``.  Each group's lower chain walks its points in that
     order and its upper chain walks them backwards.  A chain point is
     dropped while its two current neighbours in the same chain do not
-    make a strict left turn (``cross <= 0``, so collinear points go);
-    every pass drops all such points at once, until a pass drops none.
+    make a strict left turn (``cross <= 0``, so collinear points go).
+    Every pass drops all such points at once, except that of two
+    adjacent ones only the first goes (the second's test used a
+    neighbour that is leaving, and with rounded cross products that
+    test can condemn a true vertex); passes repeat until one drops none.
     What is left of each chain is what Andrew's monotone chain keeps,
     point for point whenever the cross products are exact (as on
     integer coordinates).
@@ -46,10 +49,12 @@ def hull_edges(
     while walk.size > 2:
         ox, oy = wx[:-2], wy[:-2]
         cross = (wx[1:-1] - ox) * (wy[2:] - oy) - (wy[1:-1] - oy) * (wx[2:] - ox)
-        keep = np.ones(walk.size, dtype=bool)
-        keep[1:-1] = ~((chain[:-2] == chain[2:]) & (cross <= 0))
-        if keep.all():
+        drop = np.zeros(walk.size, dtype=bool)
+        drop[1:-1] = (chain[:-2] == chain[2:]) & (cross <= 0)
+        if not drop.any():
             break
+        drop[1:] &= ~drop[:-1]
+        keep = ~drop
         walk, chain, wx, wy = walk[keep], chain[keep], wx[keep], wy[keep]
     edge = chain[:-1] == chain[1:]
     return walk[:-1][edge], walk[1:][edge]

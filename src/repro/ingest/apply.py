@@ -46,20 +46,20 @@ class PatchInfo:
 
 
 def _resolve_rows(
-    table: np.ndarray, queries: np.ndarray, *, what: str
+    order: np.ndarray, sorted_table: np.ndarray, queries: np.ndarray, *,
+    what: str,
 ) -> np.ndarray:
-    """Row index of each query address in ``table``.
+    """Row index of each query address, given a table's stable argsort
+    ``order`` and the sorted table ``sorted_table``.
 
     Raises:
         IngestError: when any query address is absent.
     """
     if queries.size == 0:
         return np.empty(0, dtype=np.intp)
-    if table.size == 0:
+    if sorted_table.size == 0:
         raise IngestError(f"{what} references unknown address "
                           f"{int(queries[0])}")
-    order = np.argsort(table, kind="stable")
-    sorted_table = table[order]
     pos = np.searchsorted(sorted_table, queries)
     pos = np.minimum(pos, sorted_table.shape[0] - 1)
     missing = sorted_table[pos] != queries
@@ -95,23 +95,30 @@ def patch_dataset(
             existing adjacency (either orientation) or lacks endpoints.
     """
     n_old = dataset.n_nodes
-    if batch.add_addresses.size and dataset.addresses.size:
-        clash = _isin(batch.add_addresses, dataset.addresses)
-        if np.any(clash):
-            bad = batch.add_addresses[clash][0]
-            raise IngestError(f"address {int(bad)} already exists")
     addresses = np.concatenate([dataset.addresses, batch.add_addresses])
     lats = np.concatenate([dataset.lats, batch.add_lats])
     lons = np.concatenate([dataset.lons, batch.add_lons])
     asns = np.concatenate([dataset.asns, batch.add_asns])
     n_new = addresses.shape[0]
+    # One stable sort of the patched address column answers every
+    # address question of the batch.  Among equal addresses the lowest
+    # row sorts first, so an add clashes exactly when its first row is
+    # an old one.
+    order = np.argsort(addresses, kind="stable")
+    sorted_addresses = addresses[order]
+    if batch.add_addresses.size:
+        first = order[np.searchsorted(sorted_addresses, batch.add_addresses)]
+        clash = first < n_old
+        if np.any(clash):
+            bad = batch.add_addresses[clash][0]
+            raise IngestError(f"address {int(bad)} already exists")
 
     if batch.add_links.size:
         end_a = _resolve_rows(
-            addresses, batch.add_links[:, 0], what="add_links"
+            order, sorted_addresses, batch.add_links[:, 0], what="add_links"
         )
         end_b = _resolve_rows(
-            addresses, batch.add_links[:, 1], what="add_links"
+            order, sorted_addresses, batch.add_links[:, 1], what="add_links"
         )
         new_pairs = np.column_stack([end_a, end_b]).astype(np.intp)
         lo = np.minimum(end_a, end_b).astype(np.int64)
@@ -140,7 +147,7 @@ def patch_dataset(
         links = new_pairs
 
     moved_rows = _resolve_rows(
-        addresses, batch.move_addresses, what="move_addresses"
+        order, sorted_addresses, batch.move_addresses, what="move_addresses"
     )
     if moved_rows.size:
         if np.unique(moved_rows).size != moved_rows.size:
@@ -148,7 +155,8 @@ def patch_dataset(
         lats[moved_rows] = batch.move_lats
         lons[moved_rows] = batch.move_lons
     remapped_rows = _resolve_rows(
-        addresses, batch.remap_addresses, what="remap_addresses"
+        order, sorted_addresses, batch.remap_addresses,
+        what="remap_addresses",
     )
     if remapped_rows.size:
         if np.unique(remapped_rows).size != remapped_rows.size:

@@ -1,27 +1,27 @@
-"""Indexed in-memory view of one snapshot, built once, queried many times.
+"""Indexed in-memory view of one snapshot, queried many times.
 
-A :class:`SnapshotIndex` loads a serialized :class:`MappedDataset` and
-precomputes every lookup structure the query server needs so request
-handling never touches O(n) scans:
+A :class:`SnapshotIndex` wraps a serialized :class:`MappedDataset` with
+every lookup structure the query server needs, so request handling
+never touches O(n) scans.  Each structure is built on its first read
+and memoised, so an index pays only for what is asked of it:
 
 - address -> node row via one sorted-array ``searchsorted`` (O(log n),
   vectorised for batches);
-- node degree from the link table (one ``bincount`` at build);
+- node degree from the link table;
 - the per-AS table (node/location counts, centroid, convex-hull extent,
-  AS-graph degree; :func:`repro.core.asgeo.as_table`), computed lazily
-  on the first ``/as`` question and memoised;
+  AS-graph degree; :func:`repro.core.asgeo.as_table`), built on the
+  first ``/as`` question;
 - a grid-bucketed spatial index (the paper's 75-arc-minute patches)
   backing nearest-node and radius queries by ring search;
-- per-region distance-preference tables (Section V's ``f_hat(d)``),
-  computed lazily on first request and memoised (pair counts over the
-  region's distinct locations, :func:`repro.core.distance.pair_counts`).
+- per-region distance-preference tables (Section V's ``f_hat(d)``,
+  :func:`repro.core.distance.preference_function`), one per region.
 
-The index is immutable after construction and safe for concurrent
-readers; the only mutations are the memoised lazy tables.  Streaming
-updates go through :meth:`SnapshotIndex.apply_delta`, which patches the
-dataset and builds a *new* index from scratch, one generation on.
-Every build is from scratch; there is no on-disk cache of the derived
-tables, because building them costs a few milliseconds.
+The dataset is read-only and the index immutable after construction,
+so it is safe for concurrent readers; the only mutations are the memos.
+Streaming updates go through :meth:`SnapshotIndex.apply_delta`, which
+patches the dataset and returns a *new* index over it, one generation
+on, whose memos start empty.  There is no on-disk cache of the derived
+structures, because building them costs a few milliseconds.
 """
 
 from __future__ import annotations
@@ -133,33 +133,18 @@ class SnapshotIndex:
         self._n_rows = max(1, int(np.ceil(self._region.lat_span / self._cell_deg)))
         self._n_cols = max(1, int(np.ceil(self._region.lon_span / self._cell_deg)))
 
-        # Address -> row: one sort at build, binary search per lookup.
-        self._addr_order = np.argsort(dataset.addresses, kind="stable")
-        self._sorted_addresses = dataset.addresses[self._addr_order]
-
-        # Node degree from the link table.  A partition's degrees are a
-        # slice of the full table (links to other shards still count).
-        if partition is not None:
-            self._degrees = partition.degrees
-        else:
-            self._degrees = np.zeros(dataset.n_nodes, dtype=np.int64)
-            if dataset.n_links:
-                np.add.at(self._degrees, dataset.links.ravel(), 1)
-
-        # Spatial grid: every node bucketed into a 75' world patch.
-        self._cells = self._cell_of(dataset.lats, dataset.lons)
-        self._cell_order = np.argsort(self._cells, kind="stable")
-        sorted_cells = self._cells[self._cell_order]
-        first = np.ones(sorted_cells.size, dtype=bool)
-        first[1:] = sorted_cells[1:] != sorted_cells[:-1]
-        starts = np.flatnonzero(first)
-        stops = np.append(starts[1:], sorted_cells.size)
-        self._cell_slices: dict[int, tuple[int, int]] = dict(
-            zip(
-                sorted_cells[starts].tolist(),
-                zip(starts.tolist(), stops.tolist()),
-            )
+        # Lookup structures (address order, degrees, spatial grid) are
+        # memos built on first read, like the content digest: a per-batch
+        # apply_delta builds an index that the ingest process may never
+        # query.  Each memo is one tuple assigned at once, so concurrent
+        # first readers may both build it but never see half of one.
+        self._addr_memo: tuple[np.ndarray, np.ndarray] | None = None
+        self._degree_memo: np.ndarray | None = (
+            None if partition is None else partition.degrees
         )
+        self._grid_memo: (
+            tuple[np.ndarray, np.ndarray, dict[int, tuple[int, int]]] | None
+        ) = None
 
         # Per-AS table: lazy, like the content digest (see as_table).  A
         # partition ships precomputed full-snapshot records for its
@@ -180,6 +165,74 @@ class SnapshotIndex:
         if self._snapshot_hash is None:
             self._snapshot_hash = dataset_digest(self._full)
         return self._snapshot_hash
+
+    # -- lookup structures (memos) --------------------------------------------
+
+    @property
+    def _addr_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Address -> row: ``(stable argsort of the addresses, the sorted
+        addresses)``, searched by binary search per lookup."""
+        memo = self._addr_memo
+        if memo is None:
+            order = np.argsort(self.dataset.addresses, kind="stable")
+            memo = self._addr_memo = (order, self.dataset.addresses[order])
+        return memo
+
+    @property
+    def _addr_order(self) -> np.ndarray:
+        return self._addr_lookup[0]
+
+    @property
+    def _sorted_addresses(self) -> np.ndarray:
+        return self._addr_lookup[1]
+
+    @property
+    def _degrees(self) -> np.ndarray:
+        """Node degree from the link table.  A partition's degrees are a
+        slice of the full table (links to other shards still count)."""
+        memo = self._degree_memo
+        if memo is None:
+            ds = self.dataset
+            memo = np.zeros(ds.n_nodes, dtype=np.int64)
+            if ds.n_links:
+                np.add.at(memo, ds.links.ravel(), 1)
+            self._degree_memo = memo
+        return memo
+
+    @property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[int, int]]]:
+        """Spatial grid: every node bucketed into a 75' world patch, as
+        ``(cell per node, node rows in cell order, cell -> (lo, hi)
+        slice of that order)``."""
+        memo = self._grid_memo
+        if memo is None:
+            cells = self._cell_of(self.dataset.lats, self.dataset.lons)
+            order = np.argsort(cells, kind="stable")
+            sorted_cells = cells[order]
+            first = np.ones(sorted_cells.size, dtype=bool)
+            first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+            starts = np.flatnonzero(first)
+            stops = np.append(starts[1:], sorted_cells.size)
+            slices = dict(
+                zip(
+                    sorted_cells[starts].tolist(),
+                    zip(starts.tolist(), stops.tolist()),
+                )
+            )
+            memo = self._grid_memo = (cells, order, slices)
+        return memo
+
+    @property
+    def _cells(self) -> np.ndarray:
+        return self._grid[0]
+
+    @property
+    def _cell_order(self) -> np.ndarray:
+        return self._grid[1]
+
+    @property
+    def _cell_slices(self) -> dict[int, tuple[int, int]]:
+        return self._grid[2]
 
     # -- partition builds ----------------------------------------------------
 
@@ -271,10 +324,10 @@ class SnapshotIndex:
     # -- delta updates -------------------------------------------------------
 
     def apply_delta(self, batch) -> "SnapshotIndex":
-        """A new index, one ``gen`` on, built from scratch over this
-        snapshot patched by one delta batch
-        (:func:`~repro.ingest.apply.patch_dataset`).  Its lazy tables
-        (content digest, per-AS table, distance preference) start empty.
+        """A new index, one ``gen`` on, over this snapshot patched by one
+        delta batch (:func:`~repro.ingest.apply.patch_dataset`).  All its
+        memos (lookup structures, content digest, per-AS table, distance
+        preference) start empty, exactly as in a fresh index.
 
         Raises:
             IngestError: when the batch does not fit this snapshot.

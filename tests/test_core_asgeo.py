@@ -20,7 +20,7 @@ from repro.core.asgeo import (
     size_distributions,
 )
 from repro.datasets.mapped import MappedDataset
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, GeoError
 from repro.geo.hull import convex_hull_area
 from repro.geo.projection import WORLD_ALBERS
 from repro.geo.regions import EUROPE, STUDY_REGIONS, US
@@ -156,6 +156,28 @@ class TestAsTable:
             assert table.n_ases == 0
             assert table.hull_area.shape == table.degree.shape == (0,)
             assert table.offsets.tolist() == [0]
+
+    @pytest.mark.parametrize("lat", [np.nan, 95.0])
+    def test_only_mapped_positions_are_projected(self, lat):
+        # An unmapped node is no AS's point: its position is neither
+        # projected nor checked, while a mapped one at it still raises.
+        ds = _dataset()
+        reference = as_table(ds)
+
+        def with_node(asn):
+            return MappedDataset(
+                label=ds.label, kind=ds.kind,
+                addresses=np.arange(ds.n_nodes + 1, dtype=np.int64),
+                lats=np.append(ds.lats, lat), lons=np.append(ds.lons, 0.0),
+                asns=np.append(ds.asns, asn), links=ds.links,
+            )
+
+        table = as_table(with_node(UNMAPPED_ASN))
+        for name in ("asns", "n_nodes", "n_locations", "degree", "centroid_lat",
+                     "centroid_lon", "hull_area", "rows", "offsets"):
+            assert getattr(table, name).tolist() == getattr(reference, name).tolist()
+        with pytest.raises(GeoError):
+            as_table(with_node(3))
 
     def test_views_share_the_table(self):
         ds = _dataset()

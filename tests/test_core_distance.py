@@ -170,6 +170,50 @@ class TestPairCountsRows:
         assert total.tolist() == full.tolist()
 
 
+#: A region with edges on both signed zeros.
+EDGE_REGION = Region("Edge", north=0.0, south=-5.0, west=0.0, east=8.0)
+_edge_lats = st.one_of(
+    st.sampled_from([0.0, -0.0, -5.0, np.nextafter(-5.0, -6.0), 5e-324, -2.5]),
+    st.floats(-6.0, 1.0),
+)
+_edge_lons = st.one_of(
+    st.sampled_from([0.0, -0.0, 8.0, np.nextafter(8.0, 9.0), -5e-324, 4.0]),
+    st.floats(-1.0, 9.0),
+)
+
+
+@st.composite
+def _edge_datasets(draw) -> MappedDataset:
+    """Nodes at a few points on and around :data:`EDGE_REGION`'s edges,
+    with random links (possibly none)."""
+    pool = draw(st.lists(st.tuples(_edge_lats, _edge_lons), min_size=1, max_size=10))
+    n = draw(st.integers(0, 40))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    points = np.array([pool[k] for k in picks], dtype=float).reshape(-1, 2)
+    pairs = []
+    if n >= 2:
+        ends = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                              max_size=60))
+    return MappedDataset(
+        label="edge", kind="skitter",
+        addresses=np.arange(n, dtype=np.int64),
+        lats=points[:, 0], lons=points[:, 1],
+        asns=np.ones(n, dtype=np.int64),
+        links=np.array(pairs, dtype=np.intp).reshape(-1, 2),
+    )
+
+
+def _restricted_preference(ds, region, bin_miles, n_bins):
+    """The reference: ``n_nodes``, link histogram, pair counts and link
+    lengths of a restricted copy of the dataset."""
+    sub = ds.restrict(region)
+    edges = np.arange(n_bins + 1, dtype=float) * bin_miles
+    lengths = sub.link_lengths()
+    links, _ = np.histogram(lengths, bins=edges)
+    return sub.n_nodes, links, pair_counts(sub.lats, sub.lons, bin_miles, n_bins), lengths
+
+
 class TestPreferenceFunction:
     def test_f_hat_is_ratio(self):
         ds = _waxman_dataset()
@@ -196,6 +240,26 @@ class TestPreferenceFunction:
         half = 20
         e = np.nan_to_num(pref.f_hat)
         assert e[:half].mean() > e[half : 2 * half].mean()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_datasets(), st.sampled_from([10.0, 75.0, 400.0]))
+    def test_equals_restricted_copy(self, ds, bin_miles):
+        # Region membership taken once per distinct point gives what a
+        # restricted copy of the nodes gives, bit for bit: on the edges,
+        # at signed zeros, with no links and below ten nodes.
+        n_nodes, links, pairs, lengths = _restricted_preference(
+            ds, EDGE_REGION, bin_miles, 10
+        )
+        if n_nodes < 10:
+            with pytest.raises(AnalysisError, match=f"only {n_nodes} mapped"):
+                preference_function(ds, EDGE_REGION, bin_miles, n_bins=10)
+            return
+        pref = preference_function(ds, EDGE_REGION, bin_miles, n_bins=10)
+        assert pref.n_nodes == n_nodes
+        assert pref.link_counts.tolist() == links.tolist()
+        assert pref.pair_counts.tolist() == pairs.tolist()
+        assert pref.link_lengths.dtype == lengths.dtype
+        assert pref.link_lengths.tobytes() == lengths.tobytes()
 
     def test_too_few_nodes_raise(self):
         ds = _waxman_dataset(n=400)

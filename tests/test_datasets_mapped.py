@@ -1,5 +1,7 @@
 """Tests for repro.datasets.mapped."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.bgp.table import UNMAPPED_ASN
 from repro.core.asgeo import as_table
 from repro.datasets.mapped import MappedDataset
 from repro.errors import DatasetError
+from repro.geo.coords import distinct_points
 from repro.geo.regions import Region
 
 
@@ -57,6 +60,33 @@ class TestValidation:
                 asns=np.zeros(2, dtype=np.int64),
                 links=np.array([[1, 1]], dtype=np.intp),
             )
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("column", ["addresses", "lats", "lons", "asns", "links"])
+    def test_columns_are_read_only(self, column):
+        ds = _dataset()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, column)[0] = 1
+
+    def test_points_are_memoised_and_read_only(self):
+        ds = _dataset()
+        points = ds.points
+        assert ds.points is points
+        expected = distinct_points(ds.lats, ds.lons)
+        for got, want in zip(points, expected):
+            assert got.tolist() == want.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+
+    def test_pickled_copy_is_read_only_without_memo(self):
+        ds = _dataset()
+        ds.points
+        copy = pickle.loads(pickle.dumps(ds))
+        assert "_points" not in vars(copy)
+        assert copy.lats.tolist() == ds.lats.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            copy.lats[0] = 0.0
 
 
 class TestLocations:

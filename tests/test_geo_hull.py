@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -100,6 +100,13 @@ class TestConvexHull:
     def test_empty_input(self):
         assert convex_hull(np.empty((0, 2))).shape == (0, 2)
 
+    @pytest.mark.parametrize("tiny", [7.77e-175, 1e-20])
+    def test_rounded_turns_keep_true_vertex(self, tiny):
+        pts = np.array([[0.0, 0.0], [0.0, tiny], [0.0, -1.0], [1.0, 0.0], [1.0, -1.0]])
+        hull = convex_hull(pts)
+        assert hull.tolist() == [[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [0.0, tiny]]
+        assert convex_hull_area(pts) == ConvexHull(pts).volume == 1.0
+
     def test_bad_shape_raises(self):
         with pytest.raises(GeoError):
             convex_hull(np.zeros((3, 3)))
@@ -110,6 +117,9 @@ class TestConvexHull:
 
     @settings(max_examples=60)
     @given(point_sets)
+    # Two adjacent chain points whose cross products both round to <= 0:
+    # dropping both in one pass lost the true vertex (0, 7.77e-175).
+    @example([(0.0, 0.0), (0.0, 7.77e-175), (0.0, -1.0), (1.0, 0.0), (1.0, -1.0)])
     def test_hull_contains_all_points(self, raw):
         pts = np.asarray(raw, dtype=float).reshape(-1, 2)
         hull = convex_hull(pts)

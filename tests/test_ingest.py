@@ -371,6 +371,28 @@ class TestIncrementalIndex:
                 err_msg=column.name,
             )
 
+    def test_apply_delta_builds_no_lookup_memo(self, dataset):
+        # A patched index builds its lookup structures on first read,
+        # and then answers as a fresh index over the same data does.
+        batch = DeltaStream(dataset, np.random.default_rng(7)).next_batch(
+            n_adds=6, n_links=8, n_moves=3, n_remaps=2
+        )
+        index = SnapshotIndex(dataset).apply_delta(batch)
+        assert index._addr_memo is None
+        assert index._degree_memo is None
+        assert index._grid_memo is None
+        fresh = SnapshotIndex(patch_dataset(dataset, batch)[0])
+        final = index.dataset.addresses
+        probes = np.append(final[::7], [final.max() + 1, final[-1]])
+        assert index.rows_of(probes).tolist() == fresh.rows_of(probes).tolist()
+        assert index.nearest(40.0, -95.0, k=7) == fresh.nearest(40.0, -95.0, k=7)
+        assert index.locate(int(final[-1])) == fresh.locate(int(final[-1]))
+        stats, fresh_stats = index.stats(), fresh.stats()
+        for facts in (stats, fresh_stats):
+            for key in ("gen", "built_unix", "build_seconds"):
+                facts.pop(key)
+        assert stats == fresh_stats
+
     def test_http_responses_bit_identical(self, pair, dataset):
         """/locate, /near, /as/<asn>, /distance-preference answer with
         byte-identical bodies from both indexes, over real HTTP."""

@@ -183,6 +183,35 @@ class TestSnapshotIndex:
         with pytest.raises(AnalysisError):  # memoised failure, same type
             index.distance_preference(region)
 
+    def test_concurrent_first_reads_agree(self, dataset):
+        # Eight threads make the first reads of a fresh index at once:
+        # each memo may be built more than once, but every reader gets
+        # the answers of an index read from one thread.
+        probes = np.append(dataset.addresses[::3], [-1, dataset.addresses.max() + 1])
+        points = [(40.0, -95.0), (51.0, 0.5), (35.7, 139.7), (-33.9, 151.2)]
+
+        def answers(index):
+            return (
+                index.rows_of(probes).tolist(),
+                [index.nearest(lat, lon, k=5) for lat, lon in points],
+            )
+
+        expected = answers(SnapshotIndex(dataset))
+        index = SnapshotIndex(dataset)
+        start = threading.Barrier(8, timeout=30)
+        results = [None] * 8
+
+        def read(i):
+            start.wait()
+            results[i] = answers(index)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert results == [expected] * 8
+
     def test_stats_shape(self, index, dataset):
         stats = index.stats()
         assert stats["n_nodes"] == dataset.n_nodes
