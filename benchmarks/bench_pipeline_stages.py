@@ -22,7 +22,7 @@ from repro.config import (
 )
 from repro.core.distance import pair_counts
 from repro.datasets.pipeline import build_snapshot
-from repro.geoloc.base import build_context, locate_batch
+from repro.geoloc.base import Locations, build_context, locate_batch
 from repro.geoloc.ixmapper import IxMapper
 from repro.measure.artifacts import clean_inventory
 from repro.measure.mercator import run_mercator
@@ -125,9 +125,10 @@ def test_pipeline_stage_timing_baseline():
     ``benchmarks/output/`` unchanged.
 
     The pipeline runs ``STAGE_ROUNDS`` times.  The headlines are medians
-    over the runs: the total, ``map_s`` (the four ``map:*`` passes
-    together) and ``ground_truth_s``, so bench history shows which layer
-    moved.  The stage list is the run with the median total.
+    over the runs: the total, the two measurement campaigns
+    (``skitter_s``, ``mercator_s``), ``map_s`` (the four ``map:*``
+    passes together) and ``ground_truth_s``, so bench history shows
+    which layer moved.  The stage list is the run with the median total.
     """
     from repro.config import small_scenario
     from repro.datasets.pipeline import build_pipeline_graph, run_pipeline
@@ -149,9 +150,15 @@ def test_pipeline_stage_timing_baseline():
     map_s = median_of(
         lambda t: sum(e.wall_s for e in t.events if e.stage.startswith("map:"))
     )
-    ground_truth_s = median_of(
-        lambda t: sum(e.wall_s for e in t.events if e.stage == "ground_truth")
-    )
+
+    def stage_s(name: str) -> float:
+        return median_of(
+            lambda t: sum(e.wall_s for e in t.events if e.stage == name)
+        )
+
+    skitter_s = stage_s("skitter")
+    mercator_s = stage_s("mercator")
+    ground_truth_s = stage_s("ground_truth")
     telemetry = sorted(runs, key=lambda t: t.total_wall_s())[STAGE_ROUNDS // 2]
     print(telemetry.render_profile())
 
@@ -164,12 +171,16 @@ def test_pipeline_stage_timing_baseline():
             "scale": "small",
             "rounds": STAGE_ROUNDS,
             "total_wall_s": total_wall_s,
+            "skitter_s": skitter_s,
+            "mercator_s": mercator_s,
             "map_s": map_s,
             "ground_truth_s": ground_truth_s,
             "stages": [e.to_dict() for e in events],
         },
         headline={
             "total_wall_s": (total_wall_s, "lower"),
+            "skitter_s": (skitter_s, "lower"),
+            "mercator_s": (mercator_s, "lower"),
             "map_s": (map_s, "lower"),
             "ground_truth_s": (ground_truth_s, "lower"),
         },
@@ -185,11 +196,12 @@ def test_locate_many_speedup_visible(bench_world, bench_truth):
 
     Times ``locate_batch`` alone over one inventory's member interfaces,
     once through IxMapper's vectorised ``locate_many`` and once through
-    a wrapper whose ``locate_many`` loops over ``locate``.  Batch and
-    scalar rounds alternate, so a noisy host slows both arms alike, and
-    the medians of ``SPEEDUP_ROUNDS`` rounds are compared.  The vote and
-    AS mapping of ``build_snapshot`` are identical in both arms and are
-    not timed; both arms must still produce equal results and datasets.
+    a wrapper whose ``locate_many`` loops over ``locate`` (a batch of
+    one each).  Batch and scalar rounds alternate, so a noisy host slows
+    both arms alike, and the medians of ``SPEEDUP_ROUNDS`` rounds are
+    compared.  The vote and AS mapping of ``build_snapshot`` are
+    identical in both arms and are not timed; both arms must still
+    produce equal answers and datasets.
     """
     topology, plan, _ = bench_truth
     rng = np.random.default_rng(5)
@@ -203,11 +215,7 @@ def test_locate_many_speedup_visible(bench_world, bench_truth):
         rng,
     )
     cleaned, _ = clean_inventory(inventory)
-    members = [
-        member
-        for node in sorted(cleaned.nodes)
-        for member in cleaned.aliases[node]
-    ]
+    members = cleaned.members
 
     class _ScalarOnly:
         """Wraps a mapper, locating a batch one ``locate`` call at a time."""
@@ -218,7 +226,9 @@ def test_locate_many_speedup_visible(bench_world, bench_truth):
         name = "IxMapper"
 
         def locate_many(self, addresses):
-            return [self._inner.locate(address) for address in addresses]
+            return Locations.from_results(
+                [self._inner.locate(address) for address in addresses.tolist()]
+            )
 
     arms = {
         "batch": lambda: IxMapper(context, np.random.default_rng(6)),
@@ -234,7 +244,7 @@ def test_locate_many_speedup_visible(bench_world, bench_truth):
             start = time.perf_counter()
             results[name] = locate_batch(mapper, members)
             times[name].append(time.perf_counter() - start)
-    assert results["batch"] == results["scalar"]
+    assert results["batch"].results() == results["scalar"].results()
     batch_ds, _ = build_snapshot(cleaned, arms["batch"](), table, "bench")
     scalar_ds, _ = build_snapshot(cleaned, arms["scalar"](), table, "bench")
     assert np.array_equal(batch_ds.addresses, scalar_ds.addresses)

@@ -40,9 +40,8 @@ def owners(topology, addresses) -> np.ndarray:
 
 def link_recall(topology, inventory) -> float:
     """Fraction of true links with at least one observed counterpart."""
-    pairs = np.array(list(inventory.links), dtype=np.int64).reshape(-1, 2)
-    ra = owners(topology, pairs[:, 0])
-    rb = owners(topology, pairs[:, 1])
+    ra = owners(topology, inventory.links[:, 0])
+    rb = owners(topology, inventory.links[:, 1])
     observed_router_pairs = set(
         zip(np.minimum(ra, rb).tolist(), np.maximum(ra, rb).tolist())
     )
@@ -51,7 +50,7 @@ def link_recall(topology, inventory) -> float:
 
 def router_recall(topology, inventory) -> float:
     """Fraction of true routers observed at least once."""
-    seen = set(owners(topology, list(inventory.nodes)).tolist())
+    seen = set(owners(topology, inventory.nodes).tolist())
     return len(seen) / topology.n_routers
 
 

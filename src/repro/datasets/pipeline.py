@@ -30,12 +30,12 @@ from repro.config import ScenarioConfig
 from repro.datasets.mapped import LOCATION_DECIMALS, MappedDataset
 from repro.datasets.serialize import dataset_from_dict, dataset_to_dict
 from repro.errors import DatasetError
-from repro.geo.coords import distinct_points, points_to_arrays
+from repro.geo.coords import distinct_points
 from repro.geoloc.base import GeoContext, Geolocator, build_context, locate_batch
 from repro.geoloc.edgescape import EdgeScape
 from repro.geoloc.ixmapper import IxMapper
 from repro.measure.artifacts import clean_inventory
-from repro.measure.inventory import RawInventory
+from repro.measure.inventory import RawInventory, positions
 from repro.measure.mercator import run_mercator
 from repro.measure.skitter import run_skitter
 from repro.net.addressing import AddressPlan
@@ -165,21 +165,15 @@ def build_snapshot(
         DatasetError: if the inventory fails validation.
     """
     inventory.validate()
-    ordered_nodes = sorted(inventory.nodes)
-    n_nodes = len(ordered_nodes)
-    member_lists = [inventory.aliases[node] for node in ordered_nodes]
-    sizes = np.fromiter(map(len, member_lists), dtype=np.intp, count=n_nodes)
-    flat_members = [member for members in member_lists for member in members]
-    member_node = np.repeat(np.arange(n_nodes), sizes)
-    results = locate_batch(geolocator, flat_members)
+    nodes = inventory.nodes
+    n_nodes = int(nodes.size)
+    members = inventory.members
+    member_node = np.searchsorted(nodes, inventory.member_nodes)
+    located = locate_batch(geolocator, members)
 
     # Location vote over the members the tool could place.
-    mapped = np.fromiter(
-        (result.mapped for result in results), dtype=bool, count=len(results)
-    )
-    lats, lons = points_to_arrays(
-        [result.location for result in results if result.mapped]
-    )
+    mapped = located.mapped
+    lats, lons = located.lats[mapped], located.lons[mapped]
     # Keys round each distinct point once, with Python's correctly
     # rounded ``round`` (``np.round(0.15, 1)`` is 0.2; ``round`` gives 0.1).
     point_lats, point_lons, _, point_of = distinct_points(lats, lons)
@@ -202,20 +196,15 @@ def build_snapshot(
     survives = np.zeros(n_nodes, dtype=bool)
     survives[kept_nodes] = True
     voting = survives[member_node]
-    member_asns = bgp_table.origin_many(
-        np.asarray(flat_members, dtype=np.int64)[voting]
-    )
+    member_asns = bgp_table.origin_many(members[voting])
     _, as_winners, _ = _grouped_mode(member_node[voting], member_asns)
     kept_asns = member_asns[as_winners]
 
-    kept_addresses = np.asarray(ordered_nodes, dtype=np.int64)[kept_nodes]
+    kept_addresses = nodes[kept_nodes]
     links = np.empty((0, 2), dtype=np.intp)
-    if inventory.links and kept_addresses.size:
-        pairs = np.asarray(list(inventory.links), dtype=np.int64)
-        slots = np.searchsorted(kept_addresses, pairs)
-        slots[slots == kept_addresses.size] = 0
-        both_kept = np.all(kept_addresses[slots] == pairs, axis=1)
-        links = slots[both_kept].astype(np.intp)
+    if inventory.n_links and kept_addresses.size:
+        rows = positions(kept_addresses, inventory.links)
+        links = rows[np.all(rows >= 0, axis=1)]
     dataset = MappedDataset(
         label=label,
         kind=inventory.kind,

@@ -8,6 +8,7 @@ from repro.geoloc.base import (
     METHOD_WHOIS,
     GeoContext,
     Geolocator,
+    Locations,
     MappingResult,
     build_context,
     locate_batch,
@@ -26,6 +27,7 @@ __all__ = [
     "METHOD_WHOIS",
     "GeoContext",
     "Geolocator",
+    "Locations",
     "MappingResult",
     "build_context",
     "locate_batch",

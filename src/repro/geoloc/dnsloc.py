@@ -22,20 +22,16 @@ def build_loc_records(
     Returns:
         interface address -> exact router location.
     """
-    records: dict[int, GeoPoint] = {}
     if rate <= 0 or topology.n_interfaces == 0:
-        return records
-    # One uniform draw per interface in insertion order: the same stream
-    # the scalar per-interface loop consumed.
-    draws = rng.random(topology.n_interfaces)
-    selected = np.flatnonzero(draws < rate)
-    if selected.size == 0:
-        return records
-    addresses = topology.interface_addresses()[selected]
+        return {}
+    # One uniform draw per interface, in insertion order.
+    selected = np.flatnonzero(rng.random(topology.n_interfaces) < rate)
+    addresses = topology.interface_addresses()[selected].tolist()
     routers = topology.interface_routers()[selected]
     lats, lons = topology.router_coordinates()
-    for address, lat, lon in zip(
-        addresses.tolist(), lats[routers].tolist(), lons[routers].tolist()
-    ):
-        records[address] = GeoPoint(lat=lat, lon=lon)
-    return records
+    return {
+        address: GeoPoint(lat=lat, lon=lon)
+        for address, lat, lon in zip(
+            addresses, lats[routers].tolist(), lons[routers].tolist()
+        )
+    }

@@ -11,36 +11,15 @@ hostname/ISP techniques moved the state of the art.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.geoloc.base import (
-    METHOD_UNMAPPED,
-    METHOD_WHOIS,
-    GeoContext,
-    MappingResult,
-    WhoisBackedGeolocator,
-)
-from repro.geoloc.whois import OrgRecord
+from repro.geoloc.base import WhoisBackedGeolocator
 
 
 class NetGeo(WhoisBackedGeolocator):
     """Whois-registry-only geolocator (every host maps to its org HQ)."""
 
-    def __init__(
-        self,
-        context: GeoContext,
-        rng: np.random.Generator,
-        failure_rate: float = 0.05,
-    ) -> None:
-        super().__init__(context, rng, failure_rate)
+    failure_rate = 0.05
 
     @property
     def name(self) -> str:
         """Tool name as used in dataset labels."""
         return "NetGeo"
-
-    def _resolve(self, address: int, org: OrgRecord | None) -> MappingResult:
-        """The whois answer (the address itself plays no part)."""
-        if org is None:
-            return MappingResult(location=None, method=METHOD_UNMAPPED)
-        return MappingResult(location=org.headquarters, method=METHOD_WHOIS)

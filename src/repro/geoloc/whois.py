@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.bgp.table import PrefixMatch
 from repro.geo.coords import GeoPoint
+from repro.measure.inventory import positions
 from repro.net.addressing import AddressPlan
 from repro.net.elements import AutonomousSystem
 from repro.net.ip import Prefix
@@ -48,6 +51,12 @@ class WhoisRegistry:
     ) -> None:
         self._orgs = orgs
         self._match = PrefixMatch(allocations)
+        self._org_asns = np.array(sorted(orgs), dtype=np.int64)
+        # Headquarters per organisation (ASN order), then a no-org entry.
+        self._hq = np.array(
+            [(orgs[a].headquarters.lat, orgs[a].headquarters.lon) for a in sorted(orgs)]
+            + [(np.nan, np.nan)]
+        )
 
     @classmethod
     def from_plan(
@@ -70,6 +79,16 @@ class WhoisRegistry:
         """
         orgs = self._orgs
         return [orgs.get(asn) for asn in self._match.origins(addresses).tolist()]
+
+    def headquarters(self, addresses) -> tuple[np.ndarray, np.ndarray]:
+        """``(lats, lons)`` of the organisation registered for each
+        address, NaN where none is: :meth:`lookup_many` as arrays.
+
+        Raises:
+            AddressError: if an address lies outside the 32-bit space.
+        """
+        org = positions(self._org_asns, self._match.origins(addresses))
+        return self._hq[org, 0], self._hq[org, 1]
 
     @property
     def n_orgs(self) -> int:

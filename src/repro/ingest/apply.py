@@ -70,9 +70,7 @@ def _resolve_rows(
 
 
 def _isin(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``np.isin(values, table)`` by one sort and a binary search, which
-    is much cheaper than ``np.isin`` when a batch's few values meet a
-    whole column."""
+    """``np.isin(values, table)`` by one sort and a binary search."""
     if table.size == 0:
         return np.zeros(values.shape, dtype=bool)
     table = np.sort(table)
@@ -127,9 +125,17 @@ def patch_dataset(
         if np.unique(new_keys).size != new_keys.size:
             raise IngestError("add_links contains a duplicate adjacency")
         if dataset.links.size:
-            old_lo = np.minimum(dataset.links[:, 0], dataset.links[:, 1])
-            old_hi = np.maximum(dataset.links[:, 0], dataset.links[:, 1])
-            old_keys = old_lo.astype(np.int64) * n_new + old_hi
+            # Only an old link between two rows the batch links can
+            # repeat one of its links.
+            touched = np.zeros(n_new, dtype=bool)
+            touched[end_a] = touched[end_b] = True
+            old = dataset.links[
+                touched[dataset.links[:, 0]] & touched[dataset.links[:, 1]]
+            ]
+            old_keys = (
+                np.minimum(old[:, 0], old[:, 1]).astype(np.int64) * n_new
+                + np.maximum(old[:, 0], old[:, 1])
+            )
             dup = _isin(new_keys, old_keys)
             if np.any(dup):
                 a, b = new_pairs[dup][0]

@@ -15,23 +15,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MeasurementError
+from repro.measure.inventory import contains, distinct
 from repro.net.topology import Topology
 
 
 def resolve_aliases(
     topology: Topology,
-    interface_addresses: set[int],
+    interface_addresses,
     rng: np.random.Generator,
     success_rate: float,
-) -> dict[int, int]:
-    """Map each observed interface address to its canonical node address.
+) -> np.ndarray:
+    """The canonical node address of each observed interface address.
 
     For routers answering the alias probe (an independent draw per
     router), every one of their observed interfaces maps to the router's
     loopback; for silent routers, each interface maps to itself.
 
     Returns:
-        interface address -> canonical node address.
+        An int64 array parallel to ``interface_addresses``.
 
     Raises:
         MeasurementError: if an address is unknown to the topology or the
@@ -40,13 +41,7 @@ def resolve_aliases(
     if not (0.0 < success_rate <= 1.0):
         raise MeasurementError("success_rate must be in (0, 1]")
     answers = rng.random(topology.n_routers) < success_rate
-    if not interface_addresses:
-        return {}
-    addresses = np.sort(
-        np.fromiter(
-            interface_addresses, dtype=np.int64, count=len(interface_addresses)
-        )
-    )
+    addresses = np.asarray(interface_addresses, dtype=np.int64)
     positions = topology.interface_positions(addresses)
     unknown = positions < 0
     if np.any(unknown):
@@ -54,19 +49,27 @@ def resolve_aliases(
             f"unknown interface address {int(addresses[unknown][0])}"
         )
     routers = topology.interface_routers()[positions]
-    canonical = np.where(
-        answers[routers], topology.router_loopbacks()[routers], addresses
-    )
-    return dict(zip(addresses.tolist(), canonical.tolist()))
+    return np.where(answers[routers], topology.router_loopbacks()[routers], addresses)
 
 
-def merge_members(mapping: dict[int, int]) -> dict[int, list[int]]:
-    """Invert an alias mapping: canonical address -> member interfaces."""
-    members: dict[int, list[int]] = {}
-    for interface, canonical in mapping.items():
-        members.setdefault(canonical, []).append(interface)
-    for canonical, interfaces in members.items():
-        if canonical not in interfaces:
-            interfaces.append(canonical)
-        interfaces.sort()
-    return members
+def merge_members(
+    interfaces: np.ndarray, canonical: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert an alias mapping into node membership.
+
+    Every canonical address becomes a node whose members are the
+    interfaces mapped onto it plus, when it is not one of them, its own
+    address.
+
+    Returns:
+        ``(members, member_nodes)``: parallel arrays, grouped by node in
+        ascending order and ascending within each node.
+    """
+    interfaces = np.asarray(interfaces, dtype=np.int64)
+    canonical = np.asarray(canonical, dtype=np.int64)
+    own = distinct(canonical)
+    own = own[~contains(distinct(interfaces[canonical == interfaces]), own)]
+    members = np.concatenate([interfaces, own])
+    member_nodes = np.concatenate([canonical, own])
+    order = np.lexsort((members, member_nodes))
+    return members[order], member_nodes[order]

@@ -10,10 +10,12 @@ reporting what was dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.measure.inventory import RawInventory
-from repro.net.ip import is_private
+import numpy as np
+
+from repro.measure.inventory import RawInventory, contains, set_order
+from repro.net.ip import is_private_many
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,32 +34,34 @@ class FilterReport:
     dropped_links: int
 
 
-def drop_nodes(inventory: RawInventory, to_drop: set[int]) -> RawInventory:
-    """A new inventory without ``to_drop`` nodes and their links."""
-    cleaned = RawInventory(kind=inventory.kind)
-    cleaned.destinations = set(inventory.destinations)
-    for node in inventory.nodes:
-        if node not in to_drop:
-            cleaned.add_node(node)
-            cleaned.aliases[node] = list(inventory.aliases[node])
-    for a, b in inventory.links:
-        if a not in to_drop and b not in to_drop:
-            cleaned.add_link(a, b)
-    return cleaned
+def drop_nodes(inventory: RawInventory, to_drop) -> RawInventory:
+    """A new inventory without the ``to_drop`` nodes and their links (the
+    survivors in the :func:`set_order` of their previous order)."""
+    drop = np.sort(np.asarray(to_drop, dtype=np.int64))
+    keep_members = ~contains(drop, inventory.member_nodes)
+    links = inventory.links
+    kept = links[~(contains(drop, links[:, 0]) | contains(drop, links[:, 1]))]
+    return replace(
+        inventory,
+        nodes=inventory.nodes[~contains(drop, inventory.nodes)],
+        links=set_order(kept[:, 0], kept[:, 1]),
+        members=inventory.members[keep_members],
+        member_nodes=inventory.member_nodes[keep_members],
+    )
 
 
 def discard_destinations(
     inventory: RawInventory,
 ) -> tuple[RawInventory, int]:
     """Remove nodes probed as destinations (Skitter's end-host discard)."""
-    to_drop = inventory.nodes & inventory.destinations
-    return drop_nodes(inventory, to_drop), len(to_drop)
+    to_drop = inventory.nodes[contains(inventory.destinations, inventory.nodes)]
+    return drop_nodes(inventory, to_drop), int(to_drop.size)
 
 
 def discard_private(inventory: RawInventory) -> tuple[RawInventory, int]:
     """Remove nodes with RFC 1918 addresses (misconfigured routers)."""
-    to_drop = {node for node in inventory.nodes if is_private(node)}
-    return drop_nodes(inventory, to_drop), len(to_drop)
+    to_drop = inventory.nodes[is_private_many(inventory.nodes)]
+    return drop_nodes(inventory, to_drop), int(to_drop.size)
 
 
 def clean_inventory(inventory: RawInventory) -> tuple[RawInventory, FilterReport]:

@@ -11,17 +11,18 @@ all three mechanisms; its output inventory is at *router* granularity
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.config import MercatorConfig
 from repro.errors import MeasurementError
 from repro.measure.alias import merge_members, resolve_aliases
-from repro.measure.inventory import RawInventory
+from repro.measure.inventory import RawInventory, distinct, set_order
+from repro.measure.skitter import probe_tree
 from repro.net.topology import Topology
-from repro.routing.forwarding import source_routed_path
+from repro.routing.forwarding import source_routed_paths
 from repro.routing.shortest_path import (
-    PredecessorTree,
-    ancestor_closure,
     ancestors_at_depth,
     largest_component,
     shortest_path_tree,
@@ -44,156 +45,96 @@ def run_mercator(
     Raises:
         MeasurementError: if the topology is too small to probe.
     """
-    component = largest_component(topology.routing_graph())
+    graph = topology.routing_graph()
+    component = largest_component(graph)
     if component.size < 3:
         raise MeasurementError("topology too small for a Mercator campaign")
     if source is None:
         source = int(component[int(rng.integers(component.size))])
-    graph = topology.routing_graph()
     source_tree = shortest_path_tree(graph, source)
     responds = rng.random(topology.n_routers) < config.response_rate
     responds[source] = True
 
-    # Stage 1: direct probes to the heuristic target list.
-    interface_links: set[tuple[int, int]] = set()
-    observed_interfaces: set[int] = set()
+    # Stage 1: direct probes to the heuristic target list, each ending at
+    # its target or at hop max_hops.  Observations pile up in order.
     n_targets = min(config.n_targets, component.size)
     targets = rng.choice(component, size=n_targets, replace=False)
-    _record_tree_probes(
-        topology,
-        source_tree,
-        np.asarray(targets, dtype=np.intp),
-        responds,
-        config.max_hops,
-        observed_interfaces,
-        interface_links,
+    depths = tree_depths(source_tree)
+    live = targets[depths[targets] > 0]  # drop the source + unreachable
+    reached = depths[live] <= config.max_hops
+    ends = np.concatenate([
+        live[reached].astype(np.intp),
+        ancestors_at_depth(source_tree, depths, live[~reached], config.max_hops),
+    ])
+    inbound, answered, low, high = probe_tree(
+        topology, source_tree, depths, ends, responds
     )
+    interfaces, pair_a, pair_b = [inbound[answered]], [low], [high]
 
-    # Stage 2: loose source routing through a pool of discovered routers.
-    if config.n_source_routed > 0:
-        discovered = _routers_of_interfaces(topology, observed_interfaces)
-        if discovered.size:
-            n_via = min(_N_VIA_ROUTERS, discovered.size)
-            via_ids = [
-                int(discovered[i])
-                for i in rng.choice(discovered.size, size=n_via, replace=False)
-            ]
-            via_trees = {
-                t.source: t for t in shortest_path_trees(graph, via_ids)
-            }
-            for _ in range(config.n_source_routed):
-                via = via_ids[int(rng.integers(len(via_ids)))]
-                target = int(component[int(rng.integers(component.size))])
-                if target == via or target == source:
-                    continue
-                via_tree = via_trees[via]
-                if not via_tree.reachable(target):
-                    continue
-                path = source_routed_path(via_tree, source_tree, via, target)
-                path = path[: config.max_hops + 1]
-                _record_interface_path(
-                    topology, path, responds, observed_interfaces, interface_links
-                )
+    # Stage 2: loose source routing through a pool of discovered routers
+    # (those that answered stage 1).  The RNG loop only picks the
+    # probes; their paths are recorded as one batch after it.
+    if config.n_source_routed > 0 and answered.size:
+        n_via = min(_N_VIA_ROUTERS, answered.size)
+        via_ids = [
+            int(answered[i])
+            for i in rng.choice(answered.size, size=n_via, replace=False)
+        ]
+        via_trees = {t.source: t for t in shortest_path_trees(graph, via_ids)}
+        probes = []
+        for _ in range(config.n_source_routed):
+            via = via_ids[int(rng.integers(len(via_ids)))]
+            target = int(component[int(rng.integers(component.size))])
+            if target not in (via, source) and via_trees[via].reachable(target):
+                probes.append((via, target))
+        paths = [
+            path[: config.max_hops + 1]
+            for path in source_routed_paths(source_tree, via_trees, probes)
+        ]
+        _record_paths(topology, paths, responds, interfaces, pair_a, pair_b)
 
     # Stage 3: alias resolution to canonical router addresses.
-    mapping = resolve_aliases(
-        topology, observed_interfaces, rng, config.alias_resolution_rate
+    observed = distinct(np.concatenate(interfaces))
+    canonical = resolve_aliases(
+        topology, observed, rng, config.alias_resolution_rate
     )
-    inventory = RawInventory(kind="mercator")
-    for canonical, members in merge_members(mapping).items():
-        inventory.add_node(canonical)
-        inventory.aliases[canonical] = members
-    for a, b in interface_links:
-        ca, cb = mapping[a], mapping[b]
-        if ca == cb:
-            continue  # both interfaces merged onto one router: not a link
-        inventory.add_link(ca, cb)
+    inventory = RawInventory.from_members(
+        "mercator", *merge_members(observed, canonical)
+    )
+    links = set_order(np.concatenate(pair_a), np.concatenate(pair_b))
+    merged = canonical[np.searchsorted(observed, links)]
+    # Both interfaces merged onto one router: not a link.
+    apart = merged[:, 0] != merged[:, 1]
+    inventory.add_link_pairs(merged[apart, 0], merged[apart, 1])
     inventory.validate()
     return inventory
 
 
-def _routers_of_interfaces(
-    topology: Topology, addresses: set[int]
-) -> np.ndarray:
-    """Distinct owning router ids for a set of interface addresses, sorted."""
-    if not addresses:
-        return np.empty(0, dtype=np.intp)
-    addrs = np.fromiter(addresses, dtype=np.int64, count=len(addresses))
-    positions = topology.interface_positions(addrs)
-    return np.unique(topology.interface_routers()[positions]).astype(np.intp)
-
-
-def _record_tree_probes(
+def _record_paths(
     topology: Topology,
-    tree: PredecessorTree,
-    targets: np.ndarray,
+    paths: list[list[int]],
     responds: np.ndarray,
-    max_hops: int,
-    observed_interfaces: set[int],
-    interface_links: set[tuple[int, int]],
+    interfaces: list[np.ndarray],
+    pair_a: list[np.ndarray],
+    pair_b: list[np.ndarray],
 ) -> None:
-    """Union of the direct-probe observations along one source tree.
-
-    Equivalent to running :func:`_record_interface_path` over every
-    target's (hop-limited) tree path: the observed routers are the
-    ancestor closure of the probe endpoints — the target itself when it
-    is within ``max_hops``, its depth-``max_hops`` ancestor otherwise —
-    and every responding one reports its inbound interface.  Links join
-    consecutively responding hops only.
-    """
-    depths = tree_depths(tree)
-    live = targets[depths[targets] > 0]  # drop the source + unreachable
-    if live.size == 0:
-        return
-    pred = tree.predecessors
-    reached_mask = depths[live] <= max_hops
-    starts = [live[reached_mask]]
-    truncated = live[~reached_mask]
-    if truncated.size:
-        starts.append(ancestors_at_depth(tree, depths, truncated, max_hops))
-    observed = np.flatnonzero(ancestor_closure(tree, np.concatenate(starts)))
-    if observed.size == 0:
-        return
-    inbound = np.full(topology.n_routers, -1, dtype=np.int64)
-    inbound[observed] = topology.link_interfaces_toward(
-        pred[observed].astype(np.intp), observed
+    """Append the inbound interfaces of every responding hop along router
+    paths, and the links between consecutively responding hops, in path
+    order.  Each path's first router is the probing source, which never
+    reports itself."""
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    flat = np.fromiter(
+        chain.from_iterable(paths), dtype=np.intp, count=int(lengths.sum())
     )
-    responding = observed[responds[observed]]
-    observed_interfaces.update(inbound[responding].tolist())
-    deep = responding[depths[responding] >= 2]
-    parents = pred[deep].astype(np.intp)
-    keep = responds[parents]
-    pair_a = inbound[parents[keep]]
-    pair_b = inbound[deep[keep]]
-    low = np.minimum(pair_a, pair_b)
-    high = np.maximum(pair_a, pair_b)
-    interface_links.update(zip(low.tolist(), high.tolist()))
-
-
-def _record_interface_path(
-    topology: Topology,
-    path: list[int],
-    responds: np.ndarray,
-    observed_interfaces: set[int],
-    interface_links: set[tuple[int, int]],
-) -> None:
-    """Record inbound interfaces and adjacent-pair links along a path."""
-    previous_address: int | None = None
-    previous_router: int | None = None
-    for i in range(1, len(path)):
-        router = path[i]
-        if not responds[router]:
-            previous_address = None
-            previous_router = None
-            continue
-        address = topology.link_interface_toward(path[i - 1], router)
-        observed_interfaces.add(address)
-        if previous_address is not None and previous_router == path[i - 1]:
-            pair = (
-                (previous_address, address)
-                if previous_address < address
-                else (address, previous_address)
-            )
-            interface_links.add(pair)
-        previous_address = address
-        previous_router = router
+    is_hop = np.ones(flat.size, dtype=bool)
+    is_hop[np.cumsum(lengths) - lengths] = False
+    at = np.flatnonzero(is_hop)
+    routers = flat[at]
+    addresses = topology.link_interfaces_toward(flat[at - 1], routers)
+    answered = responds[routers]
+    interfaces.append(addresses[answered])
+    # Two hops are consecutive on one path when their flat positions are.
+    joined = (at[1:] == at[:-1] + 1) & answered[1:] & answered[:-1]
+    low, high = addresses[:-1][joined], addresses[1:][joined]
+    pair_a.append(np.minimum(low, high))
+    pair_b.append(np.maximum(low, high))

@@ -25,9 +25,10 @@ import numpy as np
 
 from repro.config import SkitterConfig
 from repro.errors import MeasurementError
-from repro.measure.inventory import RawInventory
+from repro.measure.inventory import RawInventory, distinct
 from repro.net.topology import Topology
 from repro.routing.shortest_path import (
+    PredecessorTree,
     ancestor_closure,
     ancestors_at_depth,
     largest_component,
@@ -116,68 +117,70 @@ def run_skitter(
     for monitor in campaign.monitors:
         responds[monitor] = True
 
-    inventory = RawInventory(kind="skitter")
-    graph = topology.routing_graph()
-    trees = shortest_path_trees(graph, campaign.monitors)
+    trees = shortest_path_trees(topology.routing_graph(), campaign.monitors)
     loopbacks = topology.router_loopbacks()
-    for tree, destinations in zip(trees, campaign.destination_lists):
-        dests = np.asarray(destinations, dtype=np.intp)
-        inventory.destinations.update(loopbacks[dests].tolist())
-        _record_tree_probes(
-            topology, inventory, tree, dests, responds, config.max_hops, loopbacks
+    none = np.empty(0, dtype=np.int64)
+    destinations, nodes, pair_a, pair_b = [none], [none], [none], [none]
+    for tree, destination_list in zip(trees, campaign.destination_lists):
+        dests = np.asarray(destination_list, dtype=np.intp)
+        destinations.append(loopbacks[dests])
+        # Probes end at a reached destination's predecessor (the
+        # destination answers with its own address) or at hop max_hops.
+        depths = tree_depths(tree)
+        live = dests[depths[dests] > 0]  # drop the monitor + unreachable
+        reached = distinct(live[depths[live] <= config.max_hops])
+        truncated = live[depths[live] > config.max_hops]
+        ends = np.concatenate([
+            tree.predecessors[reached].astype(np.intp),
+            ancestors_at_depth(tree, depths, truncated, config.max_hops),
+        ])
+        inbound, answered, low, high = probe_tree(
+            topology, tree, depths, ends, responds
         )
+        final = reached[responds[reached]]
+        # Last-hop adjacencies onto reached destinations.
+        deep = final[depths[final] >= 2]
+        parents = tree.predecessors[deep].astype(np.intp)
+        keep = responds[parents]
+        nodes += [inbound[answered], loopbacks[final]]
+        pair_a += [low, inbound[parents[keep]]]
+        pair_b += [high, loopbacks[deep[keep]]]
+    inventory = RawInventory(
+        kind="skitter", destinations=distinct(np.concatenate(destinations))
+    )
+    inventory.add_nodes(np.concatenate(nodes))
+    inventory.add_link_pairs(np.concatenate(pair_a), np.concatenate(pair_b))
     inventory.validate()
     return inventory
 
 
-def _record_tree_probes(
+def probe_tree(
     topology: Topology,
-    inventory: RawInventory,
-    tree,
-    dests: np.ndarray,
+    tree: PredecessorTree,
+    depths: np.ndarray,
+    ends: np.ndarray,
     responds: np.ndarray,
-    max_hops: int,
-    loopbacks: np.ndarray,
-) -> None:
-    """Record the union of one monitor's probe observations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What hop-limited probes along one tree observe, up to ``ends``.
 
-    Every probe from a monitor follows the monitor's tree, so the union
-    of observed hops is the ancestor closure of the probe endpoints: the
-    destination's predecessor for reached probes, the depth-``max_hops``
-    ancestor for truncated ones.  The monitor itself is never observed;
-    each responding interior router contributes its inbound interface; a
-    reached destination answers with the probed (loopback) address
-    instead.  Links are recorded only between consecutively responding
-    hops — no adjacency is inferred across a silent router.
+    The probed routers are the ancestor closure of the ends, the root
+    (the probing source) excluded.  Each responding one reports its
+    inbound interface; links join consecutively responding hops only.
+
+    Returns:
+        ``(inbound, answered, low, high)``: the inbound interface per
+        router (-1 where unprobed), the responding routers, and the
+        observed links' interface pairs in order.
     """
-    depths = tree_depths(tree)
-    live = dests[depths[dests] > 0]  # drop the monitor itself + unreachable
-    if live.size == 0:
-        return
     pred = tree.predecessors
-    reached = np.unique(live[depths[live] <= max_hops])
-    truncated = live[depths[live] > max_hops]
-    starts = [pred[reached].astype(np.intp)]
-    if truncated.size:
-        starts.append(ancestors_at_depth(tree, depths, truncated, max_hops))
-    interior = np.flatnonzero(ancestor_closure(tree, np.concatenate(starts)))
+    probed = np.flatnonzero(ancestor_closure(tree, ends))
     inbound = np.full(topology.n_routers, -1, dtype=np.int64)
-    if interior.size:
-        inbound[interior] = topology.link_interfaces_toward(
-            pred[interior].astype(np.intp), interior
-        )
-    observed = interior[responds[interior]]
-    inventory.add_nodes(inbound[observed].tolist())
-    final = reached[responds[reached]]
-    inventory.add_nodes(loopbacks[final].tolist())
-    # Interior-to-interior adjacencies: both ends responding, and the
-    # parent not the monitor (a probe never observes its own source).
-    deep = observed[depths[observed] >= 2]
+    inbound[probed] = topology.link_interfaces_toward(
+        pred[probed].astype(np.intp), probed
+    )
+    answered = probed[responds[probed]]
+    deep = answered[depths[answered] >= 2]
     parents = pred[deep].astype(np.intp)
     keep = responds[parents]
-    inventory.add_link_pairs(inbound[parents[keep]], inbound[deep[keep]])
-    # Last-hop adjacencies onto reached destinations.
-    deep_final = final[depths[final] >= 2]
-    parents = pred[deep_final].astype(np.intp)
-    keep = responds[parents]
-    inventory.add_link_pairs(inbound[parents[keep]], loopbacks[deep_final[keep]])
+    a, b = inbound[parents[keep]], inbound[deep[keep]]
+    return inbound, answered, np.minimum(a, b), np.maximum(a, b)

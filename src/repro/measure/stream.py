@@ -61,10 +61,10 @@ class DeltaStream:
             np.unique(mapped) if mapped.size else np.array([1], dtype=np.int64)
         )
         self._next_asn = int(self._known_asns.max()) + 1
-        self._link_keys: set[tuple[int, int]] = set()
-        for i, j in dataset.links.tolist():
-            a, b = int(dataset.addresses[i]), int(dataset.addresses[j])
-            self._link_keys.add((min(a, b), max(a, b)))
+        ends = dataset.addresses[dataset.links.reshape(-1, 2)]
+        self._link_keys = set(
+            zip(ends.min(axis=1).tolist(), ends.max(axis=1).tolist())
+        )
 
     # -- state ---------------------------------------------------------------
 
@@ -138,11 +138,7 @@ class DeltaStream:
                 continue
             self._link_keys.add(key)
             links.append((a, b))
-        add_links = (
-            np.array(links, dtype=np.int64)
-            if links
-            else np.empty((0, 2), dtype=np.int64)
-        )
+        add_links = np.array(links, dtype=np.int64).reshape(-1, 2)
 
         move_rows = self._rng.choice(
             n_before, size=min(n_moves, n_before), replace=False

@@ -21,10 +21,14 @@ _IFACE_TOKENS = ("so", "ge", "fe", "pos", "atm", "srp", "xe")
 #: Role tokens for the router tier inside a PoP.
 _ROLE_TOKENS = ("cr", "br", "ar", "xl", "gw")
 
-_HOSTNAME_RE = re.compile(
-    r"^(?P<port>[0-9]+)\.(?P<iface>[a-z]+-[0-9]+-[0-9]+-[0-9]+)\."
-    r"(?P<role>[A-Z]+[0-9]+)\.(?P<loc>[A-Z0-9]*)\.?(?P<domain>[A-Za-z0-9.-]+)$"
+#: The hostname grammar, port.iface.role.loc.domain, capturing ``loc``.
+_GRAMMAR = (
+    r"[0-9]+\.[a-z]+-[0-9]+-[0-9]+-[0-9]+\."
+    r"[A-Z]+[0-9]+\.(?P<loc>[A-Z0-9]*)\.?[A-Za-z0-9.-]+"
 )
+_HOSTNAME_RE = re.compile(f"^{_GRAMMAR}$")
+#: The grammar applied line by line; a line it rejects yields an empty loc.
+_HOSTNAME_LINES_RE = re.compile(rf"^(?:{_GRAMMAR}|[^\n]*)$", re.MULTILINE)
 
 
 def make_hostname(
@@ -125,3 +129,22 @@ def extract_city_code(hostname: str) -> str | None:
         return None
     code = loc.rstrip("0123456789")
     return code or None
+
+
+def extract_city_codes(hostnames: list[str]) -> list[str]:
+    """:func:`extract_city_code` over many hostnames in one regex pass.
+
+    Returns:
+        The city code per hostname, ``""`` where it carries none or does
+        not follow the grammar.
+    """
+    locs = _HOSTNAME_LINES_RE.findall("\n".join(hostnames))
+    if len(locs) != len(hostnames):  # no hostnames, or one holds a line break
+        locs = [_loc_or_empty(hostname) for hostname in hostnames]
+    codes = {loc: loc.rstrip("0123456789") for loc in set(locs)}
+    return list(map(codes.__getitem__, locs))
+
+
+def _loc_or_empty(hostname: str) -> str:
+    match = _HOSTNAME_RE.match(hostname)
+    return match.group("loc") if match else ""

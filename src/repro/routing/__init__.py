@@ -1,6 +1,6 @@
 """Forwarding substrate: shortest-path trees and traceroute semantics."""
 
-from repro.routing.forwarding import source_routed_path
+from repro.routing.forwarding import source_routed_path, source_routed_paths
 from repro.routing.shortest_path import (
     PredecessorTree,
     largest_component,
@@ -10,6 +10,7 @@ from repro.routing.shortest_path import (
 
 __all__ = [
     "source_routed_path",
+    "source_routed_paths",
     "PredecessorTree",
     "largest_component",
     "shortest_path_tree",

@@ -73,6 +73,10 @@ class PredecessorTree:
 def shortest_path_tree(graph: csr_matrix, source: int) -> PredecessorTree:
     """Dijkstra predecessor tree from one source.
 
+    ``graph`` must be symmetric, as the routing graph is: a directed scan
+    of it answers the undirected problem with the same distances and
+    predecessors, without scipy transposing the graph on every call.
+
     Raises:
         RoutingError: if the source id is out of range.
     """
@@ -80,7 +84,7 @@ def shortest_path_tree(graph: csr_matrix, source: int) -> PredecessorTree:
     if source < 0 or source >= n:
         raise RoutingError(f"source {source} out of range")
     distances, predecessors = dijkstra(
-        graph, directed=False, indices=source, return_predecessors=True
+        graph, directed=True, indices=source, return_predecessors=True
     )
     return PredecessorTree(
         source=source, predecessors=predecessors, distances=distances
@@ -90,7 +94,8 @@ def shortest_path_tree(graph: csr_matrix, source: int) -> PredecessorTree:
 def shortest_path_trees(
     graph: csr_matrix, sources: list[int]
 ) -> list[PredecessorTree]:
-    """Predecessor trees for several sources (one compiled sweep)."""
+    """Predecessor trees for several sources (one compiled sweep) over a
+    symmetric ``graph``; see :func:`shortest_path_tree`."""
     if not sources:
         return []
     n = graph.shape[0]
@@ -98,7 +103,7 @@ def shortest_path_trees(
         if source < 0 or source >= n:
             raise RoutingError(f"source {source} out of range")
     distances, predecessors = dijkstra(
-        graph, directed=False, indices=sources, return_predecessors=True
+        graph, directed=True, indices=sources, return_predecessors=True
     )
     return [
         PredecessorTree(source=s, predecessors=predecessors[i], distances=distances[i])
@@ -160,17 +165,18 @@ def ancestor_closure(tree: PredecessorTree, starts: np.ndarray) -> np.ndarray:
     """Boolean mask of all tree ancestors of ``starts`` (inclusive).
 
     The source itself is excluded: probes never observe their own
-    monitor.  Propagates an upward frontier, so the cost is bounded by
-    the number of distinct routers on the covered paths, not by path
-    length times probe count.
+    monitor.  Propagates an upward frontier, one tree level per step,
+    without deduplicating it: a router shared by several starts rides
+    along once per start until its branch meets a marked router, so the
+    cost is at most the number of starts times the tree depth.
     """
     n = tree.predecessors.shape[0]
     mask = np.zeros(n, dtype=bool)
-    frontier = np.unique(np.asarray(starts, dtype=np.intp))
+    frontier = np.asarray(starts, dtype=np.intp)
     frontier = frontier[frontier != tree.source]
     while frontier.size:
         mask[frontier] = True
-        parents = np.unique(tree.predecessors[frontier]).astype(np.intp)
+        parents = tree.predecessors[frontier].astype(np.intp)
         parents = parents[(parents != NO_PREDECESSOR) & (parents != tree.source)]
         frontier = parents[~mask[parents]]
     return mask

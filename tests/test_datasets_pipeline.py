@@ -18,6 +18,7 @@ from repro.geo.coords import GeoPoint
 from repro.geoloc.base import (
     METHOD_HOSTNAME,
     METHOD_UNMAPPED,
+    Locations,
     MappingResult,
     locate_batch,
 )
@@ -40,8 +41,10 @@ class _StubMapper:
             return MappingResult(location=None, method=METHOD_UNMAPPED)
         return MappingResult(location=location, method=METHOD_HOSTNAME)
 
-    def locate_many(self, addresses) -> list[MappingResult]:
-        return [self.locate(address) for address in addresses]
+    def locate_many(self, addresses) -> Locations:
+        return Locations.from_results(
+            [self.locate(address) for address in addresses.tolist()]
+        )
 
 
 def _table() -> BgpTable:
@@ -62,11 +65,11 @@ def _reference_build_snapshot(
     inventory.validate()
     kept_addresses, kept_lats, kept_lons, kept_asns = [], [], [], []
     n_unmapped = n_ties = n_as_unmapped = 0
-    ordered_nodes = sorted(inventory.nodes)
-    member_lists = [inventory.aliases[node] for node in ordered_nodes]
+    ordered_nodes = sorted(inventory.nodes.tolist())
+    member_lists = [inventory.interfaces_of(node) for node in ordered_nodes]
     flat_results = locate_batch(
         geolocator, [m for members in member_lists for m in members]
-    )
+    ).results()
     offset = 0
     for node, members in zip(ordered_nodes, member_lists):
         results = flat_results[offset:offset + len(members)]
@@ -101,7 +104,7 @@ def _reference_build_snapshot(
     index = {addr: i for i, addr in enumerate(kept_addresses)}
     link_rows = [
         (index[a], index[b])
-        for a, b in inventory.links
+        for a, b in inventory.links.tolist()
         if a in index and b in index
     ]
     dataset = MappedDataset(
@@ -152,10 +155,8 @@ def _with_bgp_counters(run):
 
 def _one_router(locations: list[GeoPoint | None]):
     """One Mercator router whose members map to ``locations`` in order."""
-    inv = RawInventory(kind="mercator")
-    inv.add_node(100)
     members = list(range(100, 100 + len(locations)))
-    inv.aliases[100] = members
+    inv = RawInventory.from_members("mercator", members, [100] * len(members))
     return inv, _StubMapper(dict(zip(members, locations)))
 
 
@@ -214,9 +215,8 @@ class TestMajorityVote:
                 RibEntry(Prefix.parse("0.0.1.0/24"), 9),
             ]
         )
-        inv = RawInventory(kind="mercator")
-        inv.add_node(0x002)
-        inv.aliases[0x002] = [0x101, 0x002]  # AS 9 is seen first
+        # AS 9 is seen first.
+        inv = RawInventory.from_members("mercator", [0x101, 0x002], [0x002] * 2)
         mapper = _StubMapper(
             {0x101: GeoPoint(1.0, 1.0), 0x002: GeoPoint(1.0, 1.0)}
         )
@@ -263,15 +263,16 @@ def _mapping_cases(draw):
             [_ADDRESS_BASE + 256 * (i % 3) + i // 3 for i in range(n_addresses)]
         )
     )
-    inv = RawInventory(kind=draw(st.sampled_from(["mercator", "skitter"])))
+    kind = draw(st.sampled_from(["mercator", "skitter"]))
+    flat_members, flat_nodes = [], []
     start = 0
     while start < len(addresses):
         members = addresses[start:start + draw(st.integers(1, 5))]
         start += len(members)
-        node = draw(st.sampled_from(members))
-        inv.add_node(node)
-        inv.aliases[node] = members
-    nodes = sorted(inv.nodes)
+        flat_members += members
+        flat_nodes += [draw(st.sampled_from(members))] * len(members)
+    inv = RawInventory.from_members(kind, flat_members, flat_nodes)
+    nodes = inv.nodes.tolist()
     if len(nodes) > 1:
         pairs = draw(
             st.lists(
@@ -375,9 +376,7 @@ class TestBuildSnapshot:
         assert report.n_as_unmapped == 1
 
     def test_mercator_tie_discards_router(self):
-        inv = RawInventory(kind="mercator")
-        inv.add_node(100)
-        inv.aliases[100] = [100, 101]
+        inv = RawInventory.from_members("mercator", [100, 101], [100, 100])
         mapper = _StubMapper(
             {100: GeoPoint(1.0, 1.0), 101: GeoPoint(5.0, 5.0)}
         )
@@ -386,9 +385,9 @@ class TestBuildSnapshot:
         assert report.n_location_ties == 1
 
     def test_mercator_majority_wins(self):
-        inv = RawInventory(kind="mercator")
-        inv.add_node(100)
-        inv.aliases[100] = [100, 101, 102]
+        inv = RawInventory.from_members(
+            "mercator", [100, 101, 102], [100, 100, 100]
+        )
         mapper = _StubMapper(
             {
                 100: GeoPoint(1.0, 1.0),

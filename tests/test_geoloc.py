@@ -13,6 +13,7 @@ from repro.geoloc.base import (
     METHOD_UNMAPPED,
     METHOD_WHOIS,
     GeoContext,
+    MappingResult,
     build_context,
 )
 from repro.geoloc.dnsloc import build_loc_records
@@ -24,33 +25,29 @@ from repro.net.ip import ADDRESS_SPACE
 from repro.obs import MetricsRegistry, use_metrics
 
 
-@pytest.fixture
-def toy_context(toy_topology) -> GeoContext:
-    """A context for the toy topology with hand-built knowledge."""
+def _toy_context(toy_topology, hostnames=None, loc_records=None) -> GeoContext:
+    """A context for the toy topology with hand-built knowledge: its own
+    hostnames unless ``hostnames`` overrides some, and no LOC records
+    unless given."""
     # Toy addresses are small integers (1000-1005, 2000-2009); grant AS
     # 100 a block covering all of them so whois lookups resolve.
     from repro.net.ip import Prefix
 
     plan = AddressPlan(pool=Prefix.parse("0.0.0.0/8"), block_length=16)
     plan.grant_block(100)
-    whois = WhoisRegistry.from_plan(plan, toy_topology.asns)
-    return GeoContext(
-        city_locations={
-            "SFO": GeoPoint(37.77, -122.42),
-            "NYC": GeoPoint(40.71, -74.01),
-        },
-        hostnames=dict(toy_topology.hostnames),
-        whois=whois,
-        loc_records={},
-        as_of_address=dict(
-            zip(
-                toy_topology.interface_addresses().tolist(),
-                toy_topology.router_asns()[
-                    toy_topology.interface_routers()
-                ].tolist(),
-            )
-        ),
+    return GeoContext.build(
+        toy_topology,
+        {"SFO": GeoPoint(37.77, -122.42), "NYC": GeoPoint(40.71, -74.01)},
+        {**toy_topology.hostnames, **(hostnames or {})},
+        WhoisRegistry.from_plan(plan, toy_topology.asns),
+        loc_records or {},
     )
+
+
+@pytest.fixture
+def toy_context(toy_topology) -> GeoContext:
+    """A context for the toy topology with hand-built knowledge."""
+    return _toy_context(toy_topology)
 
 
 class TestWhoisRegistry:
@@ -107,7 +104,7 @@ class TestWhoisRegistry:
         mapper = IxMapper(toy_context, np.random.default_rng(2), failure_rate=0.0)
         addresses = sorted(toy_topology.interface_addresses().tolist())
         with use_metrics(registry):
-            results = mapper.locate_many(addresses)
+            results = mapper.locate_many(addresses).results()
         assert any(r.method == METHOD_WHOIS for r in results)
         assert registry.counter_value("bgp.lookups") == 0
         assert registry.counter_value("bgp.misses") == 0
@@ -133,12 +130,14 @@ class TestDnsLoc:
 
 
 class TestIxMapper:
-    def test_hostname_mapping_hits_city(self, toy_context, toy_topology):
+    def test_hostname_mapping_hits_city(self, toy_topology):
         # Hostname embeds "XXX<digit>" which is unknown; rewrite one to a
         # known code to exercise the hostname path.
         address = int(toy_topology.router_loopbacks()[0])
-        toy_context.hostnames[address] = "0.so-1-0-0.CR1.SFO1.westnet.net"
-        mapper = IxMapper(toy_context, np.random.default_rng(0), failure_rate=0.0)
+        context = _toy_context(
+            toy_topology, hostnames={address: "0.so-1-0-0.CR1.SFO1.westnet.net"}
+        )
+        mapper = IxMapper(context, np.random.default_rng(0), failure_rate=0.0)
         result = mapper.locate(address)
         assert result.method == METHOD_HOSTNAME
         assert result.location == GeoPoint(37.77, -122.42)
@@ -151,12 +150,12 @@ class TestIxMapper:
         assert result.method == METHOD_WHOIS
         assert result.location == toy_topology.asns[100].headquarters
 
-    def test_loc_record_preferred_over_whois(self, toy_context, toy_topology):
+    def test_loc_record_preferred_over_whois(self, toy_topology):
         address = int(toy_topology.router_loopbacks()[0])
         lats, lons = toy_topology.router_coordinates()
         true_location = GeoPoint(float(lats[0]), float(lons[0]))
-        toy_context.loc_records[address] = true_location
-        mapper = IxMapper(toy_context, np.random.default_rng(0), failure_rate=0.0)
+        context = _toy_context(toy_topology, loc_records={address: true_location})
+        mapper = IxMapper(context, np.random.default_rng(0), failure_rate=0.0)
         result = mapper.locate(address)
         assert result.method == METHOD_DNSLOC
         assert result.location == true_location
@@ -234,7 +233,7 @@ class TestLocateMany:
         addresses = self._toy_addresses(toy_topology)
         batched = IxMapper(
             toy_context, np.random.default_rng(11), failure_rate=0.3
-        ).locate_many(addresses)
+        ).locate_many(addresses).results()
         scalar_mapper = IxMapper(
             toy_context, np.random.default_rng(11), failure_rate=0.3
         )
@@ -247,7 +246,7 @@ class TestLocateMany:
             isp_coverage=0.5, failure_rate=0.3,
         )
         addresses = self._toy_addresses(toy_topology)
-        batched = make(7).locate_many(addresses)
+        batched = make(7).locate_many(addresses).results()
         scalar_mapper = make(7)
         sequential = [scalar_mapper.locate(a) for a in addresses]
         assert batched == sequential
@@ -256,11 +255,11 @@ class TestLocateMany:
         a = IxMapper(toy_context, np.random.default_rng(5), failure_rate=0.0)
         b = IxMapper(toy_context, np.random.default_rng(5), failure_rate=0.0)
         address = int(toy_topology.router_loopbacks()[0])
-        assert a.locate(address) == b.locate_many([address])[0]
+        assert a.locate(address) == b.locate_many([address]).results()[0]
 
     def test_empty_batch(self, toy_context):
         mapper = IxMapper(toy_context, np.random.default_rng(5))
-        assert mapper.locate_many([]) == []
+        assert len(mapper.locate_many([])) == 0
 
 
 class TestLocateBatchDedup:
@@ -276,23 +275,25 @@ class TestLocateBatchDedup:
 
         def locate_many(self, addresses):
             from repro.geo.coords import GeoPoint
-            from repro.geoloc.base import MappingResult
+            from repro.geoloc.base import Locations, MappingResult
 
-            self.calls.extend(addresses)
-            return [
-                MappingResult(
-                    location=GeoPoint(float(a % 90), float(a % 180)),
-                    method=METHOD_HOSTNAME,
-                )
-                for a in addresses
-            ]
+            self.calls.extend(addresses.tolist())
+            return Locations.from_results(
+                [
+                    MappingResult(
+                        location=GeoPoint(float(a % 90), float(a % 180)),
+                        method=METHOD_HOSTNAME,
+                    )
+                    for a in addresses.tolist()
+                ]
+            )
 
     def test_duplicates_resolved_once(self):
         from repro.geoloc.base import locate_batch
 
         tool = self.Recording()
         batch = [7, 3, 7, 7, 9, 3]
-        results = locate_batch(tool, batch)
+        results = locate_batch(tool, batch).results()
         # The tool saw each distinct address once, first-occurrence order.
         assert tool.calls == [7, 3, 9]
         assert len(results) == len(batch)
@@ -307,7 +308,7 @@ class TestLocateBatchDedup:
 
         tool = self.Recording()
         batch = [1, 2, 3]
-        results = locate_batch(tool, batch)
+        results = locate_batch(tool, batch).results()
         assert tool.calls == batch
         assert [r.location.lat for r in results] == [1.0, 2.0, 3.0]
 
@@ -321,10 +322,10 @@ class TestLocateBatchDedup:
         via_wrapper = locate_batch(
             IxMapper(toy_context, np.random.default_rng(11), failure_rate=0.3),
             addresses,
-        )
+        ).results()
         direct = IxMapper(
             toy_context, np.random.default_rng(11), failure_rate=0.3
-        ).locate_many(addresses)
+        ).locate_many(addresses).results()
         assert via_wrapper == direct
 
     def test_result_count_mismatch_rejected(self):
@@ -348,12 +349,16 @@ class TestBuildContext:
             world_small, topology, plan, GeolocConfig(),
             np.random.default_rng(0),
         )
-        assert set(context.hostnames) == set(topology.interface_addresses().tolist())
+        assert sorted(context.addresses.tolist()) == sorted(
+            topology.interface_addresses().tolist()
+        )
         assert context.whois.n_orgs == len(topology.asns)
-        assert len(context.city_locations) == len(world_small.cities)
+        # Most hostnames name a known city; the feed knows every router.
+        hostname, dnsloc, whois, isp = (~np.isnan(context.lats[:-1])).T
+        assert hostname.mean() > 0.5
+        assert isp.all() and whois.any()
         # DNS LOC records exist at roughly the configured (rare) rate.
-        rate = len(context.loc_records) / topology.n_interfaces
-        assert 0.0 < rate < 0.02
+        assert 0.0 < dnsloc.mean() < 0.02
 
     def test_mappers_achieve_high_coverage(self, world_small, generated_small):
         topology, plan, _ = generated_small
@@ -373,3 +378,85 @@ class TestBuildContext:
         # The paper: IxMapper misses 1-1.5%, EdgeScape 0.3-0.6%.
         assert ix_mapped / len(addresses) > 0.95
         assert es_mapped / len(addresses) > 0.97
+
+
+class TestChainReference:
+    """The tools' table lookups equal their fallback chains walked one
+    address at a time over the ground-truth knowledge."""
+
+    def test_ixmapper_and_edgescape_match_per_address_chains(
+        self, world_small, generated_small
+    ):
+        from repro.geo.distance import haversine_miles
+        from repro.net.hostnames import extract_city_code
+
+        topology, plan, _ = generated_small
+        config = GeolocConfig(ixmapper_dnsloc_rate=0.05)
+        context = build_context(
+            world_small, topology, plan, config, np.random.default_rng(4)
+        )
+        loc_records = build_loc_records(
+            topology, config.ixmapper_dnsloc_rate, np.random.default_rng(4)
+        )
+        cities = {city.code: city.location for city in world_small.cities}
+        whois = WhoisRegistry.from_plan(plan, topology.asns)
+        lats, lons = topology.router_coordinates()
+        codes = topology.router_city_codes()
+
+        def hostname_city(address):
+            try:
+                code = extract_city_code(topology.hostnames[address])
+            except GeolocationError:
+                return None
+            return cities.get(code) if code else None
+
+        def feed(router):
+            if codes[router] and codes[router] in cities:
+                return cities[codes[router]]
+            points = list(cities.values())
+            distances = [
+                float(haversine_miles(lats[router], lons[router], p.lat, p.lon))
+                for p in points
+            ]
+            return points[int(np.argmin(distances))]
+
+        addresses = topology.interface_addresses()[::3].tolist() + [0x7F000001]
+        owners = dict(
+            zip(
+                topology.interface_addresses().tolist(),
+                topology.interface_routers().tolist(),
+            )
+        )
+        edgescape = EdgeScape(
+            context, topology, np.random.default_rng(5),
+            isp_coverage=0.5, failure_rate=0.0,
+        )
+        covered = edgescape.covered_asns
+        asns = topology.router_asns()
+        ixmapper = IxMapper(context, np.random.default_rng(5), failure_rate=0.0)
+        ix = ixmapper.locate_many(addresses).results()
+        es = edgescape.locate_many(addresses).results()
+        for address, org, ix_result, es_result in zip(
+            addresses, whois.lookup_many(addresses), ix, es
+        ):
+            hq = org.headquarters if org else None
+            city = hostname_city(address) if address in owners else None
+            loc = loc_records.get(address)
+            ix_chain = [
+                (city, METHOD_HOSTNAME), (loc, METHOD_DNSLOC), (hq, METHOD_WHOIS)
+            ]
+            router = owners.get(address)
+            isp = (
+                feed(router)
+                if router is not None and int(asns[router]) in covered
+                else None
+            )
+            es_chain = [
+                (isp, METHOD_ISP), (city, METHOD_HOSTNAME), (hq, METHOD_WHOIS)
+            ]
+            for result, chain in ((ix_result, ix_chain), (es_result, es_chain)):
+                want = next(
+                    (MappingResult(p, m) for p, m in chain if p is not None),
+                    MappingResult(None, METHOD_UNMAPPED),
+                )
+                assert result == want

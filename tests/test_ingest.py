@@ -212,6 +212,44 @@ class TestPatchDataset:
         with pytest.raises(IngestError, match="already exists"):
             patch_dataset(_tiny_dataset(), _batch(add_links=[[20, 10]]))
 
+    def test_duplicate_check_matches_full_sort(self):
+        """Accepting or rejecting a batch's links, and the error text,
+        equal a check against every old link, for duplicates given in
+        either orientation."""
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            pairs = {
+                tuple(sorted(p))
+                for p in rng.integers(0, n, (int(rng.integers(0, 15)), 2)).tolist()
+                if p[0] != p[1]
+            }
+            base = MappedDataset(
+                label="rand", kind="skitter",
+                addresses=np.arange(100, 100 + n, dtype=np.int64),
+                lats=np.zeros(n), lons=np.zeros(n),
+                asns=np.ones(n, dtype=np.int64),
+                links=np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2),
+            )
+            rows = rng.integers(0, n, (int(rng.integers(1, 4)), 2))
+            rows = rows[rows[:, 0] != rows[:, 1]]
+            keys = np.sort(rows, axis=1) @ np.array([n, 1])
+            if rows.size == 0 or np.unique(keys).size != keys.size:
+                continue
+            old_keys = base.links.astype(np.int64) @ np.array([n, 1])
+            hits = np.flatnonzero(np.isin(keys, np.sort(old_keys)))
+            want = (
+                f"link between rows {rows[hits[0], 0]} and {rows[hits[0], 1]} "
+                "already exists" if hits.size else None
+            )
+            batch = _batch(add_links=(rows + 100).tolist())
+            try:
+                patch_dataset(base, batch)
+                got = None
+            except IngestError as exc:
+                got = str(exc)
+            assert got == want
+
     def test_link_may_reference_same_batch_add(self):
         new, _ = patch_dataset(
             _tiny_dataset(),

@@ -19,38 +19,36 @@ def _owners(topology, addresses) -> list[int]:
 class TestResolveAliases:
     def test_full_success_collapses_to_loopbacks(self, toy_topology):
         ifc_a, ifc_b = toy_topology.link_interfaces()
-        addresses = set(ifc_a.tolist()) | set(ifc_b.tolist())
+        addresses = np.unique(np.concatenate([ifc_a, ifc_b]))
         mapping = resolve_aliases(
             toy_topology, addresses, np.random.default_rng(0), 1.0
         )
         loopbacks = toy_topology.router_loopbacks()
-        for address, canonical in mapping.items():
+        for address, canonical in zip(addresses.tolist(), mapping.tolist()):
             (router,) = _owners(toy_topology, [address])
             assert canonical == loopbacks[router]
 
     def test_failure_leaves_interfaces_alone(self, toy_topology):
-        addresses = {int(toy_topology.link_interfaces()[0][0])}
+        address = int(toy_topology.link_interfaces()[0][0])
         mapping = resolve_aliases(
-            toy_topology, addresses, np.random.default_rng(0), 1e-12
+            toy_topology, [address], np.random.default_rng(0), 1e-12
         )
-        address = next(iter(addresses))
-        assert mapping[address] == address
+        assert mapping.tolist() == [address]
 
     def test_unknown_address_raises(self, toy_topology):
         with pytest.raises(MeasurementError):
             resolve_aliases(
-                toy_topology, {424242}, np.random.default_rng(0), 1.0
+                toy_topology, [424242], np.random.default_rng(0), 1.0
             )
 
     def test_bad_rate_raises(self, toy_topology):
         with pytest.raises(MeasurementError):
-            resolve_aliases(toy_topology, set(), np.random.default_rng(0), 0.0)
+            resolve_aliases(toy_topology, [], np.random.default_rng(0), 0.0)
 
     def test_merge_members_inverts_mapping(self):
-        mapping = {1: 100, 2: 100, 3: 3}
-        members = merge_members(mapping)
-        assert members[100] == [1, 2, 100]
-        assert members[3] == [3]
+        members, nodes = merge_members([1, 2, 3], [100, 100, 3])
+        assert nodes.tolist() == [3, 100, 100, 100]
+        assert members.tolist() == [3, 1, 2, 100]
 
 
 class TestRunMercator:
@@ -69,13 +67,15 @@ class TestRunMercator:
         inventory.validate()
         assert inventory.kind == "mercator"
         loopbacks = set(toy_topology.router_loopbacks().tolist())
-        assert inventory.nodes <= loopbacks
+        assert set(inventory.nodes.tolist()) <= loopbacks
 
     def test_alias_members_recorded(self, toy_topology):
         inventory = run_mercator(
             toy_topology, self._config(), np.random.default_rng(0), source=0
         )
-        multi = [n for n in inventory.nodes if len(inventory.aliases[n]) > 1]
+        multi = [
+            n for n in inventory.nodes if len(inventory.interfaces_of(n)) > 1
+        ]
         assert multi  # middle routers have several observed interfaces
 
     def test_no_self_links_after_merging(self, toy_topology):

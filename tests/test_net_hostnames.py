@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeolocationError
-from repro.net.hostnames import extract_city_code, make_hostname
+from repro.net.hostnames import extract_city_code, extract_city_codes, make_hostname
 
 codes = st.from_regex(r"[A-Z]{3}", fullmatch=True)
 router_ids = st.integers(min_value=0, max_value=10_000)
@@ -71,3 +71,38 @@ class TestExtractCityCode:
         # Router 8 gets a unit number appended to the code; the parser
         # must strip it.
         assert extract_city_code(hostname) == "SEA"
+
+
+def _code_or_empty(hostname: str) -> str:
+    try:
+        return extract_city_code(hostname) or ""
+    except GeolocationError:
+        return ""
+
+
+class TestExtractCityCodes:
+    """The one-pass bulk parser equals the per-hostname parser."""
+
+    hostnames = st.one_of(
+        st.builds(
+            lambda rid, code, embed: make_hostname(
+                rid, code, "a-b.net", np.random.default_rng(rid), embed
+            ),
+            router_ids,
+            st.from_regex(r"[A-Z0-9]{0,4}", fullmatch=True),
+            st.booleans(),
+        ),
+        st.text(alphabet="0123456789.-abcSFO\n ", max_size=30),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(hostnames, max_size=12))
+    def test_matches_per_hostname_parse(self, names):
+        assert extract_city_codes(names) == [_code_or_empty(n) for n in names]
+
+    def test_empty_and_line_breaks(self):
+        assert extract_city_codes([]) == []
+        good = "0.so-1-0-0.CR1.SFO1.westnet.net"
+        assert extract_city_codes([good + "\n", "x\ny", good]) == [
+            _code_or_empty(good + "\n"), "", "SFO"
+        ]

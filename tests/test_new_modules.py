@@ -24,12 +24,8 @@ class TestNetGeo:
 
         plan = AddressPlan(pool=Prefix.parse("0.0.0.0/8"), block_length=16)
         plan.grant_block(100)
-        context = GeoContext(
-            city_locations={},
-            hostnames={},
-            whois=WhoisRegistry.from_plan(plan, toy_topology.asns),
-            loc_records={},
-            as_of_address={},
+        context = GeoContext.build(
+            toy_topology, {}, {}, WhoisRegistry.from_plan(plan, toy_topology.asns), {}
         )
         mapper = NetGeo(context, np.random.default_rng(0), failure_rate=0.0)
         result = mapper.locate(int(toy_topology.router_loopbacks()[0]))
@@ -41,12 +37,8 @@ class TestNetGeo:
         from repro.geoloc.base import GeoContext
         from repro.net.addressing import AddressPlan
 
-        context = GeoContext(
-            city_locations={},
-            hostnames={},
-            whois=WhoisRegistry.from_plan(AddressPlan(), toy_topology.asns),
-            loc_records={},
-            as_of_address={},
+        context = GeoContext.build(
+            toy_topology, {}, {}, WhoisRegistry.from_plan(AddressPlan(), toy_topology.asns), {}
         )
         mapper = NetGeo(context, np.random.default_rng(0), failure_rate=0.0)
         assert mapper.locate(12345).method == METHOD_UNMAPPED
@@ -56,12 +48,8 @@ class TestNetGeo:
         from repro.geoloc.base import GeoContext
         from repro.net.addressing import AddressPlan
 
-        context = GeoContext(
-            city_locations={},
-            hostnames={},
-            whois=WhoisRegistry.from_plan(AddressPlan(), toy_topology.asns),
-            loc_records={},
-            as_of_address={},
+        context = GeoContext.build(
+            toy_topology, {}, {}, WhoisRegistry.from_plan(AddressPlan(), toy_topology.asns), {}
         )
         with pytest.raises(GeolocationError):
             NetGeo(context, np.random.default_rng(0), failure_rate=1.2)

@@ -5,7 +5,9 @@ import pytest
 from scipy import sparse
 
 from repro.errors import RoutingError
-from repro.routing.forwarding import source_routed_path
+from scipy.sparse.csgraph import dijkstra
+
+from repro.routing.forwarding import source_routed_path, source_routed_paths
 from repro.routing.shortest_path import (
     largest_component,
     shortest_path_tree,
@@ -69,6 +71,34 @@ class TestShortestPathTree:
         assert shortest_path_trees(_chain_graph(3), []) == []
 
 
+def _random_symmetric_graph(rng, n):
+    """A symmetric graph with small integer weights (many equal-cost
+    paths) and repeated links."""
+    m = int(rng.integers(1, 4 * n))
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    a, b = a[a != b], b[a != b]
+    w = rng.integers(1, 4, a.size).astype(float)
+    return sparse.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([a, b]), np.concatenate([b, a]))),
+        shape=(n, n),
+    )
+
+
+class TestSymmetricScan:
+    def test_trees_equal_undirected_dijkstra(self):
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            n = int(rng.integers(2, 50))
+            graph = _random_symmetric_graph(rng, n)
+            sources = rng.choice(n, size=min(n, 4), replace=False).tolist()
+            distances, predecessors = dijkstra(
+                graph, directed=False, indices=sources, return_predecessors=True
+            )
+            for i, tree in enumerate(shortest_path_trees(graph, sources)):
+                assert np.array_equal(tree.predecessors, predecessors[i])
+                assert np.array_equal(tree.distances, distances[i])
+
+
 class TestLargestComponent:
     def test_connected_graph_returns_all(self):
         comp = largest_component(_chain_graph(5))
@@ -119,3 +149,52 @@ class TestSourceRoutedPath:
         path = source_routed_path(via_tree, source_tree, 5, 2)
         for a, b in zip(path, path[1:]):
             assert toy_topology.has_link(a, b)
+
+
+def _reference_source_routed_path(via_tree, source_tree, via, target):
+    """Concatenate both legs, then cut back to the first occurrence of
+    every revisited router while walking the combined path."""
+    combined = source_tree.path_to(via) + via_tree.path_to(target)[1:]
+    position, path = {}, []
+    for router in combined:
+        if router in position:
+            cut = position[router]
+            for dropped in path[cut + 1 :]:
+                del position[dropped]
+            path = path[: cut + 1]
+        else:
+            position[router] = len(path)
+            path.append(router)
+    return path
+
+
+class TestSourceRoutedPathsBatch:
+    def test_batch_equals_reference_loop_trimming(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(3, 40))
+            graph = _random_symmetric_graph(rng, n)
+            source = int(rng.integers(n))
+            source_tree = shortest_path_tree(graph, source)
+            vias = [
+                v for v in rng.choice(n, size=min(n, 5), replace=False).tolist()
+                if source_tree.reachable(v)
+            ]
+            via_trees = {t.source: t for t in shortest_path_trees(graph, vias)}
+            probes = [
+                (via, target)
+                for via in vias
+                for target in rng.integers(0, n, 6).tolist()
+                if via_trees[via].reachable(target)
+            ]
+            want = [
+                _reference_source_routed_path(via_trees[v], source_tree, v, t)
+                for v, t in probes
+            ]
+            assert source_routed_paths(source_tree, via_trees, probes) == want
+
+    def test_unreachable_leg_raises(self):
+        graph = sparse.csr_matrix((4, 4))
+        tree = shortest_path_tree(graph, 0)
+        with pytest.raises(RoutingError):
+            source_routed_paths(tree, {2: shortest_path_tree(graph, 2)}, [(2, 3)])

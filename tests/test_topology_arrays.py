@@ -291,15 +291,16 @@ class TestInventoryBulkOps:
         inventory = RawInventory(kind="skitter")
         inventory.add_nodes([5, 6, 5])
         inventory.add_nodes([6, 7])
-        assert inventory.nodes == {5, 6, 7}
-        assert inventory.aliases == {5: [5], 6: [6], 7: [7]}
+        assert inventory.nodes.tolist() == [5, 6, 7]
+        assert inventory.members.tolist() == [5, 6, 7]
+        assert inventory.member_nodes.tolist() == [5, 6, 7]
         inventory.validate()
 
     def test_add_link_pairs_normalises(self):
         inventory = RawInventory(kind="skitter")
         inventory.add_nodes([1, 2, 3])
         inventory.add_link_pairs(np.array([2, 3]), np.array([1, 1]))
-        assert inventory.links == {(1, 2), (1, 3)}
+        assert sorted(inventory.links.tolist()) == [[1, 2], [1, 3]]
         inventory.validate()
 
     def test_add_link_pairs_rejects_self_link(self):
