@@ -96,8 +96,10 @@ class Locations:
     def from_results(cls, results: Sequence[MappingResult]) -> "Locations":
         """The batch of per-address results (for tools that answer one
         address at a time)."""
-        points = [(r.location.lat, r.location.lon) if r.mapped else (np.nan,) * 2
-                  for r in results]
+        points = [
+            (r.location.lat, r.location.lon) if r.mapped else (np.nan, np.nan)
+            for r in results
+        ]
         lats, lons = np.array(points, dtype=float).reshape(-1, 2).T
         methods = [METHODS.index(r.method) for r in results]
         return cls(lats, lons, np.array(methods, dtype=np.int8))
@@ -181,7 +183,9 @@ class GeoContext:
         owners = np.append(topology.router_asns()[routers], -1)
         return cls(addresses, owners, lats, lons, whois)
 
-    def lookup(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def lookup(
+        self, addresses: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Owner AS and the ``lats``/``lons`` table rows of a batch.
 
         Raises:

@@ -8,7 +8,7 @@ from repro.measure.artifacts import (
     discard_private,
     drop_nodes,
 )
-from repro.measure.inventory import RawInventory, normalize_pair
+from repro.measure.inventory import RawInventory
 from repro.measure.mercator import run_mercator
 from repro.measure.skitter import (
     SkitterCampaign,
@@ -26,7 +26,6 @@ __all__ = [
     "discard_private",
     "drop_nodes",
     "RawInventory",
-    "normalize_pair",
     "run_mercator",
     "SkitterCampaign",
     "choose_monitors",

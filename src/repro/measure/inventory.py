@@ -43,17 +43,6 @@ def contains(sorted_values: np.ndarray, queries) -> np.ndarray:
     return positions(sorted_values, queries) >= 0
 
 
-def normalize_pair(a: int, b: int) -> tuple[int, int]:
-    """Order a node pair canonically (small address first).
-
-    Raises:
-        MeasurementError: on a self-pair.
-    """
-    if a == b:
-        raise MeasurementError(f"self-link on address {a}")
-    return (a, b) if a < b else (b, a)
-
-
 def set_order(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """The distinct ``(low, high)`` pairs as an ``(m, 2)`` array, in the
     iteration order of a Python set they were inserted into in sequence:

@@ -91,7 +91,10 @@ def run_mercator(
             path[: config.max_hops + 1]
             for path in source_routed_paths(source_tree, via_trees, probes)
         ]
-        _record_paths(topology, paths, responds, interfaces, pair_a, pair_b)
+        for parts, part in zip(
+            (interfaces, pair_a, pair_b), _record_paths(topology, paths, responds)
+        ):
+            parts.append(part)
 
     # Stage 3: alias resolution to canonical router addresses.
     observed = distinct(np.concatenate(interfaces))
@@ -111,17 +114,12 @@ def run_mercator(
 
 
 def _record_paths(
-    topology: Topology,
-    paths: list[list[int]],
-    responds: np.ndarray,
-    interfaces: list[np.ndarray],
-    pair_a: list[np.ndarray],
-    pair_b: list[np.ndarray],
-) -> None:
-    """Append the inbound interfaces of every responding hop along router
-    paths, and the links between consecutively responding hops, in path
-    order.  Each path's first router is the probing source, which never
-    reports itself."""
+    topology: Topology, paths: list[list[int]], responds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inbound interfaces of every responding hop along router paths,
+    and the ``(low, high)`` ends of the links between consecutively
+    responding hops, in path order.  Each path's first router is the
+    probing source, which never reports itself."""
     lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
     flat = np.fromiter(
         chain.from_iterable(paths), dtype=np.intp, count=int(lengths.sum())
@@ -132,9 +130,7 @@ def _record_paths(
     routers = flat[at]
     addresses = topology.link_interfaces_toward(flat[at - 1], routers)
     answered = responds[routers]
-    interfaces.append(addresses[answered])
     # Two hops are consecutive on one path when their flat positions are.
     joined = (at[1:] == at[:-1] + 1) & answered[1:] & answered[:-1]
-    low, high = addresses[:-1][joined], addresses[1:][joined]
-    pair_a.append(np.minimum(low, high))
-    pair_b.append(np.maximum(low, high))
+    a, b = addresses[:-1][joined], addresses[1:][joined]
+    return addresses[answered], np.minimum(a, b), np.maximum(a, b)

@@ -13,7 +13,6 @@ from repro.measure.artifacts import (
 from repro.measure.inventory import (
     RawInventory,
     contains,
-    normalize_pair,
     positions,
     set_order,
 )
@@ -28,16 +27,6 @@ def _inventory(kind: str = "skitter") -> RawInventory:
     inv.add_link(20, 30)
     inv.add_link(30, 40)
     return inv
-
-
-class TestNormalizePair:
-    def test_orders_ascending(self):
-        assert normalize_pair(5, 2) == (2, 5)
-        assert normalize_pair(2, 5) == (2, 5)
-
-    def test_self_pair_raises(self):
-        with pytest.raises(MeasurementError):
-            normalize_pair(3, 3)
 
 
 class TestArrayHelpers:
