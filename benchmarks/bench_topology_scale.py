@@ -21,14 +21,17 @@ is taken before larger scenarios inflate the process high-water mark.
 Each scale's ground-truth time is a headline (``<scale>_ground_truth_s``,
 lower is better): the median of ``GENERATION_ROUNDS`` generations from
 the same random state, which must all produce the same
-``topology_digest``.  The digest goes into the payload, so a generator
-change that claims identical output can be checked against the
-previous record.
+``topology_digest``.  The digest goes into the payload, and each scale's
+digest must equal the one in the record being replaced (scales the
+record lacks are skipped): a generator change that moves the topology
+fails the run, which still writes the new record, so an intended change
+is re-recorded by running the bench again.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import resource
 import sys
 import time
@@ -132,6 +135,30 @@ def bench_scale(name: str, generate_only: bool) -> dict:
     return record
 
 
+def _recorded_digests(path: Path) -> dict[str, str]:
+    """Per-scale ``topology_digest`` of the record at ``path``, if any."""
+    try:
+        results = json.loads(path.read_text())["data"]["results"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    return {
+        scale: record["topology_digest"]
+        for scale, record in results.items()
+        if isinstance(record, dict) and "topology_digest" in record
+    }
+
+
+def _check_digests(results: dict, recorded: dict[str, str]) -> list[str]:
+    """Failure messages for scales whose topology moved from the record."""
+    return [
+        f"{scale}: topology_digest {results[scale]['topology_digest']} "
+        f"differs from the recorded {recorded[scale]}"
+        for scale in _ORDER
+        if scale in results and scale in recorded
+        and results[scale]["topology_digest"] != recorded[scale]
+    ]
+
+
 def _check(results: dict, skip_checks: bool) -> list[str]:
     """Speedup and RSS assertions; returns failure messages."""
     failures: list[str] = []
@@ -199,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    recorded = _recorded_digests(args.output)
     results: dict = {}
     for scale in _ORDER:
         if scale not in args.scales:
@@ -217,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
             f"rss={record['peak_rss_mb']} MB"
         )
 
-    failures = _check(results, skip_checks=args.skip_checks or args.generate_only)
+    failures = _check_digests(results, recorded)
+    failures += _check(results, skip_checks=args.skip_checks or args.generate_only)
     payload = {
         "speedup_floor": SPEEDUP_FLOOR,
         "baseline": BASELINES,

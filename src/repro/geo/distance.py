@@ -70,8 +70,9 @@ def haversine_miles_radians(
         np.square(np.sin(dlat / 2.0))
         + cos_lat1 * cos_lat2 * np.square(np.sin(dlon / 2.0))
     )
-    # Clamp against tiny negative / >1 values from rounding.
-    a = np.clip(a, 0.0, 1.0)
+    # Clamp against tiny negative / >1 values from rounding (np.clip's
+    # result, without its Python-level dispatch on every call).
+    a = np.minimum(np.maximum(a, 0.0), 1.0)
     central = 2.0 * np.arcsin(np.sqrt(a))
     return EARTH_RADIUS_MILES * central
 

@@ -13,7 +13,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.errors import AnalysisError
+from repro.geo.coords import distinct_points
 
 if TYPE_CHECKING:  # deferred: core.stats imports analysis modules that
     # themselves need repro.geo, so a module-level import would be cyclic.
@@ -44,7 +46,7 @@ def _occupied_boxes(x: np.ndarray, y: np.ndarray, box: float) -> int:
     iy = np.floor(y / box).astype(np.int64)
     # Combine into a single key; ranges are small enough not to overflow.
     keys = ix * 2_000_003 + iy
-    return int(np.unique(keys).size)
+    return int(distinct(keys).size)
 
 
 def box_counting_dimension(
@@ -78,7 +80,7 @@ def box_counting_dimension(
     # locations collapse many points onto one coordinate, and once every
     # distinct point sits in its own box, finer scales only flatten the
     # curve and bias the slope toward zero.
-    n_distinct = int(np.unique(np.column_stack([x, y]), axis=0).shape[0])
+    n_distinct = int(distinct_points(x, y)[0].size)
 
     sizes: list[float] = []
     counts: list[int] = []

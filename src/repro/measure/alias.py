@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.errors import MeasurementError
-from repro.measure.inventory import contains, distinct
+from repro.measure.inventory import contains
 from repro.net.topology import Topology
 
 

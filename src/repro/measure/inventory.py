@@ -16,17 +16,9 @@ from itertools import chain
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.errors import MeasurementError
 from repro.net.ip import ADDRESS_SPACE
-
-
-def distinct(values) -> np.ndarray:
-    """``np.unique`` of an integer array by one sort and a neighbour
-    compare, several times faster than numpy's hash-based default."""
-    values = np.sort(np.asarray(values).reshape(-1))
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def positions(sorted_values: np.ndarray, queries) -> np.ndarray:

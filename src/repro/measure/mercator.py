@@ -15,10 +15,11 @@ from itertools import chain
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.config import MercatorConfig
 from repro.errors import MeasurementError
 from repro.measure.alias import merge_members, resolve_aliases
-from repro.measure.inventory import RawInventory, distinct, set_order
+from repro.measure.inventory import RawInventory, set_order
 from repro.measure.skitter import probe_tree
 from repro.net.topology import Topology
 from repro.routing.forwarding import source_routed_paths

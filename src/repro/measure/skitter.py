@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.config import SkitterConfig
 from repro.errors import MeasurementError
-from repro.measure.inventory import RawInventory, distinct
+from repro.measure.inventory import RawInventory
 from repro.net.topology import Topology
 from repro.routing.shortest_path import (
     PredecessorTree,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.bgp.table import UNMAPPED_ASN
 from repro.datasets.mapped import MappedDataset
 from repro.errors import MeasurementError
@@ -58,7 +59,7 @@ class DeltaStream:
         self._next_address = int(dataset.addresses.max()) + 1
         mapped = dataset.asns[dataset.asns != UNMAPPED_ASN]
         self._known_asns = (
-            np.unique(mapped) if mapped.size else np.array([1], dtype=np.int64)
+            distinct(mapped) if mapped.size else np.array([1], dtype=np.int64)
         )
         self._next_asn = int(self._known_asns.max()) + 1
         ends = dataset.addresses[dataset.links.reshape(-1, 2)]

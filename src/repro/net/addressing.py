@@ -26,10 +26,15 @@ class AsBlock:
 
     prefix: Prefix
     next_offset: int = 1  # skip the network address
+    #: The broadcast address's offset, which is never handed out.
+    end: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.end = self.prefix.size - 1
 
     def remaining(self) -> int:
         """Host addresses still available (one is reserved for broadcast)."""
-        return max(0, self.prefix.size - 1 - self.next_offset)
+        return max(0, self.end - self.next_offset)
 
     def take(self) -> int:
         """Allocate the next host address.
@@ -37,11 +42,11 @@ class AsBlock:
         Raises:
             AllocationError: when the block is exhausted.
         """
-        if self.remaining() <= 0:
+        offset = self.next_offset
+        if offset >= self.end:
             raise AllocationError(f"block {self.prefix} exhausted")
-        address = self.prefix.base + self.next_offset
-        self.next_offset += 1
-        return address
+        self.next_offset = offset + 1
+        return self.prefix.base + offset
 
 
 @dataclass
@@ -90,7 +95,7 @@ class AddressPlan:
             if block.remaining() > 0:
                 return block.take()
         self.grant_block(asn)
-        return self._blocks[asn][-1].take()
+        return blocks[-1].take()
 
     def allocate_many(self, asn: int, count: int) -> np.ndarray:
         """Allocate ``count`` host addresses for the AS, in order.
@@ -98,7 +103,9 @@ class AddressPlan:
         Equivalent to ``count`` calls to :meth:`allocate` (same addresses,
         same block grants) but filled a contiguous run at a time.
         """
-        out = np.empty(count, dtype=np.int64)
+        if count <= 0:
+            return np.empty(0, dtype=np.int64)
+        runs: list[np.ndarray] = []
         filled = 0
         blocks = self._blocks.setdefault(asn, [])
         cursor = 0
@@ -107,17 +114,14 @@ class AddressPlan:
                 cursor += 1
             if cursor >= len(blocks):
                 self.grant_block(asn)
-                blocks = self._blocks[asn]
                 continue
             block = blocks[cursor]
             take = min(block.remaining(), count - filled)
             start = block.prefix.base + block.next_offset
-            out[filled:filled + take] = np.arange(
-                start, start + take, dtype=np.int64
-            )
+            runs.append(np.arange(start, start + take, dtype=np.int64))
             block.next_offset += take
             filled += take
-        return out
+        return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
     def to_dict(self) -> dict:
         """JSON-serialisable snapshot of the allocator state."""

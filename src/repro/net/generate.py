@@ -29,13 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.config import GroundTruthConfig
 from repro.errors import ConfigError, TopologyError
-from repro.geo.distance import (
-    haversine_miles,
-    haversine_miles_radians,
-    haversine_operands,
-)
+from repro.geo.distance import haversine_miles_radians, haversine_operands
 from repro.net.addressing import AddressPlan
 from repro.net.elements import AutonomousSystem
 from repro.net.hostnames import make_hostname_batch
@@ -67,11 +64,22 @@ class _AsSpec:
     pop_cities: list[int] = field(default_factory=list)
     router_ids: list[int] = field(default_factory=list)
     routers_by_city: dict[int, list[int]] = field(default_factory=dict)
-    # Cities holding routers, their router-count shares and their
-    # haversine operands; set once routers are placed (see _index_pops).
+    # Cities holding routers, the cdf of their router-count shares and
+    # their haversine operands; set once routers are placed (see
+    # _index_pops).  ``nearest`` memoises this AS's PoP nearest to a
+    # city, as interdomain links ask for it.
     present_cities: list[int] = field(default_factory=list)
-    present_share: np.ndarray | None = None
+    present_cdf: np.ndarray | None = None
     present_radians: tuple = ()
+    nearest: dict[int, int] = field(default_factory=dict)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(..., p=p)`` searches: cumsum of ``p``,
+    normalised by its last entry."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,10 @@ class GroundTruthGenerator:
         )
         self._zone_names = [z.name for z in world.zones]
         self._router_zone: list[int] = []
+        # City routers drawn by _place_routers_in_city that _flush_routers
+        # has not yet appended: (asn, city, sprawl, angle, loopbacks).
+        self._pending_routers: list[tuple] = []
+        self._n_pending_routers = 0
         # Owner ASN per router id, fixed once the link stage starts.
         self._router_asn: list[int] = []
         # Links accepted by _add_link_checked that _flush_links has not
@@ -139,6 +151,55 @@ class GroundTruthGenerator:
     def _waxman_l_for_zone(self, zone_name: str) -> float:
         return self.config.waxman_l_miles.get(zone_name, 150.0)
 
+    def _pick(self, cdf: np.ndarray) -> int:
+        """``rng.choice(len(p), p=p)`` for ``cdf = _cdf(p)``.
+
+        ``choice`` draws one uniform and searches this table; drawing it
+        here skips the per-call checks of ``p`` and leaves the stream in
+        the same place.
+        """
+        return int(cdf.searchsorted(self.rng.random(), side="right"))
+
+    def _pick_distinct(self, p: np.ndarray, size: int) -> list[int]:
+        """``rng.choice(len(p), size, replace=False, p=p)``, as a list.
+
+        ``choice`` draws one uniform per missing pick against the table
+        of ``p`` with the weights of earlier picks set to zero, keeps the
+        first occurrence of each new index, and repeats until it has
+        ``size``; so does this, without ``choice``'s per-call checks and
+        ``np.unique``.  ``p`` needs ``size`` positive entries.
+        """
+        picks: list[int] = []
+        while len(picks) < size:
+            draws = self.rng.random(size - len(picks))
+            if picks:
+                p = p.copy()
+                p[picks] = 0.0
+            picks += dict.fromkeys(_cdf(p).searchsorted(draws, side="right").tolist())
+        return picks
+
+    def _pick_pairs(self, sizes: list[int]) -> list[tuple[int, int]]:
+        """``rng.choice(n, size=2, replace=False)`` for each ``n`` in turn.
+
+        ``choice`` picks such a pair by Floyd's algorithm, bounded
+        integers below ``n - 1`` and below ``n`` (the second becomes
+        ``n - 1`` if it repeats the first), then swaps the two unless an
+        integer below 2 comes out 1.  One ``integers`` call with those
+        bounds draws the same numbers in the same order.
+        """
+        highs: list[int] = []
+        for n in sizes:
+            highs += (n - 1, n, 2)
+        draws = self.rng.integers(0, highs).tolist()
+        pairs: list[tuple[int, int]] = []
+        for n, first, second, keep in zip(
+            sizes, draws[0::3], draws[1::3], draws[2::3]
+        ):
+            if second == first:
+                second = n - 1
+            pairs.append((first, second) if keep else (second, first))
+        return pairs
+
     def _allocate_address(self, asn: int) -> int:
         """Allocate an interface address; rarely a private one.
 
@@ -155,12 +216,13 @@ class GroundTruthGenerator:
     def _allocate_addresses(self, asn: int, count: int) -> np.ndarray:
         """Batch form of :meth:`_allocate_address` (one private draw each)."""
         private = self.rng.random(count) < 0.005
+        n_private = int(np.count_nonzero(private))
+        if not n_private:
+            return self.plan.allocate_many(asn, count)
         out = np.empty(count, dtype=np.int64)
-        n_private = int(private.sum())
-        if n_private:
-            start = _PRIVATE_POOL.base + self._private_next
-            out[private] = np.arange(start, start + n_private, dtype=np.int64)
-            self._private_next += n_private
+        start = _PRIVATE_POOL.base + self._private_next
+        out[private] = np.arange(start, start + n_private, dtype=np.int64)
+        self._private_next += n_private
         if n_private < count:
             out[~private] = self.plan.allocate_many(asn, count - n_private)
         return out
@@ -228,7 +290,9 @@ class GroundTruthGenerator:
         cfg = self.config
         sizes = self._as_sizes()
         budgets = self._zone_budgets().astype(float)
-        zone_probs = budgets / budgets.sum()
+        zone_cdf = _cdf(budgets / budgets.sum())
+        # Each zone's cities and home-city table, built on its first pick.
+        homes: dict[int, tuple[list[int], np.ndarray]] = {}
         specs: list[_AsSpec] = []
         for rank in range(cfg.n_ases):
             asn = 100 + rank
@@ -237,12 +301,15 @@ class GroundTruthGenerator:
             )
             stem = _NAME_STEMS[rank % len(_NAME_STEMS)]
             name = f"{stem}{asn}"
-            zone = int(self.rng.choice(len(self.world.zones), p=zone_probs))
-            zone_cities = np.flatnonzero(self._city_zone == zone)
-            weights = attraction[zone_cities]
-            if weights.sum() <= 0:
-                weights = np.ones(zone_cities.size)
-            home = int(self.rng.choice(zone_cities, p=weights / weights.sum()))
+            zone = self._pick(zone_cdf)
+            if zone not in homes:
+                zone_cities = np.flatnonzero(self._city_zone == zone)
+                weights = attraction[zone_cities]
+                if weights.sum() <= 0:
+                    weights = np.ones(zone_cities.size)
+                homes[zone] = (zone_cities.tolist(), _cdf(weights / weights.sum()))
+            cities, home_cdf = homes[zone]
+            home = cities[self._pick(home_cdf)]
             # Naming discipline: most ISPs are strict, a minority sloppy,
             # and a few embed no location at all — those are the ASes
             # whose hundreds of interfaces geolocate to a couple of
@@ -266,53 +333,56 @@ class GroundTruthGenerator:
             )
         return specs
 
-    def _choose_pop_cities(self, spec: _AsSpec, attraction: np.ndarray) -> None:
-        """Pick the cities where this AS is present (its PoPs)."""
+    def _choose_pop_cities(
+        self, specs: list[_AsSpec], attraction: np.ndarray
+    ) -> None:
+        """Pick the cities where each AS is present (its PoPs)."""
         cfg = self.config
         n_cities = len(self.world.cities)
-        raw = spec.target_size**0.72 * float(self.rng.lognormal(0.0, 0.4))
-        n_pops = int(
-            np.clip(
-                round(raw),
-                1,
-                min(max(1, int(np.ceil(spec.target_size * cfg.max_pops_fraction))),
-                    n_cities),
-            )
-        )
-        globally = (
-            spec.target_size > cfg.global_dispersal_threshold
-            or spec.tier == 1
-            or self.rng.random() < cfg.small_global_probability
-        )
-        if globally:
-            candidates = np.arange(n_cities)
-        else:
-            home_lat = self._city_lat[spec.home_city]
-            home_lon = self._city_lon[spec.home_city]
-            dist = haversine_miles(home_lat, home_lon, self._city_lat, self._city_lon)
-            radius = float(self.rng.lognormal(np.log(300.0), 1.1))
-            candidates = np.flatnonzero(dist <= radius)
-            if candidates.size < n_pops:
-                candidates = np.argsort(dist)[: max(n_pops, 4)]
-        weights = attraction[candidates] + 1e-9
-        n_pops = min(n_pops, candidates.size)
-        chosen = self.rng.choice(
-            candidates, size=n_pops, replace=False, p=weights / weights.sum()
-        )
-        pops = set(int(c) for c in chosen)
-        pops.add(spec.home_city)
+        everywhere = np.arange(n_cities)
+        weights = attraction + 1e-9
+        everywhere_p = weights / weights.sum()
+        city_rad = haversine_operands(self._city_lat, self._city_lon)
+        log_radius = np.log(300.0)
         # Global carriers keep a PoP on every continent (the paper's
-        # "maximally dispersed" regime above the size cutoff): include
-        # each zone's top city.
-        if globally and (
-            spec.tier == 1 or spec.target_size > cfg.global_dispersal_threshold
-        ):
-            for zi in range(len(self.world.zones)):
-                zone_cities = np.flatnonzero(self._city_zone == zi)
-                if zone_cities.size:
-                    top = zone_cities[int(np.argmax(attraction[zone_cities]))]
-                    pops.add(int(top))
-        spec.pop_cities = sorted(pops)
+        # "maximally dispersed" regime above the size cutoff): each
+        # zone's top city.
+        tops: set[int] = set()
+        for zi in range(len(self.world.zones)):
+            zone_cities = np.flatnonzero(self._city_zone == zi)
+            if zone_cities.size:
+                tops.add(int(zone_cities[int(np.argmax(attraction[zone_cities]))]))
+        for spec in specs:
+            raw = spec.target_size**0.72 * float(self.rng.lognormal(0.0, 0.4))
+            cap = min(
+                max(1, int(np.ceil(spec.target_size * cfg.max_pops_fraction))),
+                n_cities,
+            )
+            n_pops = min(max(round(raw), 1), cap)
+            carrier = (
+                spec.target_size > cfg.global_dispersal_threshold or spec.tier == 1
+            )
+            if carrier or self.rng.random() < cfg.small_global_probability:
+                candidates, p = everywhere, everywhere_p
+            else:
+                dist = haversine_miles_radians(
+                    *haversine_operands(
+                        self._city_lat[spec.home_city], self._city_lon[spec.home_city]
+                    ),
+                    *city_rad,
+                )
+                radius = float(self.rng.lognormal(log_radius, 1.1))
+                candidates = np.flatnonzero(dist <= radius)
+                if candidates.size < n_pops:
+                    candidates = np.argsort(dist)[: max(n_pops, 4)]
+                weights = attraction[candidates] + 1e-9
+                p = weights / weights.sum()
+            chosen = self._pick_distinct(p, min(n_pops, candidates.size))
+            pops = set(candidates[chosen].tolist())
+            pops.add(spec.home_city)
+            if carrier:
+                pops |= tops
+            spec.pop_cities = sorted(pops)
 
     # -- stage 3: routers ----------------------------------------------------
 
@@ -320,32 +390,31 @@ class GroundTruthGenerator:
         self, specs: list[_AsSpec], city_counts: np.ndarray
     ) -> None:
         """Split each city's router count among the ASes present there."""
-        cfg = self.config
-        presence: dict[int, list[int]] = {c: [] for c in range(len(self.world.cities))}
+        presence: list[list[int]] = [[] for _ in self.world.cities]
         for si, spec in enumerate(specs):
             for city in spec.pop_cities:
                 presence[city].append(si)
         # Zone incumbents (largest AS homed in the zone) absorb cities no
         # AS chose, so every placed router has an owner.
         incumbents = self._zone_incumbents(specs)
-        for city in range(len(self.world.cities)):
+        for city in np.flatnonzero(city_counts).tolist():
             count = int(city_counts[city])
-            if count == 0:
-                continue
-            owners = presence[city]
-            if not owners:
-                owners = [incumbents[int(self._city_zone[city])]]
-            weights = np.array([specs[si].target_size for si in owners], dtype=float)
-            split = self.rng.multinomial(count, weights / weights.sum())
+            owners = presence[city] or [incumbents[int(self._city_zone[city])]]
+            if len(owners) == 1:
+                split = [count]  # a one-way multinomial draws nothing
+            else:
+                weights = np.array(
+                    [specs[si].target_size for si in owners], dtype=float
+                )
+                split = self.rng.multinomial(count, weights / weights.sum()).tolist()
             for si, n_here in zip(owners, split):
-                if n_here == 0:
-                    continue
-                spec = specs[si]
-                self._place_routers_in_city(spec, city, int(n_here))
+                if n_here:
+                    self._place_routers_in_city(specs[si], city, n_here)
         # Guarantee every AS exists in the topology with at least one router.
         for spec in specs:
             if not spec.router_ids:
                 self._place_routers_in_city(spec, spec.home_city, 1)
+        self._flush_routers()
 
     def _zone_incumbents(self, specs: list[_AsSpec]) -> dict[int, int]:
         incumbents: dict[int, int] = {}
@@ -361,27 +430,51 @@ class GroundTruthGenerator:
         return incumbents
 
     def _place_routers_in_city(self, spec: _AsSpec, city: int, count: int) -> None:
+        """Queue ``count`` routers of the AS around the city.
+
+        Their random draws (sprawl, angle, private-address rolls) and
+        addresses are taken now, in call order; :meth:`_flush_routers`
+        computes their coordinates and appends them.
+        """
+        sprawl = self.rng.pareto(1.2, size=count)
+        angle = self.rng.uniform(0.0, 2.0 * np.pi, size=count)
+        loopbacks = self._allocate_addresses(spec.asn, count)
+        self._pending_routers.append((spec.asn, city, sprawl, angle, loopbacks))
+        start = self.topology.n_routers + self._n_pending_routers
+        self._n_pending_routers += count
+        ids = range(start, start + count)
+        spec.router_ids.extend(ids)
+        spec.routers_by_city.setdefault(city, []).extend(ids)
+        self._router_zone.extend([int(self._city_zone[city])] * count)
+
+    def _flush_routers(self) -> None:
+        """Append the queued city routers to the topology in one batch."""
+        if not self._pending_routers:
+            return
+        asns, cities, sprawl, angle, loopbacks = zip(*self._pending_routers)
+        counts = [block.shape[0] for block in loopbacks]
+        city = np.repeat(np.array(cities, dtype=np.intp), counts)
         # Heavy-tailed metro sprawl: most routers sit near the city
         # core, a minority in exurban facilities.  (A Gaussian kernel
         # leaves a scale gap between city spacing and city size that
         # depresses the box-counting dimension far below the ~1.5 the
         # paper confirms for real router placement.)
-        jitter = self.config.pop_jitter_deg
-        code = self.world.cities[city].code
-        radius = np.minimum(jitter * (self.rng.pareto(1.2, size=count) + 0.3), 1.5)
-        angle = self.rng.uniform(0.0, 2.0 * np.pi, size=count)
-        lats = np.clip(
-            self._city_lat[city] + radius * np.sin(angle), -89.9, 89.9
+        radius = np.minimum(
+            self.config.pop_jitter_deg * (np.concatenate(sprawl) + 0.3), 1.5
         )
-        lons = np.clip(
-            self._city_lon[city] + radius * np.cos(angle), -179.9, 179.9
+        angle = np.concatenate(angle)
+        lats = np.clip(self._city_lat[city] + radius * np.sin(angle), -89.9, 89.9)
+        lons = np.clip(self._city_lon[city] + radius * np.cos(angle), -179.9, 179.9)
+        city_codes = [self.world.cities[c].code for c in cities]
+        self.topology.add_routers(
+            np.repeat(np.array(asns, dtype=np.int64), counts),
+            lats,
+            lons,
+            [code for code, n in zip(city_codes, counts) for _ in range(n)],
+            np.concatenate(loopbacks),
         )
-        ids = self.topology.add_routers(
-            spec.asn, lats, lons, code, self._allocate_addresses(spec.asn, count)
-        ).tolist()
-        spec.router_ids.extend(ids)
-        spec.routers_by_city.setdefault(city, []).extend(ids)
-        self._router_zone.extend([int(self._city_zone[city])] * count)
+        self._pending_routers.clear()
+        self._n_pending_routers = 0
 
     def _create_rural_routers(self, specs: list[_AsSpec]) -> None:
         """Place the rural fraction at population points, owned by incumbents."""
@@ -403,7 +496,7 @@ class GroundTruthGenerator:
         zones = field_.zone_index[idx].astype(np.intp)
         # One batch per owning AS; router creation order is grouped by
         # zone rather than point order, which only permutes ids.
-        for zone in np.unique(zones).tolist():
+        for zone in distinct(zones).tolist():
             sel = zones == zone
             spec = specs[incumbents[int(zone)]]
             count = int(sel.sum())
@@ -445,97 +538,85 @@ class GroundTruthGenerator:
         self._pending_links.clear()
         self._pending_pairs.clear()
 
-    def _add_links_batch(self, pairs_a: list[int], pairs_b: list[int]) -> int:
+    def _add_links_batch(self, pairs_a: list[int], pairs_b: list[int]) -> None:
         """Batch :meth:`_add_link_checked`: silently drops duplicates.
 
-        Returns the number of links actually added.  Interface addresses
-        are allocated grouped per AS (ascending ASN), a different draw
-        order from the scalar path but the same allocator state.
+        Interface addresses are allocated grouped per AS (ascending ASN),
+        a different draw order from the scalar path but the same
+        allocator state.
         """
         self._flush_links()
-        if not pairs_a:
-            return 0
-        ra = np.asarray(pairs_a, dtype=np.intp)
-        rb = np.asarray(pairs_b, dtype=np.intp)
-        keep = ra != rb
-        ra, rb = ra[keep], rb[keep]
-        a = np.minimum(ra, rb)
-        b = np.maximum(ra, rb)
-        seen: set[tuple[int, int]] = set()
-        selected: list[int] = []
         has_link = self.topology.has_link
-        for i, pair in enumerate(zip(a.tolist(), b.tolist())):
-            if pair in seen or has_link(*pair):
-                continue
-            seen.add(pair)
-            selected.append(i)
-        if not selected:
-            return 0
-        a = a[selected]
-        b = b[selected]
-        count = a.shape[0]
-        r_asn = self.topology.router_asns()
-        owner_asn = np.empty(2 * count, dtype=np.int64)
-        owner_asn[0::2] = r_asn[a]
-        owner_asn[1::2] = r_asn[b]
-        addresses = np.empty(2 * count, dtype=np.int64)
-        for asn in np.unique(owner_asn).tolist():
+        # Distinct new (low, high) pairs, in first-seen order.
+        fresh: dict[tuple[int, int], None] = {}
+        for ra, rb in zip(pairs_a, pairs_b):
+            pair = (ra, rb) if ra < rb else (rb, ra)
+            if ra != rb and pair not in fresh and not has_link(ra, rb):
+                fresh[pair] = None
+        if not fresh:
+            return
+        pairs = np.array(list(fresh), dtype=np.intp)
+        owner_asn = self.topology.router_asns()[pairs].reshape(-1)
+        addresses = np.empty(owner_asn.shape[0], dtype=np.int64)
+        for asn in distinct(owner_asn).tolist():
             sel = owner_asn == asn
-            addresses[sel] = self._allocate_addresses(int(asn), int(sel.sum()))
-        self.topology.add_links(a, b, addresses[0::2], addresses[1::2])
-        return count
+            addresses[sel] = self._allocate_addresses(asn, int(np.count_nonzero(sel)))
+        addresses = addresses.reshape(-1, 2)
+        self.topology.add_links(
+            pairs[:, 0], pairs[:, 1], addresses[:, 0], addresses[:, 1]
+        )
 
-    def _intra_pop_links(self, spec: _AsSpec) -> None:
+    def _intra_pop_links(self, spec: _AsSpec) -> tuple[list[int], list[int]]:
+        """Chain each PoP's routers, plus a few redundant metro links."""
+        groups = list(spec.routers_by_city.values())
+        # A few redundant metro links in big PoPs: len // 4 random pairs
+        # per group, drawn for the whole AS at once.
+        extra = [len(routers) for routers in groups for _ in range(len(routers) // 4)]
+        picks = iter(self._pick_pairs(extra) if extra else ())
         pairs_a: list[int] = []
         pairs_b: list[int] = []
-        for routers in spec.routers_by_city.values():
+        for routers in groups:
             pairs_a.extend(routers[:-1])
             pairs_b.extend(routers[1:])
-            # A few redundant metro links in big PoPs.
-            extra = len(routers) // 4
-            for _ in range(extra):
-                pair = self.rng.choice(len(routers), size=2, replace=False)
-                pairs_a.append(routers[int(pair[0])])
-                pairs_b.append(routers[int(pair[1])])
-        self._add_links_batch(pairs_a, pairs_b)
+            for _ in range(len(routers) // 4):
+                i, j = next(picks)
+                pairs_a.append(routers[i])
+                pairs_b.append(routers[j])
+        return pairs_a, pairs_b
 
-    def _backbone_links(self, spec: _AsSpec) -> None:
+    def _backbone_links(self, spec: _AsSpec) -> tuple[list[int], list[int]]:
         """Nearest-neighbour (Prim) tree over the AS's PoP gateways."""
-        gateways = np.asarray(
-            [routers[0] for routers in spec.routers_by_city.values()],
-            dtype=np.intp,
-        )
-        k = gateways.shape[0]
+        gateways = [routers[0] for routers in spec.routers_by_city.values()]
+        k = len(gateways)
         if k <= 1:
-            return
+            return [], []
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[gateways]
         lons = all_lons[gateways]
         gateway_rad = haversine_operands(lats, lons)
         # Vectorised Prim: track the distance from each outside gateway
         # to its closest in-tree gateway, O(k) work per added edge.
-        min_dist = haversine_miles_radians(
-            *haversine_operands(lats[0], lons[0]), *gateway_rad
-        )
-        min_dist[0] = np.inf
+        min_dist = np.full(k, np.inf)
         closest = np.zeros(k, dtype=np.intp)
-        in_tree = np.zeros(k, dtype=bool)
-        in_tree[0] = True
+        outside = np.ones(k, dtype=bool)
+        update = np.empty(k, dtype=bool)
         pairs_a: list[int] = []
         pairs_b: list[int] = []
+        j = 0
         for _ in range(k - 1):
-            j = int(np.argmin(min_dist))
-            pairs_a.append(int(gateways[j]))
-            pairs_b.append(int(gateways[closest[j]]))
-            in_tree[j] = True
+            outside[j] = False
             min_dist[j] = np.inf
             dists = haversine_miles_radians(
                 *haversine_operands(lats[j], lons[j]), *gateway_rad
             )
-            update = ~in_tree & (dists < min_dist)
-            min_dist[update] = dists[update]
-            closest[update] = j
-        self._add_links_batch(pairs_a, pairs_b)
+            np.less(dists, min_dist, out=update)
+            update &= outside
+            np.copyto(min_dist, dists, where=update)
+            np.copyto(closest, j, where=update)
+            j = int(min_dist.argmin())
+            pairs_a.append(gateways[j])
+            pairs_b.append(gateways[closest[j]])
+        return pairs_a, pairs_b
 
     def _waxman_extra_links(self, spec: _AsSpec, n_extra: int) -> None:
         """Distance-sampled (or occasionally long-range) intra-AS links."""
@@ -548,13 +629,15 @@ class GroundTruthGenerator:
         lons = all_lons[members]
         member_rad = haversine_operands(lats, lons)
         zones = [self._zone_names[self._router_zone[r]] for r in members]
+        rng = self.rng
+        long_range = self.config.long_range_fraction
         added = 0
         attempts = 0
         while added < n_extra and attempts < n_extra * 8:
             attempts += 1
-            ui = int(self.rng.integers(n))
-            if self.rng.random() < self.config.long_range_fraction:
-                vi = int(self.rng.integers(n))
+            ui = int(rng.integers(n))
+            if rng.random() < long_range:
+                vi = int(rng.integers(n))
             else:
                 scale = self._waxman_l_for_zone(zones[ui])
                 dists = haversine_miles_radians(
@@ -565,7 +648,7 @@ class GroundTruthGenerator:
                 total = weights.sum()
                 if total <= 0:
                     continue
-                vi = int(self.rng.choice(n, p=weights / total))
+                vi = self._pick(_cdf(weights / total))
             if self._add_link_checked(members[ui], members[vi]):
                 added += 1
 
@@ -579,8 +662,11 @@ class GroundTruthGenerator:
         # pseudo-city per population point): the chain within each group
         # plus the tree over group gateways connects every AS.
         for spec in specs:
-            self._intra_pop_links(spec)
-            self._backbone_links(spec)
+            # One batch per AS: the backbone draws nothing, so its links'
+            # addresses follow the intra-PoP ones as if added after them.
+            pop_a, pop_b = self._intra_pop_links(spec)
+            backbone_a, backbone_b = self._backbone_links(spec)
+            self._add_links_batch(pop_a + backbone_a, pop_b + backbone_b)
         structural = self.topology.n_links
         extra_budget = max(0, int(target_total - target_inter - structural))
         sizes = np.array([max(len(s.router_ids), 1) for s in specs], dtype=float)
@@ -600,41 +686,46 @@ class GroundTruthGenerator:
 
         tier1 = [i for i, s in enumerate(specs) if s.tier == 1]
         tier12 = [i for i, s in enumerate(specs) if s.tier in (1, 2)]
-        # Backbone: deterministic chain for connectivity + dense mesh.
+        # Backbone: deterministic chain for connectivity + dense mesh,
+        # one draw per tier-1 pair (i < j) in row order.
         for i in range(1, len(tier1)):
             add(tier1[i - 1], tier1[i])
-        for i in tier1:
-            for j in tier1:
-                if i < j and self.rng.random() < 0.8:
-                    add(i, j)
+        mesh = [(i, j) for n, i in enumerate(tier1) for j in tier1[n + 1:]]
+        for (i, j), draw in zip(mesh, self.rng.random(len(mesh)).tolist()):
+            if draw < 0.8:
+                add(i, j)
+        # Providers of a tier-2 AS are the tier-1 ASes, of a tier-3 AS the
+        # tier-1 and tier-2 ones; neither list holds the AS itself.
         sizes = np.array([s.target_size for s in specs], dtype=float)
+        provider_tables = {}
+        for tier, providers in ((2, tier1), (3, tier12)):
+            homes = [specs[p].home_city for p in providers]
+            provider_tables[tier] = (
+                providers,
+                sizes[providers],
+                haversine_operands(self._city_lat[homes], self._city_lon[homes]),
+            )
         for si, spec in enumerate(specs):
             if spec.tier == 1:
                 continue
-            providers = tier1 if spec.tier == 2 else tier12
-            candidates = [p for p in providers if p != si]
-            home_lat = self._city_lat[spec.home_city]
-            home_lon = self._city_lon[spec.home_city]
-            prov_lat = self._city_lat[[specs[p].home_city for p in candidates]]
-            prov_lon = self._city_lon[[specs[p].home_city for p in candidates]]
-            dist = haversine_miles(home_lat, home_lon, prov_lat, prov_lon)
-            weights = sizes[candidates] / (1.0 + dist / 1000.0)
+            providers, provider_sizes, provider_rad = provider_tables[spec.tier]
+            dist = haversine_miles_radians(
+                *haversine_operands(
+                    self._city_lat[spec.home_city], self._city_lon[spec.home_city]
+                ),
+                *provider_rad,
+            )
+            weights = provider_sizes / (1.0 + dist / 1000.0)
             weights = weights / weights.sum()
             n_providers = 1 + int(self.rng.random() < 0.45)
-            n_providers = min(n_providers, len(candidates))
-            chosen = self.rng.choice(
-                len(candidates), size=n_providers, replace=False, p=weights
-            )
-            for c in chosen:
-                add(si, candidates[int(c)])
+            n_providers = min(n_providers, len(providers))
+            for c in self._pick_distinct(weights, n_providers):
+                add(si, providers[c])
         # Tier-2 peering, geographically biased.
         tier2 = [i for i, s in enumerate(specs) if s.tier == 2]
-        n_peerings = len(tier2)
-        for _ in range(n_peerings):
-            if len(tier2) < 2:
-                break
-            a, b = self.rng.choice(len(tier2), size=2, replace=False)
-            add(tier2[int(a)], tier2[int(b)])
+        if len(tier2) >= 2:
+            for a, b in self._pick_pairs([len(tier2)] * len(tier2)):
+                add(tier2[a], tier2[b])
         return sorted(edges)
 
     def _realize_interdomain(self, specs: list[_AsSpec],
@@ -646,8 +737,8 @@ class GroundTruthGenerator:
         queue = list(edges)
         extra = budget - len(edges)
         if extra > 0 and edges:
-            picks = self.rng.integers(0, len(edges), size=extra)
-            queue.extend(edges[int(p)] for p in picks)
+            picks = self.rng.integers(0, len(edges), size=extra).tolist()
+            queue.extend(edges[p] for p in picks)
         for spec in specs:
             self._index_pops(spec)
         for a, b in queue:
@@ -662,7 +753,7 @@ class GroundTruthGenerator:
         weights = np.array(
             [len(spec.routers_by_city[c]) for c in cities], dtype=float
         )
-        spec.present_share = weights / weights.sum()
+        spec.present_cdf = _cdf(weights / weights.sum())
         spec.present_radians = haversine_operands(
             self._city_lat[cities], self._city_lon[cities]
         )
@@ -679,12 +770,14 @@ class GroundTruthGenerator:
                 y_all[int(self.rng.integers(len(y_all)))],
             )
             return
-        cx = x_cities[int(self.rng.choice(len(x_cities), p=x.present_share))]
-        dists = haversine_miles_radians(
-            *haversine_operands(self._city_lat[cx], self._city_lon[cx]),
-            *y.present_radians,
-        )
-        cy = y_cities[int(np.argmin(dists))]
+        cx = x_cities[self._pick(x.present_cdf)]
+        cy = y.nearest.get(cx)
+        if cy is None:
+            dists = haversine_miles_radians(
+                *haversine_operands(self._city_lat[cx], self._city_lon[cx]),
+                *y.present_radians,
+            )
+            cy = y.nearest[cx] = y_cities[int(np.argmin(dists))]
         rx = x.routers_by_city[cx][int(self.rng.integers(len(x.routers_by_city[cx])))]
         ry = y.routers_by_city[cy][int(self.rng.integers(len(y.routers_by_city[cy])))]
         self._add_link_checked(rx, ry)
@@ -725,8 +818,7 @@ class GroundTruthGenerator:
         attraction = self._city_attractiveness()
         city_counts = self._city_router_counts(attraction)
         specs = self._make_as_specs(attraction)
-        for spec in specs:
-            self._choose_pop_cities(spec, attraction)
+        self._choose_pop_cities(specs, attraction)
         for spec in specs:
             home = self.world.cities[spec.home_city]
             self.topology.add_as(

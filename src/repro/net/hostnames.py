@@ -92,20 +92,26 @@ def make_hostname_batch(
     slot_a = rng.integers(0, 8, size=n)
     slot_b = rng.integers(0, 4, size=n)
     slot_c = rng.integers(0, 4, size=n)
-    role_idx = router_ids % len(_ROLE_TOKENS)
-    units = 1 + router_ids % 9
-    loc_num = 1 + (router_ids // 7) % 9
-    roles = tuple(tok.upper() for tok in _ROLE_TOKENS)
+    # "port.iface-a-b-c." has 4 * 7 * 8 * 4 * 4 spellings and "ROLEunit."
+    # 5 * 9: each is formatted once and looked up per interface.
+    heads = [
+        f"{p}.{token}-{a}-{b}-{c}."
+        for p in range(4) for token in _IFACE_TOKENS
+        for a in range(8) for b in range(4) for c in range(4)
+    ]
+    head = (
+        (((ports * len(_IFACE_TOKENS) + iface_idx) * 8 + slot_a) * 4 + slot_b) * 4
+        + slot_c
+    )
+    roles = [f"{role.upper()}{unit}." for role in _ROLE_TOKENS for unit in range(1, 10)]
+    role = (router_ids % len(_ROLE_TOKENS)) * 9 + router_ids % 9
+    loc_num = [str(1 + k) for k in range(9)]
     embed = np.asarray(embed_location, dtype=bool)
     return [
-        f"{p}.{_IFACE_TOKENS[ti]}-{a}-{b}-{c}.{roles[ri]}{u}."
-        f"{code}{ln}.{dom}" if (e and code) else
-        f"{p}.{_IFACE_TOKENS[ti]}-{a}-{b}-{c}.{roles[ri]}{u}..{dom}"
-        for p, ti, a, b, c, ri, u, ln, code, dom, e in zip(
-            ports.tolist(), iface_idx.tolist(), slot_a.tolist(),
-            slot_b.tolist(), slot_c.tolist(), role_idx.tolist(),
-            units.tolist(), loc_num.tolist(), city_codes, domains,
-            embed.tolist(),
+        heads[h] + roles[r] + (code + loc_num[ln] if (e and code) else "") + "." + dom
+        for h, r, ln, code, dom, e in zip(
+            head.tolist(), role.tolist(), ((router_ids // 7) % 9).tolist(),
+            city_codes, domains, embed.tolist(),
         )
     ]
 

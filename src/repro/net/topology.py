@@ -23,6 +23,7 @@ import hashlib
 import numpy as np
 from scipy import sparse
 
+from repro.arrays import distinct
 from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import link_lengths_miles
@@ -243,29 +244,37 @@ class Topology:
 
     def add_routers(
         self,
-        asn: int,
+        asn: int | np.ndarray,
         lats: np.ndarray,
         lons: np.ndarray,
-        city_code: str,
+        city_code: str | list[str],
         loopbacks: np.ndarray,
     ) -> np.ndarray:
-        """Register a batch of routers sharing one AS and city code.
+        """Register a batch of routers.
 
-        Returns the assigned router ids (consecutive).  Loopback
-        interfaces are registered in router order.
+        ``asn`` and ``city_code`` are either one value for the whole
+        batch or one value per router.  Returns the assigned router ids
+        (consecutive).  Loopback interfaces are registered in router
+        order.
 
         Raises:
-            TopologyError: if the AS is unknown or any loopback address is
+            TopologyError: if an AS is unknown or any loopback address is
                 already taken (or repeated within the batch).
         """
-        if asn not in self.asns:
-            raise TopologyError(f"unknown ASN {asn}")
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)
         loopbacks = np.asarray(loopbacks, dtype=np.int64)
         count = lats.shape[0]
-        if lons.shape[0] != count or loopbacks.shape[0] != count:
+        asns = np.asarray(asn, dtype=np.int64)
+        codes = [city_code] * count if isinstance(city_code, str) else city_code
+        if asns.ndim == 0:
+            asns = np.full(count, asns)
+        if (lons.shape[0] != count or loopbacks.shape[0] != count
+                or asns.shape[0] != count or len(codes) != count):
             raise TopologyError("router batch columns must have equal length")
+        for number in distinct(asns).tolist():
+            if number not in self.asns:
+                raise TopologyError(f"unknown ASN {number}")
         batch = loopbacks.tolist()
         batch_set = set(batch)
         if len(batch_set) != count:
@@ -285,9 +294,9 @@ class Topology:
         end = start + count
         self._r_lat[start:end] = lats
         self._r_lon[start:end] = lons
-        self._r_asn[start:end] = asn
+        self._r_asn[start:end] = asns
         self._r_loopback[start:end] = loopbacks
-        self._r_city.extend([city_code] * count)
+        self._r_city.extend(codes)
         self._n_routers = end
         ids = np.arange(start, end, dtype=np.intp)
         ni = self._n_interfaces
@@ -347,11 +356,11 @@ class Topology:
                         f"link between routers {pair[0]} and {pair[1]} already exists"
                     )
                 seen_pairs.add(pair)
-        for pair in pairs:
-            if pair in self._pair_to_link:
-                raise TopologyError(
-                    f"link between routers {pair[0]} and {pair[1]} already exists"
-                )
+        if not self._pair_to_link.keys().isdisjoint(pairs):
+            pair = next(p for p in pairs if p in self._pair_to_link)
+            raise TopologyError(
+                f"link between routers {pair[0]} and {pair[1]} already exists"
+            )
         addrs = np.empty(2 * count, dtype=np.int64)
         addrs[0::2] = ia
         addrs[1::2] = ib
@@ -391,8 +400,7 @@ class Topology:
         self._i_link[ni:ni + 2 * count] = link_of
         self._n_interfaces = ni + 2 * count
         self._addr_set |= addr_batch
-        for pair, link_id in zip(pairs, ids.tolist()):
-            self._pair_to_link[pair] = link_id
+        self._pair_to_link.update(zip(pairs, ids.tolist()))
         self._invalidate()
         return ids
 

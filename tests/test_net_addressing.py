@@ -1,5 +1,6 @@
 """Tests for repro.net.addressing (per-AS allocation)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import AllocationError
@@ -23,6 +24,20 @@ class TestAsBlock:
 
 
 class TestAddressPlan:
+    @pytest.mark.parametrize("counts", [[0], [1], [3, 0, 2], [7], [2, 5, 1, 4]])
+    def test_allocate_many_equals_repeated_allocate(self, counts):
+        # Blocks of 4 addresses (2 hosts) make every batch span blocks,
+        # with a second AS's grants interleaved.
+        batched = AddressPlan(block_length=30)
+        single = AddressPlan(block_length=30)
+        for count in counts:
+            got = batched.allocate_many(100, count)
+            batched.allocate(200)
+            assert got.dtype == np.int64
+            assert got.tolist() == [single.allocate(100) for _ in range(count)]
+            single.allocate(200)
+        assert batched.to_dict() == single.to_dict()
+
     def test_sequential_allocation_within_block(self):
         plan = AddressPlan()
         a1 = plan.allocate(100)

@@ -11,7 +11,12 @@ from repro.config import GroundTruthConfig, small_scenario
 from repro.errors import ConfigError
 from repro.geo.distance import haversine_miles
 from repro.net.topology import topology_digest
-from repro.net.generate import GroundTruthGenerator, generate_ground_truth
+from repro.net.generate import (
+    _NAME_STEMS,
+    GroundTruthGenerator,
+    _AsSpec,
+    generate_ground_truth,
+)
 from repro.net.ip import is_private
 from repro.population.worldmodel import build_world
 
@@ -160,14 +165,137 @@ class TestGeneratedTopology:
 
 
 class _ReferenceGenerator(GroundTruthGenerator):
-    """The generator with its link stage written the straightforward way.
+    """The generator written the straightforward way.
 
-    Each link goes into the topology as soon as it is accepted, PoP
-    lists and weights are rebuilt per interdomain link, and every
+    Every weighted or paired draw is a ``rng.choice`` call, each batch of
+    routers and each link goes into the topology as soon as it is drawn,
+    PoP lists and weights are rebuilt per interdomain link, and every
     distance goes through :func:`haversine_miles`.  The production
     generator must draw the same random numbers in the same order and
     build the same topology.
     """
+
+    def _make_as_specs(self, attraction):
+        cfg = self.config
+        sizes = self._as_sizes()
+        budgets = self._zone_budgets().astype(float)
+        zone_probs = budgets / budgets.sum()
+        specs = []
+        for rank in range(cfg.n_ases):
+            asn = 100 + rank
+            tier = 1 if rank < cfg.tier1_count else (
+                2 if rank < cfg.tier1_count + cfg.tier2_count else 3
+            )
+            zone = int(self.rng.choice(len(self.world.zones), p=zone_probs))
+            zone_cities = np.flatnonzero(self._city_zone == zone)
+            weights = attraction[zone_cities]
+            if weights.sum() <= 0:
+                weights = np.ones(zone_cities.size)
+            home = int(self.rng.choice(zone_cities, p=weights / weights.sum()))
+            roll = self.rng.random()
+            if roll < 0.8:
+                adherence = float(self.rng.uniform(0.82, 0.98))
+            elif roll < 0.94:
+                adherence = float(self.rng.uniform(0.1, 0.6))
+            else:
+                adherence = 0.0
+            specs.append(
+                _AsSpec(
+                    asn=asn,
+                    name=f"{_NAME_STEMS[rank % len(_NAME_STEMS)]}{asn}",
+                    tier=tier,
+                    target_size=int(sizes[rank]),
+                    adherence=adherence,
+                    home_city=home,
+                )
+            )
+        return specs
+
+    def _choose_pop_cities(self, specs, attraction):
+        cfg = self.config
+        n_cities = len(self.world.cities)
+        for spec in specs:
+            raw = spec.target_size**0.72 * float(self.rng.lognormal(0.0, 0.4))
+            n_pops = int(
+                np.clip(
+                    round(raw),
+                    1,
+                    min(
+                        max(1, int(np.ceil(spec.target_size * cfg.max_pops_fraction))),
+                        n_cities,
+                    ),
+                )
+            )
+            globally = (
+                spec.target_size > cfg.global_dispersal_threshold
+                or spec.tier == 1
+                or self.rng.random() < cfg.small_global_probability
+            )
+            if globally:
+                candidates = np.arange(n_cities)
+            else:
+                dist = haversine_miles(
+                    self._city_lat[spec.home_city],
+                    self._city_lon[spec.home_city],
+                    self._city_lat,
+                    self._city_lon,
+                )
+                radius = float(self.rng.lognormal(np.log(300.0), 1.1))
+                candidates = np.flatnonzero(dist <= radius)
+                if candidates.size < n_pops:
+                    candidates = np.argsort(dist)[: max(n_pops, 4)]
+            weights = attraction[candidates] + 1e-9
+            n_pops = min(n_pops, candidates.size)
+            chosen = self.rng.choice(
+                candidates, size=n_pops, replace=False, p=weights / weights.sum()
+            )
+            pops = set(int(c) for c in chosen)
+            pops.add(spec.home_city)
+            if globally and (
+                spec.tier == 1 or spec.target_size > cfg.global_dispersal_threshold
+            ):
+                for zi in range(len(self.world.zones)):
+                    zone_cities = np.flatnonzero(self._city_zone == zi)
+                    if zone_cities.size:
+                        top = zone_cities[int(np.argmax(attraction[zone_cities]))]
+                        pops.add(int(top))
+            spec.pop_cities = sorted(pops)
+
+    def _create_routers(self, specs, city_counts):
+        presence = {c: [] for c in range(len(self.world.cities))}
+        for si, spec in enumerate(specs):
+            for city in spec.pop_cities:
+                presence[city].append(si)
+        incumbents = self._zone_incumbents(specs)
+        for city in range(len(self.world.cities)):
+            count = int(city_counts[city])
+            if count == 0:
+                continue
+            owners = presence[city]
+            if not owners:
+                owners = [incumbents[int(self._city_zone[city])]]
+            weights = np.array([specs[si].target_size for si in owners], dtype=float)
+            split = self.rng.multinomial(count, weights / weights.sum())
+            for si, n_here in zip(owners, split):
+                if n_here:
+                    self._place_routers_in_city(specs[si], city, int(n_here))
+        for spec in specs:
+            if not spec.router_ids:
+                self._place_routers_in_city(spec, spec.home_city, 1)
+
+    def _place_routers_in_city(self, spec, city, count):
+        jitter = self.config.pop_jitter_deg
+        radius = np.minimum(jitter * (self.rng.pareto(1.2, size=count) + 0.3), 1.5)
+        angle = self.rng.uniform(0.0, 2.0 * np.pi, size=count)
+        lats = np.clip(self._city_lat[city] + radius * np.sin(angle), -89.9, 89.9)
+        lons = np.clip(self._city_lon[city] + radius * np.cos(angle), -179.9, 179.9)
+        ids = self.topology.add_routers(
+            spec.asn, lats, lons, self.world.cities[city].code,
+            self._allocate_addresses(spec.asn, count),
+        ).tolist()
+        spec.router_ids.extend(ids)
+        spec.routers_by_city.setdefault(city, []).extend(ids)
+        self._router_zone.extend([int(self._city_zone[city])] * count)
 
     def _add_link_checked(self, ra, rb):
         if ra == rb or self.topology.has_link(ra, rb):
@@ -180,6 +308,61 @@ class _ReferenceGenerator(GroundTruthGenerator):
         )
         return True
 
+    def _add_links_batch(self, pairs_a, pairs_b):
+        if not pairs_a:
+            return
+        ra = np.asarray(pairs_a, dtype=np.intp)
+        rb = np.asarray(pairs_b, dtype=np.intp)
+        keep = ra != rb
+        a = np.minimum(ra[keep], rb[keep])
+        b = np.maximum(ra[keep], rb[keep])
+        seen = set()
+        selected = []
+        for i, pair in enumerate(zip(a.tolist(), b.tolist())):
+            if pair in seen or self.topology.has_link(*pair):
+                continue
+            seen.add(pair)
+            selected.append(i)
+        if not selected:
+            return
+        a = a[selected]
+        b = b[selected]
+        r_asn = self.topology.router_asns()
+        owner_asn = np.empty(2 * a.size, dtype=np.int64)
+        owner_asn[0::2] = r_asn[a]
+        owner_asn[1::2] = r_asn[b]
+        addresses = np.empty(2 * a.size, dtype=np.int64)
+        for asn in np.unique(owner_asn).tolist():
+            sel = owner_asn == asn
+            addresses[sel] = self._allocate_addresses(int(asn), int(sel.sum()))
+        self.topology.add_links(a, b, addresses[0::2], addresses[1::2])
+
+    def _intra_as_links(self, specs):
+        cfg = self.config
+        target_total = cfg.mean_links_per_router * self.topology.n_routers
+        target_inter = cfg.interdomain_link_fraction * target_total
+        for spec in specs:
+            self._add_links_batch(*self._intra_pop_links(spec))
+            self._add_links_batch(*self._backbone_links(spec))
+        structural = self.topology.n_links
+        extra_budget = max(0, int(target_total - target_inter - structural))
+        sizes = np.array([max(len(s.router_ids), 1) for s in specs], dtype=float)
+        weights = sizes**1.1
+        allocation = self.rng.multinomial(extra_budget, weights / weights.sum())
+        for spec, n_extra in zip(specs, allocation):
+            self._waxman_extra_links(spec, int(n_extra))
+
+    def _intra_pop_links(self, spec):
+        pairs_a, pairs_b = [], []
+        for routers in spec.routers_by_city.values():
+            pairs_a.extend(routers[:-1])
+            pairs_b.extend(routers[1:])
+            for _ in range(len(routers) // 4):
+                pair = self.rng.choice(len(routers), size=2, replace=False)
+                pairs_a.append(routers[int(pair[0])])
+                pairs_b.append(routers[int(pair[1])])
+        return pairs_a, pairs_b
+
     def _backbone_links(self, spec):
         gateways = np.asarray(
             [routers[0] for routers in spec.routers_by_city.values()],
@@ -187,7 +370,7 @@ class _ReferenceGenerator(GroundTruthGenerator):
         )
         k = gateways.shape[0]
         if k <= 1:
-            return
+            return [], []
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[gateways]
         lons = all_lons[gateways]
@@ -207,7 +390,7 @@ class _ReferenceGenerator(GroundTruthGenerator):
             update = ~in_tree & (dists < min_dist)
             min_dist[update] = dists[update]
             closest[update] = j
-        self._add_links_batch(pairs_a, pairs_b)
+        return pairs_a, pairs_b
 
     def _waxman_extra_links(self, spec, n_extra):
         members = np.array(spec.router_ids)
@@ -259,6 +442,48 @@ class _ReferenceGenerator(GroundTruthGenerator):
         rx = x.routers_by_city[cx][int(self.rng.integers(len(x.routers_by_city[cx])))]
         ry = y.routers_by_city[cy][int(self.rng.integers(len(y.routers_by_city[cy])))]
         self._add_link_checked(rx, ry)
+
+    def _as_graph_edges(self, specs):
+        edges = set()
+
+        def add(a, b):
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+
+        tier1 = [i for i, s in enumerate(specs) if s.tier == 1]
+        tier12 = [i for i, s in enumerate(specs) if s.tier in (1, 2)]
+        for i in range(1, len(tier1)):
+            add(tier1[i - 1], tier1[i])
+        for i in tier1:
+            for j in tier1:
+                if i < j and self.rng.random() < 0.8:
+                    add(i, j)
+        sizes = np.array([s.target_size for s in specs], dtype=float)
+        for si, spec in enumerate(specs):
+            if spec.tier == 1:
+                continue
+            providers = tier1 if spec.tier == 2 else tier12
+            candidates = [p for p in providers if p != si]
+            homes = [specs[p].home_city for p in candidates]
+            dist = haversine_miles(
+                self._city_lat[spec.home_city], self._city_lon[spec.home_city],
+                self._city_lat[homes], self._city_lon[homes],
+            )
+            weights = sizes[candidates] / (1.0 + dist / 1000.0)
+            weights = weights / weights.sum()
+            n_providers = min(1 + int(self.rng.random() < 0.45), len(candidates))
+            chosen = self.rng.choice(
+                len(candidates), size=n_providers, replace=False, p=weights
+            )
+            for c in chosen:
+                add(si, candidates[int(c)])
+        tier2 = [i for i, s in enumerate(specs) if s.tier == 2]
+        for _ in range(len(tier2)):
+            if len(tier2) < 2:
+                break
+            a, b = self.rng.choice(len(tier2), size=2, replace=False)
+            add(tier2[int(a)], tier2[int(b)])
+        return sorted(edges)
 
 
 def _outcome(cls, world, config, rng):
@@ -331,7 +556,7 @@ class TestReferenceEquality:
         )
         assert list(outcome[1].as_sizes.values()).count(1) > 20
 
-    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 11])
     def test_small_scenarios(self, seed):
         scenario = small_scenario(seed)
         rng = np.random.default_rng(scenario.seed)

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeolocationError
-from repro.net.hostnames import extract_city_code, extract_city_codes, make_hostname
+from repro.net.hostnames import (
+    _IFACE_TOKENS,
+    _ROLE_TOKENS,
+    extract_city_code,
+    extract_city_codes,
+    make_hostname,
+    make_hostname_batch,
+)
 
 codes = st.from_regex(r"[A-Z]{3}", fullmatch=True)
 router_ids = st.integers(min_value=0, max_value=10_000)
@@ -106,3 +113,44 @@ class TestExtractCityCodes:
         assert extract_city_codes([good + "\n", "x\ny", good]) == [
             _code_or_empty(good + "\n"), "", "SFO"
         ]
+
+
+def _reference_batch(router_ids, city_codes, domains, rng, embed_location):
+    """make_hostname_batch with one f-string per interface."""
+    n = len(router_ids)
+    ports = rng.integers(0, 4, size=n)
+    iface_idx = rng.integers(0, len(_IFACE_TOKENS), size=n)
+    slot_a = rng.integers(0, 8, size=n)
+    slot_b = rng.integers(0, 4, size=n)
+    slot_c = rng.integers(0, 4, size=n)
+    names = []
+    for i, rid in enumerate(router_ids):
+        role = _ROLE_TOKENS[rid % len(_ROLE_TOKENS)].upper()
+        code = city_codes[i]
+        loc = f"{code}{1 + (rid // 7) % 9}" if (embed_location[i] and code) else ""
+        names.append(
+            f"{ports[i]}.{_IFACE_TOKENS[iface_idx[i]]}-{slot_a[i]}-{slot_b[i]}-"
+            f"{slot_c[i]}.{role}{1 + rid % 9}.{loc}.{domains[i]}"
+        )
+    return names
+
+
+class TestMakeHostnameBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(router_ids, st.sampled_from(["", "NYC", "3QF"]), st.booleans()),
+            max_size=40,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_interface_format(self, rows, seed):
+        ids = [rid for rid, _, _ in rows]
+        codes = [code for _, code, _ in rows]
+        domains = [f"as{rid % 7}.net" for rid in ids]
+        embed = [flag for _, _, flag in rows]
+        rng = np.random.default_rng(seed)
+        got = make_hostname_batch(np.array(ids, dtype=np.int64), codes, domains, rng, embed)
+        reference_rng = np.random.default_rng(seed)
+        assert got == _reference_batch(ids, codes, domains, reference_rng, embed)
+        assert rng.random() == reference_rng.random()

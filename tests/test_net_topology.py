@@ -86,6 +86,24 @@ class TestTopologyConstruction:
         assert toy_topology.interface_links()[positions].tolist() == [-1, -1]
         toy_topology.validate()
 
+    def test_router_batch_with_per_router_owners(self, toy_topology):
+        ids = toy_topology.add_routers(
+            np.array([200, 100, 200]), np.full(3, 40.0), np.full(3, -100.0),
+            ["NYC", "", "LAX"], np.array([5000, 5001, 5002]),
+        )
+        assert ids.tolist() == [6, 7, 8]
+        assert toy_topology.router_asns()[6:].tolist() == [200, 100, 200]
+        assert toy_topology.router_city_codes()[6:] == ["NYC", "", "LAX"]
+        toy_topology.validate()
+
+    def test_router_batch_unknown_owner_rejected(self, toy_topology):
+        with pytest.raises(TopologyError, match="unknown ASN 999"):
+            toy_topology.add_routers(
+                np.array([100, 999]), np.full(2, 40.0), np.full(2, -100.0),
+                "", np.array([5000, 5001]),
+            )
+        _assert_unchanged(toy_topology)
+
     def test_self_loop_link_rejected(self, toy_topology):
         with pytest.raises(TopologyError, match="self-loop"):
             _add_links(toy_topology, [(0, 4), (3, 3)])
