@@ -108,6 +108,9 @@ class GroundTruthConfig:
         ):
             if not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        if self.tier1_count < 1:
+            # Tier-2 ASes take their providers from tier 1.
+            raise ConfigError("tier1_count must be at least 1")
         if self.tier1_count + self.tier2_count >= self.n_ases:
             raise ConfigError("tier1_count + tier2_count must be < n_ases")
 

@@ -34,6 +34,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             GroundTruthConfig(n_ases=50, tier1_count=30, tier2_count=30)
 
+    def test_tier1_required(self):
+        # Tier-2 ASes draw their providers from tier 1.
+        with pytest.raises(ConfigError, match="tier1_count"):
+            GroundTruthConfig(total_routers=200, n_ases=20, tier1_count=0)
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             GroundTruthConfig(long_range_fraction=1.5)
