@@ -38,9 +38,10 @@ def haversine_operands(
 ) -> tuple:
     """``(lat, lon, cos(lat))`` in radians, for :func:`haversine_miles_radians`.
 
-    Convert a scalar as a scalar and an array as an array; an element
-    taken from a converted array may differ in the last bit of its
-    cosine from the same value converted alone.
+    Each element of a converted array equals the same value converted
+    alone (numpy's elementwise functions do not depend on an element's
+    place in its array; ``tests/test_geo_distance.py`` checks this), so
+    one point's operands may be taken from its array's.
     """
     lat_r = np.radians(lat)
     return lat_r, np.radians(lon), np.cos(lat_r)
@@ -75,6 +76,57 @@ def haversine_miles_radians(
     a = np.minimum(np.maximum(a, 0.0), 1.0)
     central = 2.0 * np.arcsin(np.sqrt(a))
     return EARTH_RADIUS_MILES * central
+
+
+def haversine_matrix_radians(sources: tuple, targets: tuple) -> np.ndarray:
+    """Miles from each source (rows) to each target (columns).
+
+    Both arguments are :func:`haversine_operands` of 1-D arrays.  Row
+    ``i`` is bitwise equal to :func:`haversine_miles_radians` of source
+    ``i``'s operands against ``targets``, computed for all rows at once.
+    """
+    return haversine_miles_radians(*(op[:, None] for op in sources), *targets)
+
+
+class HaversineRows:
+    """Miles from one point of a set to every point of it, a row at a time.
+
+    ``row(i)`` is bitwise equal to :func:`haversine_miles_radians` of
+    point ``i``'s operands against the whole set, in fewer passes over
+    it: half angles are converted once (halving is exact, so
+    ``h[j] - h[i] == (r[j] - r[i]) / 2``), ``2 * R`` is one factor
+    (scaling by 2 is exact too), and with latitudes within [-90, 90] the
+    haversine term is a sum of non-negative products, so only its upper
+    clamp can act.  Each row is written into one buffer, which the next
+    call overwrites.
+    """
+
+    def __init__(self, lats: np.ndarray, lons: np.ndarray) -> None:
+        lat_r, lon_r, self._cos_lat = haversine_operands(
+            np.asarray(lats, dtype=np.float64), np.asarray(lons, dtype=np.float64)
+        )
+        self._lat_half = lat_r / 2.0
+        self._lon_half = lon_r / 2.0
+        self._row = np.empty_like(lat_r)
+        self._scratch = np.empty_like(lat_r)
+
+    def row(self, i: int) -> np.ndarray:
+        """Miles from point ``i`` to every point (a reused buffer)."""
+        a, b = self._row, self._scratch
+        np.subtract(self._lon_half, self._lon_half[i], out=b)
+        np.sin(b, out=b)
+        np.square(b, out=b)
+        np.multiply(self._cos_lat, self._cos_lat[i], out=a)
+        np.multiply(b, a, out=b)
+        np.subtract(self._lat_half, self._lat_half[i], out=a)
+        np.sin(a, out=a)
+        np.square(a, out=a)
+        np.add(a, b, out=a)
+        np.minimum(a, 1.0, out=a)
+        np.sqrt(a, out=a)
+        np.arcsin(a, out=a)
+        np.multiply(a, 2.0 * EARTH_RADIUS_MILES, out=a)
+        return a
 
 
 def great_circle_miles(a: GeoPoint, b: GeoPoint) -> float:

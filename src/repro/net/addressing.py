@@ -92,8 +92,10 @@ class AddressPlan:
         """Allocate one host address for the AS, granting blocks as needed."""
         blocks = self._blocks.setdefault(asn, [])
         for block in blocks:
-            if block.remaining() > 0:
-                return block.take()
+            offset = block.next_offset
+            if offset < block.end:
+                block.next_offset = offset + 1
+                return block.prefix.base + offset
         self.grant_block(asn)
         return blocks[-1].take()
 

@@ -32,12 +32,16 @@ import numpy as np
 from repro.arrays import distinct
 from repro.config import GroundTruthConfig
 from repro.errors import ConfigError, TopologyError
-from repro.geo.distance import haversine_miles_radians, haversine_operands
+from repro.geo.distance import (
+    HaversineRows,
+    haversine_matrix_radians,
+    haversine_operands,
+)
 from repro.net.addressing import AddressPlan
 from repro.net.elements import AutonomousSystem
 from repro.net.hostnames import make_hostname_batch
 from repro.net.ip import Prefix
-from repro.net.topology import Topology
+from repro.net.topology import Topology, link_key
 from repro.population.worldmodel import World
 
 _NAME_STEMS = (
@@ -49,6 +53,11 @@ _NAME_STEMS = (
 
 #: Private 10/8 pool used for the occasional misconfigured interface.
 _PRIVATE_POOL = Prefix.parse("10.0.0.0/8")
+
+#: Most cells of a distance matrix built in one piece.  Larger ones are
+#: built in row blocks; a Prim tree over more gateways computes each
+#: row as it reaches it.
+_MATRIX_CELLS = 1 << 16
 
 
 @dataclass
@@ -64,13 +73,12 @@ class _AsSpec:
     pop_cities: list[int] = field(default_factory=list)
     router_ids: list[int] = field(default_factory=list)
     routers_by_city: dict[int, list[int]] = field(default_factory=dict)
-    # Cities holding routers, the cdf of their router-count shares and
-    # their haversine operands; set once routers are placed (see
-    # _index_pops).  ``nearest`` memoises this AS's PoP nearest to a
-    # city, as interdomain links ask for it.
+    # Cities holding routers and the cdf of their router-count shares,
+    # set once routers are placed (see _index_pops); ``nearest`` maps
+    # each city an interdomain link to this AS may start from to this
+    # AS's PoP nearest to it (see _nearest_pops).
     present_cities: list[int] = field(default_factory=list)
     present_cdf: np.ndarray | None = None
-    present_radians: tuple = ()
     nearest: dict[int, int] = field(default_factory=dict)
 
 
@@ -80,6 +88,16 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+def _distance_blocks(sources: tuple, targets: tuple):
+    """Yield :func:`haversine_matrix_radians` in row blocks of at most
+    ``_MATRIX_CELLS`` cells, first rows first."""
+    step = max(1, _MATRIX_CELLS // max(1, targets[0].shape[0]))
+    for lo in range(0, sources[0].shape[0], step):
+        yield haversine_matrix_radians(
+            tuple(op[lo:lo + step] for op in sources), targets
+        )
 
 
 @dataclass(frozen=True)
@@ -131,10 +149,12 @@ class GroundTruthGenerator:
         self._n_pending_routers = 0
         # Owner ASN per router id, fixed once the link stage starts.
         self._router_asn: list[int] = []
-        # Links accepted by _add_link_checked that _flush_links has not
-        # yet appended: (router_a, router_b, interface_a, interface_b).
-        self._pending_links: list[tuple[int, int, int, int]] = []
-        self._pending_pairs: set[tuple[int, int]] = set()
+        # link_key of every link queued so far, and the queued links that
+        # _flush_links has not yet appended, as columns: router_a,
+        # router_b, interface_a, interface_b.  Ints, not tuples, so that
+        # the garbage collector has nothing per link to track.
+        self._link_keys: set[int] = set()
+        self._pending_links: tuple[list[int], ...] = ([], [], [], [])
         self.report: GenerationReport | None = None
 
     # -- helpers ------------------------------------------------------------
@@ -226,6 +246,11 @@ class GroundTruthGenerator:
         if n_private < count:
             out[~private] = self.plan.allocate_many(asn, count - n_private)
         return out
+
+    def _home_operands(self, specs: list[_AsSpec]) -> tuple:
+        """Haversine operands of the ASes' home cities."""
+        homes = [spec.home_city for spec in specs]
+        return haversine_operands(self._city_lat[homes], self._city_lon[homes])
 
     # -- stage 1: budgets and city router counts ----------------------------
 
@@ -352,25 +377,31 @@ class GroundTruthGenerator:
             zone_cities = np.flatnonzero(self._city_zone == zi)
             if zone_cities.size:
                 tops.add(int(zone_cities[int(np.argmax(attraction[zone_cities]))]))
-        for spec in specs:
+        carriers = [
+            spec.target_size > cfg.global_dispersal_threshold or spec.tier == 1
+            for spec in specs
+        ]
+        # Miles from each home city of a non-carrier to every city, in row
+        # blocks of at most _MATRIX_CELLS.
+        homes = sorted({
+            spec.home_city for spec, carrier in zip(specs, carriers) if not carrier
+        })
+        home_dist = dict(zip(homes, (
+            row
+            for block in _distance_blocks(tuple(op[homes] for op in city_rad), city_rad)
+            for row in block
+        )))
+        for spec, carrier in zip(specs, carriers):
             raw = spec.target_size**0.72 * float(self.rng.lognormal(0.0, 0.4))
             cap = min(
                 max(1, int(np.ceil(spec.target_size * cfg.max_pops_fraction))),
                 n_cities,
             )
             n_pops = min(max(round(raw), 1), cap)
-            carrier = (
-                spec.target_size > cfg.global_dispersal_threshold or spec.tier == 1
-            )
             if carrier or self.rng.random() < cfg.small_global_probability:
                 candidates, p = everywhere, everywhere_p
             else:
-                dist = haversine_miles_radians(
-                    *haversine_operands(
-                        self._city_lat[spec.home_city], self._city_lon[spec.home_city]
-                    ),
-                    *city_rad,
-                )
+                dist = home_dist[spec.home_city]
                 radius = float(self.rng.lognormal(log_radius, 1.1))
                 candidates = np.flatnonzero(dist <= radius)
                 if candidates.size < n_pops:
@@ -520,51 +551,53 @@ class GroundTruthGenerator:
         """
         if ra == rb:
             return False
-        pair = (ra, rb) if ra < rb else (rb, ra)
-        if pair in self._pending_pairs or self.topology.has_link(ra, rb):
+        key = link_key(ra, rb)
+        if key in self._link_keys:
             return False
-        interface_a = self._allocate_address(self._router_asn[ra])
-        interface_b = self._allocate_address(self._router_asn[rb])
-        self._pending_links.append((ra, rb, interface_a, interface_b))
-        self._pending_pairs.add(pair)
+        self._link_keys.add(key)
+        routers_a, routers_b, interfaces_a, interfaces_b = self._pending_links
+        routers_a.append(ra)
+        routers_b.append(rb)
+        interfaces_a.append(self._allocate_address(self._router_asn[ra]))
+        interfaces_b.append(self._allocate_address(self._router_asn[rb]))
         return True
+
+    def _queue_as_links(
+        self, asn: int, pairs_a: list[int], pairs_b: list[int]
+    ) -> None:
+        """Queue links among routers of AS ``asn``, dropping duplicates.
+
+        Each new link joins its lower router id to its higher one; the
+        batch's interface addresses are one allocation, the lower
+        router's first per link.
+        """
+        keys = self._link_keys
+        low: list[int] = []
+        high: list[int] = []
+        for ra, rb in zip(pairs_a, pairs_b):
+            if rb < ra:
+                ra, rb = rb, ra
+            key = link_key(ra, rb)
+            if ra != rb and key not in keys:
+                keys.add(key)
+                low.append(ra)
+                high.append(rb)
+        if not low:
+            return
+        addresses = self._allocate_addresses(asn, 2 * len(low)).tolist()
+        routers_a, routers_b, interfaces_a, interfaces_b = self._pending_links
+        routers_a += low
+        routers_b += high
+        interfaces_a += addresses[0::2]
+        interfaces_b += addresses[1::2]
 
     def _flush_links(self) -> None:
         """Append the queued links to the topology in one batch."""
-        if not self._pending_links:
+        if not self._pending_links[0]:
             return
-        columns = (np.array(c, dtype=np.int64) for c in zip(*self._pending_links))
-        self.topology.add_links(*columns)
-        self._pending_links.clear()
-        self._pending_pairs.clear()
-
-    def _add_links_batch(self, pairs_a: list[int], pairs_b: list[int]) -> None:
-        """Batch :meth:`_add_link_checked`: silently drops duplicates.
-
-        Interface addresses are allocated grouped per AS (ascending ASN),
-        a different draw order from the scalar path but the same
-        allocator state.
-        """
-        self._flush_links()
-        has_link = self.topology.has_link
-        # Distinct new (low, high) pairs, in first-seen order.
-        fresh: dict[tuple[int, int], None] = {}
-        for ra, rb in zip(pairs_a, pairs_b):
-            pair = (ra, rb) if ra < rb else (rb, ra)
-            if ra != rb and pair not in fresh and not has_link(ra, rb):
-                fresh[pair] = None
-        if not fresh:
-            return
-        pairs = np.array(list(fresh), dtype=np.intp)
-        owner_asn = self.topology.router_asns()[pairs].reshape(-1)
-        addresses = np.empty(owner_asn.shape[0], dtype=np.int64)
-        for asn in distinct(owner_asn).tolist():
-            sel = owner_asn == asn
-            addresses[sel] = self._allocate_addresses(asn, int(np.count_nonzero(sel)))
-        addresses = addresses.reshape(-1, 2)
-        self.topology.add_links(
-            pairs[:, 0], pairs[:, 1], addresses[:, 0], addresses[:, 1]
-        )
+        self.topology.add_links(*self._pending_links)
+        for column in self._pending_links:
+            column.clear()
 
     def _intra_pop_links(self, spec: _AsSpec) -> tuple[list[int], list[int]]:
         """Chain each PoP's routers, plus a few redundant metro links."""
@@ -593,7 +626,11 @@ class GroundTruthGenerator:
         all_lats, all_lons = self.topology.router_coordinates()
         lats = all_lats[gateways]
         lons = all_lons[gateways]
-        gateway_rad = haversine_operands(lats, lons)
+        if k * k <= _MATRIX_CELLS:
+            gateway_rad = haversine_operands(lats, lons)
+            row = haversine_matrix_radians(gateway_rad, gateway_rad).__getitem__
+        else:
+            row = HaversineRows(lats, lons).row
         # Vectorised Prim: track the distance from each outside gateway
         # to its closest in-tree gateway, O(k) work per added edge.
         min_dist = np.full(k, np.inf)
@@ -606,9 +643,7 @@ class GroundTruthGenerator:
         for _ in range(k - 1):
             outside[j] = False
             min_dist[j] = np.inf
-            dists = haversine_miles_radians(
-                *haversine_operands(lats[j], lons[j]), *gateway_rad
-            )
+            dists = row(j)
             np.less(dists, min_dist, out=update)
             update &= outside
             np.copyto(min_dist, dists, where=update)
@@ -625,9 +660,7 @@ class GroundTruthGenerator:
         if n < 3 or n_extra <= 0:
             return
         all_lats, all_lons = self.topology.router_coordinates()
-        lats = all_lats[members]
-        lons = all_lons[members]
-        member_rad = haversine_operands(lats, lons)
+        rows = HaversineRows(all_lats[members], all_lons[members])
         zones = [self._zone_names[self._router_zone[r]] for r in members]
         rng = self.rng
         long_range = self.config.long_range_fraction
@@ -639,16 +672,19 @@ class GroundTruthGenerator:
             if rng.random() < long_range:
                 vi = int(rng.integers(n))
             else:
-                scale = self._waxman_l_for_zone(zones[ui])
-                dists = haversine_miles_radians(
-                    *haversine_operands(lats[ui], lons[ui]), *member_rad
-                )
-                weights = np.exp(-dists / scale)
-                weights[ui] = 0.0
-                total = weights.sum()
+                # w = exp(-d / L), w[ui] = 0, then _cdf(w / w.sum()), in
+                # place in the row buffer (-d / L is d / -L bit for bit).
+                w = rows.row(ui)
+                np.divide(w, -self._waxman_l_for_zone(zones[ui]), out=w)
+                np.exp(w, out=w)
+                w[ui] = 0.0
+                total = w.sum()
                 if total <= 0:
                     continue
-                vi = self._pick(_cdf(weights / total))
+                np.divide(w, total, out=w)
+                np.cumsum(w, out=w)
+                w /= w[-1]
+                vi = self._pick(w)
             if self._add_link_checked(members[ui], members[vi]):
                 added += 1
 
@@ -666,7 +702,8 @@ class GroundTruthGenerator:
             # addresses follow the intra-PoP ones as if added after them.
             pop_a, pop_b = self._intra_pop_links(spec)
             backbone_a, backbone_b = self._backbone_links(spec)
-            self._add_links_batch(pop_a + backbone_a, pop_b + backbone_b)
+            self._queue_as_links(spec.asn, pop_a + backbone_a, pop_b + backbone_b)
+        self._flush_links()
         structural = self.topology.n_links
         extra_budget = max(0, int(target_total - target_inter - structural))
         sizes = np.array([max(len(s.router_ids), 1) for s in specs], dtype=float)
@@ -696,30 +733,28 @@ class GroundTruthGenerator:
                 add(i, j)
         # Providers of a tier-2 AS are the tier-1 ASes, of a tier-3 AS the
         # tier-1 and tier-2 ones; neither list holds the AS itself.
+        # Each AS's provider weights: size / (1 + miles between homes /
+        # 1000), normalised.
         sizes = np.array([s.target_size for s in specs], dtype=float)
-        provider_tables = {}
-        for tier, providers in ((2, tier1), (3, tier12)):
-            homes = [specs[p].home_city for p in providers]
-            provider_tables[tier] = (
-                providers,
-                sizes[providers],
-                haversine_operands(self._city_lat[homes], self._city_lon[homes]),
-            )
+        provider_lists = {2: tier1, 3: tier12}
+        provider_weights: dict[int, np.ndarray] = {}
+        for tier, providers in provider_lists.items():
+            members = [si for si, s in enumerate(specs) if s.tier == tier]
+            rows: list[np.ndarray] = []
+            for dist in _distance_blocks(
+                self._home_operands([specs[si] for si in members]),
+                self._home_operands([specs[p] for p in providers]),
+            ):
+                weights = sizes[providers] / (1.0 + dist / 1000.0)
+                rows.extend(weights / weights.sum(axis=1, keepdims=True))
+            provider_weights.update(zip(members, rows))
         for si, spec in enumerate(specs):
             if spec.tier == 1:
                 continue
-            providers, provider_sizes, provider_rad = provider_tables[spec.tier]
-            dist = haversine_miles_radians(
-                *haversine_operands(
-                    self._city_lat[spec.home_city], self._city_lon[spec.home_city]
-                ),
-                *provider_rad,
-            )
-            weights = provider_sizes / (1.0 + dist / 1000.0)
-            weights = weights / weights.sum()
+            providers = provider_lists[spec.tier]
             n_providers = 1 + int(self.rng.random() < 0.45)
             n_providers = min(n_providers, len(providers))
-            for c in self._pick_distinct(weights, n_providers):
+            for c in self._pick_distinct(provider_weights[si], n_providers):
                 add(si, providers[c])
         # Tier-2 peering, geographically biased.
         tier2 = [i for i, s in enumerate(specs) if s.tier == 2]
@@ -741,6 +776,7 @@ class GroundTruthGenerator:
             queue.extend(edges[p] for p in picks)
         for spec in specs:
             self._index_pops(spec)
+        self._nearest_pops(specs, edges)
         for a, b in queue:
             self._physical_interdomain_link(specs[a], specs[b])
 
@@ -754,9 +790,33 @@ class GroundTruthGenerator:
             [len(spec.routers_by_city[c]) for c in cities], dtype=float
         )
         spec.present_cdf = _cdf(weights / weights.sum())
-        spec.present_radians = haversine_operands(
-            self._city_lat[cities], self._city_lon[cities]
-        )
+
+    def _nearest_pops(
+        self, specs: list[_AsSpec], edges: list[tuple[int, int]]
+    ) -> None:
+        """Fill each ``y.nearest``: for every PoP city of an AS ``x`` with
+        an edge ``(x, y)``, ``y``'s PoP city nearest to it.
+
+        One distance matrix per ``y`` over every city an interdomain link
+        of ``y`` may start from; ties go to ``y``'s first such city, as
+        ``np.argmin`` breaks them.
+        """
+        city_rad = haversine_operands(self._city_lat, self._city_lon)
+        starts: dict[int, set[int]] = {}
+        for a, b in edges:
+            starts.setdefault(b, set()).update(specs[a].present_cities)
+        for b, cities in starts.items():
+            y = specs[b]
+            if not cities or not y.present_cities:
+                continue
+            cities = sorted(cities)
+            picks: list[int] = []
+            for dist in _distance_blocks(
+                tuple(op[cities] for op in city_rad),
+                tuple(op[y.present_cities] for op in city_rad),
+            ):
+                picks += dist.argmin(axis=1).tolist()
+            y.nearest = dict(zip(cities, [y.present_cities[i] for i in picks]))
 
     def _physical_interdomain_link(self, x: _AsSpec, y: _AsSpec) -> None:
         """Join a random PoP of x to y's nearest PoP (typical peering shape)."""
@@ -771,15 +831,10 @@ class GroundTruthGenerator:
             )
             return
         cx = x_cities[self._pick(x.present_cdf)]
-        cy = y.nearest.get(cx)
-        if cy is None:
-            dists = haversine_miles_radians(
-                *haversine_operands(self._city_lat[cx], self._city_lon[cx]),
-                *y.present_radians,
-            )
-            cy = y.nearest[cx] = y_cities[int(np.argmin(dists))]
-        rx = x.routers_by_city[cx][int(self.rng.integers(len(x.routers_by_city[cx])))]
-        ry = y.routers_by_city[cy][int(self.rng.integers(len(y.routers_by_city[cy])))]
+        x_here = x.routers_by_city[cx]
+        y_here = y.routers_by_city[y.nearest[cx]]
+        rx = x_here[int(self.rng.integers(len(x_here)))]
+        ry = y_here[int(self.rng.integers(len(y_here)))]
         self._add_link_checked(rx, ry)
 
     # -- stage 6: hostnames ------------------------------------------------
@@ -798,17 +853,14 @@ class GroundTruthGenerator:
         )
         embed_by_router = self.rng.random(topology.n_routers) < adherence
         domain_by_asn = {asn: asys.domain for asn, asys in topology.asns.items()}
-        city_by_router = topology.router_city_codes()
-        i_addr = topology.interface_addresses()
-        i_router = topology.interface_routers()
-        owner_list = i_router.tolist()
         hostnames = make_hostname_batch(
-            router_ids=i_router,
-            city_codes=[city_by_router[r] for r in owner_list],
-            domains=[domain_by_asn[a] for a in r_asn[i_router].tolist()],
+            interface_routers=topology.interface_routers(),
+            city_codes=topology.router_city_codes(),
+            domains=[domain_by_asn[asn] for asn in r_asn.tolist()],
             rng=self.rng,
-            embed_location=embed_by_router[i_router],
+            embed_location=embed_by_router,
         )
+        i_addr = topology.interface_addresses()
         topology.hostnames.update(zip(i_addr.tolist(), hostnames))
 
     # -- driver ------------------------------------------------------------------

@@ -63,7 +63,7 @@ def make_hostname(
 
 
 def make_hostname_batch(
-    router_ids: np.ndarray,
+    interface_routers: np.ndarray,
     city_codes: list[str],
     domains: list[str],
     rng: np.random.Generator,
@@ -73,18 +73,21 @@ def make_hostname_batch(
 
     Follows the same grammar as :func:`make_hostname` but draws all
     port/slot numbers as arrays up front, which is what makes hostname
-    assignment tractable at 10^5-router scale.
+    assignment tractable at 10^5-router scale.  The part after the
+    port/slot token depends only on the router, so it is built once per
+    router.
 
     Args:
-        router_ids: owning router id per interface.
-        city_codes: city code per interface (empty string to omit).
-        domains: AS domain per interface.
+        interface_routers: owning router id per interface; router ids
+            index the three per-router arguments.
+        city_codes: city code per router (empty string to omit).
+        domains: AS domain per router.
         rng: randomness for port/slot numbers.
-        embed_location: boolean per interface; when False the location
+        embed_location: boolean per router; when False the location
             token is omitted.
     """
-    router_ids = np.asarray(router_ids, dtype=np.int64)
-    n = int(router_ids.shape[0])
+    interface_routers = np.asarray(interface_routers, dtype=np.int64)
+    n = int(interface_routers.shape[0])
     if n == 0:
         return []
     ports = rng.integers(0, 4, size=n)
@@ -92,27 +95,32 @@ def make_hostname_batch(
     slot_a = rng.integers(0, 8, size=n)
     slot_b = rng.integers(0, 4, size=n)
     slot_c = rng.integers(0, 4, size=n)
-    # "port.iface-a-b-c." has 4 * 7 * 8 * 4 * 4 spellings and "ROLEunit."
-    # 5 * 9: each is formatted once and looked up per interface.
+    # "port.iface-a-b-c." has 4 * 7 * 8 * 4 * 4 spellings: "port.iface-"
+    # times "a-b-c.", each spelled once and looked up per interface.
     heads = [
-        f"{p}.{token}-{a}-{b}-{c}."
-        for p in range(4) for token in _IFACE_TOKENS
-        for a in range(8) for b in range(4) for c in range(4)
+        port_iface + slots
+        for port_iface in [f"{p}.{token}-" for p in range(4) for token in _IFACE_TOKENS]
+        for slots in [f"{a}-{b}-{c}." for a in range(8) for b in range(4) for c in range(4)]
     ]
     head = (
         (((ports * len(_IFACE_TOKENS) + iface_idx) * 8 + slot_a) * 4 + slot_b) * 4
         + slot_c
     )
+    # "ROLEunit.loc.domain" per router.
     roles = [f"{role.upper()}{unit}." for role in _ROLE_TOKENS for unit in range(1, 10)]
-    role = (router_ids % len(_ROLE_TOKENS)) * 9 + router_ids % 9
     loc_num = [str(1 + k) for k in range(9)]
-    embed = np.asarray(embed_location, dtype=bool)
-    return [
-        heads[h] + roles[r] + (code + loc_num[ln] if (e and code) else "") + "." + dom
-        for h, r, ln, code, dom, e in zip(
-            head.tolist(), role.tolist(), ((router_ids // 7) % 9).tolist(),
-            city_codes, domains, embed.tolist(),
+    router_ids = np.arange(len(city_codes))
+    role = (router_ids % len(_ROLE_TOKENS)) * 9 + router_ids % 9
+    tails = [
+        roles[r] + (code + loc_num[ln] if (e and code) else "") + "." + dom
+        for r, ln, code, dom, e in zip(
+            role.tolist(), ((router_ids // 7) % 9).tolist(), city_codes, domains,
+            np.asarray(embed_location, dtype=bool).tolist(),
         )
+    ]
+    return [
+        heads[h] + tails[r]
+        for h, r in zip(head.tolist(), interface_routers.tolist())
     ]
 
 

@@ -58,6 +58,24 @@ def _readonly(array: np.ndarray, size: int) -> np.ndarray:
     return view
 
 
+def link_key(router_a: int, router_b: int) -> int:
+    """The int keying the link between two routers, in either order.
+
+    ``low << 32 | high`` for router ids below ``2**32``: unlike a pair
+    tuple, an int is not tracked by the garbage collector, and a
+    topology keeps one key per link.
+    """
+    if router_a < router_b:
+        return router_a << 32 | router_b
+    return router_b << 32 | router_a
+
+
+def _raise_link_exists(key: int) -> None:
+    raise TopologyError(
+        f"link between routers {key >> 32} and {key & 0xFFFFFFFF} already exists"
+    )
+
+
 class Topology:
     """Mutable ground-truth topology: column storage plus lazy derivations.
 
@@ -92,7 +110,8 @@ class Topology:
         self._i_link = np.empty(0, dtype=np.int64)
         # Constant-time membership/pair indices maintained eagerly.
         self._addr_set: set[int] = set()
-        self._pair_to_link: dict[tuple[int, int], int] = {}
+        # link_key(a, b) -> link id.
+        self._pair_to_link: dict[int, int] = {}
         # Lazily-built derived structures, cleared on mutation.
         self._derived: dict[str, object] = {}
 
@@ -148,10 +167,8 @@ class Topology:
         self._i_router = np.ascontiguousarray(i_router, dtype=np.intp)
         self._i_link = np.ascontiguousarray(i_link, dtype=np.int64)
         self._addr_set = set(self._i_addr.tolist())
-        self._pair_to_link = {
-            (int(a), int(b)): i
-            for i, (a, b) in enumerate(zip(self._l_a.tolist(), self._l_b.tolist()))
-        }
+        keys = (self._l_a.astype(np.int64) << 32) | self._l_b
+        self._pair_to_link = dict(zip(keys.tolist(), range(self._n_links)))
         self._derived = {}
 
     # ---- serialisation ---------------------------------------------------
@@ -347,20 +364,15 @@ class Topology:
         flip = a > b
         a[flip], b[flip] = b[flip], a[flip]
         ia[flip], ib[flip] = ib[flip], ia[flip]
-        pairs = list(zip(a.tolist(), b.tolist()))
-        if len(set(pairs)) != count:
-            seen_pairs: set[tuple[int, int]] = set()
-            for pair in pairs:
-                if pair in seen_pairs:
-                    raise TopologyError(
-                        f"link between routers {pair[0]} and {pair[1]} already exists"
-                    )
-                seen_pairs.add(pair)
-        if not self._pair_to_link.keys().isdisjoint(pairs):
-            pair = next(p for p in pairs if p in self._pair_to_link)
-            raise TopologyError(
-                f"link between routers {pair[0]} and {pair[1]} already exists"
-            )
+        keys = ((a.astype(np.int64) << 32) | b).tolist()
+        if len(set(keys)) != count:
+            seen_keys: set[int] = set()
+            for key in keys:
+                if key in seen_keys:
+                    _raise_link_exists(key)
+                seen_keys.add(key)
+        if not self._pair_to_link.keys().isdisjoint(keys):
+            _raise_link_exists(next(k for k in keys if k in self._pair_to_link))
         addrs = np.empty(2 * count, dtype=np.int64)
         addrs[0::2] = ia
         addrs[1::2] = ib
@@ -400,7 +412,7 @@ class Topology:
         self._i_link[ni:ni + 2 * count] = link_of
         self._n_interfaces = ni + 2 * count
         self._addr_set |= addr_batch
-        self._pair_to_link.update(zip(pairs, ids.tolist()))
+        self._pair_to_link.update(zip(keys, ids.tolist()))
         self._invalidate()
         return ids
 
@@ -476,8 +488,7 @@ class Topology:
 
     def has_link(self, router_a: int, router_b: int) -> bool:
         """True when the two routers are directly connected."""
-        key = (router_a, router_b) if router_a < router_b else (router_b, router_a)
-        return key in self._pair_to_link
+        return link_key(router_a, router_b) in self._pair_to_link
 
     def degrees(self) -> np.ndarray:
         """Link count per router, indexed by router id."""
@@ -566,8 +577,7 @@ class Topology:
         Raises:
             TopologyError: when they are not directly connected.
         """
-        key = (router_a, router_b) if router_a < router_b else (router_b, router_a)
-        link_id = self._pair_to_link.get(key)
+        link_id = self._pair_to_link.get(link_key(router_a, router_b))
         if link_id is None:
             raise TopologyError(
                 f"no link between routers {router_a} and {router_b}"

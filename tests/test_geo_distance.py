@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from repro.errors import GeoError
 from repro.geo.coords import EARTH_RADIUS_MILES, GeoPoint
 from repro.geo.distance import (
+    HaversineRows,
     great_circle_miles,
+    haversine_matrix_radians,
     haversine_miles,
     haversine_miles_radians,
     haversine_operands,
@@ -140,6 +142,35 @@ class TestRadiansHelper:
             *haversine_operands(other_lats[:n], other_lons[:n]),
         )
         assert np.array_equal(got, expected)
+
+
+class TestRowForms:
+    """Matrix rows and HaversineRows rows equal haversine_miles bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(latitudes, longitudes), min_size=1, max_size=40),
+        st.lists(st.tuples(latitudes, longitudes), min_size=1, max_size=40),
+    )
+    def test_bitwise_equal(self, points, others):
+        lats, lons = np.array(points, dtype=float).T
+        other_lats, other_lons = np.array(others, dtype=float).T
+        matrix = haversine_matrix_radians(
+            haversine_operands(lats, lons), haversine_operands(other_lats, other_lons)
+        )
+        rows = HaversineRows(lats, lons)
+        for i, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist())):
+            # Each source converted on its own, as a Python float.
+            assert np.array_equal(
+                matrix[i], haversine_miles(lat, lon, other_lats, other_lons)
+            )
+            assert np.array_equal(rows.row(i), haversine_miles(lat, lon, lats, lons))
+
+    def test_row_buffer_is_reused(self):
+        rows = HaversineRows(np.array([0.0, 10.0]), np.array([0.0, 0.0]))
+        first = rows.row(0)
+        assert first[1] > 0
+        assert rows.row(1) is first
 
 
 class TestPairwiseMatrix:

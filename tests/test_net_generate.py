@@ -11,10 +11,13 @@ from repro.config import GroundTruthConfig, small_scenario
 from repro.errors import ConfigError
 from repro.geo.distance import haversine_miles
 from repro.net.topology import topology_digest
+from repro.geo.distance import haversine_matrix_radians, haversine_operands
+from repro.net import generate
 from repro.net.generate import (
     _NAME_STEMS,
     GroundTruthGenerator,
     _AsSpec,
+    _distance_blocks,
     generate_ground_truth,
 )
 from repro.net.ip import is_private
@@ -567,3 +570,46 @@ class TestReferenceEquality:
         rng = np.random.default_rng(scenario.seed)
         world = build_world(rng, city_scale=scenario.city_scale)
         _assert_matches_reference(world, scenario.ground_truth, rng)
+
+    def test_small_matrix_blocks(self, monkeypatch):
+        # Distance matrices split into many row blocks, and backbones of
+        # more than 8 gateways computed row by row.
+        monkeypatch.setattr(generate, "_MATRIX_CELLS", 64)
+        scenario = small_scenario(2)
+        rng = np.random.default_rng(scenario.seed)
+        world = build_world(rng, city_scale=scenario.city_scale)
+        _assert_matches_reference(world, scenario.ground_truth, rng)
+
+
+class TestMatrixRows:
+    """Row-wise reductions of a matrix equal those of each row alone.
+
+    The generator normalises provider weights with ``sum(axis=1)`` and
+    picks nearest PoPs with ``argmin(axis=1)`` over distance matrices,
+    where the straightforward form reduces one row at a time.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_row_reductions_bitwise(self, n_rows, n_cols, seed):
+        rng = np.random.default_rng(seed)
+        matrix = np.exp(-rng.random((n_rows, n_cols)) * 40.0)
+        matrix[:, rng.integers(n_cols)] = matrix.min()  # ties for argmin
+        sums = matrix.sum(axis=1, keepdims=True)
+        nearest = matrix.argmin(axis=1)
+        for i in range(n_rows):
+            row = matrix[i].copy()
+            assert sums[i, 0] == row.sum()
+            assert nearest[i] == int(np.argmin(row))
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1 << 16])
+    def test_distance_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(generate, "_MATRIX_CELLS", cells)
+        rng = np.random.default_rng(4)
+        sources = haversine_operands(rng.uniform(-80, 80, 23), rng.uniform(-180, 180, 23))
+        targets = haversine_operands(rng.uniform(-80, 80, 5), rng.uniform(-180, 180, 5))
+        blocks = list(_distance_blocks(sources, targets))
+        assert all(block.size <= max(cells, 5) for block in blocks)
+        assert np.array_equal(
+            np.concatenate(blocks), haversine_matrix_radians(sources, targets)
+        )

@@ -115,22 +115,22 @@ class TestExtractCityCodes:
         ]
 
 
-def _reference_batch(router_ids, city_codes, domains, rng, embed_location):
+def _reference_batch(interface_routers, city_codes, domains, rng, embed_location):
     """make_hostname_batch with one f-string per interface."""
-    n = len(router_ids)
+    n = len(interface_routers)
     ports = rng.integers(0, 4, size=n)
     iface_idx = rng.integers(0, len(_IFACE_TOKENS), size=n)
     slot_a = rng.integers(0, 8, size=n)
     slot_b = rng.integers(0, 4, size=n)
     slot_c = rng.integers(0, 4, size=n)
     names = []
-    for i, rid in enumerate(router_ids):
+    for i, rid in enumerate(interface_routers):
         role = _ROLE_TOKENS[rid % len(_ROLE_TOKENS)].upper()
-        code = city_codes[i]
-        loc = f"{code}{1 + (rid // 7) % 9}" if (embed_location[i] and code) else ""
+        code = city_codes[rid]
+        loc = f"{code}{1 + (rid // 7) % 9}" if (embed_location[rid] and code) else ""
         names.append(
             f"{ports[i]}.{_IFACE_TOKENS[iface_idx[i]]}-{slot_a[i]}-{slot_b[i]}-"
-            f"{slot_c[i]}.{role}{1 + rid % 9}.{loc}.{domains[i]}"
+            f"{slot_c[i]}.{role}{1 + rid % 9}.{loc}.{domains[rid]}"
         )
     return names
 
@@ -139,18 +139,21 @@ class TestMakeHostnameBatch:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.tuples(router_ids, st.sampled_from(["", "NYC", "3QF"]), st.booleans()),
-            max_size=40,
+            st.tuples(st.sampled_from(["", "NYC", "3QF"]), st.booleans()),
+            min_size=1, max_size=80,
         ),
+        st.lists(st.integers(0, 10_000), max_size=40),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_interface_format(self, rows, seed):
-        ids = [rid for rid, _, _ in rows]
-        codes = [code for _, code, _ in rows]
-        domains = [f"as{rid % 7}.net" for rid in ids]
-        embed = [flag for _, _, flag in rows]
+    def test_matches_per_interface_format(self, routers, picks, seed):
+        codes = [code for code, _ in routers]
+        embed = [flag for _, flag in routers]
+        domains = [f"as{rid % 7}.net" for rid in range(len(routers))]
+        owners = [pick % len(routers) for pick in picks]
         rng = np.random.default_rng(seed)
-        got = make_hostname_batch(np.array(ids, dtype=np.int64), codes, domains, rng, embed)
+        got = make_hostname_batch(
+            np.array(owners, dtype=np.int64), codes, domains, rng, np.array(embed)
+        )
         reference_rng = np.random.default_rng(seed)
-        assert got == _reference_batch(ids, codes, domains, reference_rng, embed)
+        assert got == _reference_batch(owners, codes, domains, reference_rng, embed)
         assert rng.random() == reference_rng.random()
