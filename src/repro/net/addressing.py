@@ -92,10 +92,8 @@ class AddressPlan:
         """Allocate one host address for the AS, granting blocks as needed."""
         blocks = self._blocks.setdefault(asn, [])
         for block in blocks:
-            offset = block.next_offset
-            if offset < block.end:
-                block.next_offset = offset + 1
-                return block.prefix.base + offset
+            if block.remaining() > 0:
+                return block.take()
         self.grant_block(asn)
         return blocks[-1].take()
 
@@ -108,21 +106,20 @@ class AddressPlan:
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         runs: list[np.ndarray] = []
-        filled = 0
         blocks = self._blocks.setdefault(asn, [])
         cursor = 0
-        while filled < count:
-            while cursor < len(blocks) and blocks[cursor].remaining() <= 0:
-                cursor += 1
-            if cursor >= len(blocks):
+        while count:
+            if cursor == len(blocks):
                 self.grant_block(asn)
-                continue
             block = blocks[cursor]
-            take = min(block.remaining(), count - filled)
+            cursor += 1
+            take = min(block.remaining(), count)
+            if take <= 0:
+                continue
             start = block.prefix.base + block.next_offset
             runs.append(np.arange(start, start + take, dtype=np.int64))
             block.next_offset += take
-            filled += take
+            count -= take
         return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
     def to_dict(self) -> dict:

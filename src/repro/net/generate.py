@@ -809,14 +809,15 @@ class GroundTruthGenerator:
             y = specs[b]
             if not cities or not y.present_cities:
                 continue
-            cities = sorted(cities)
-            picks: list[int] = []
-            for dist in _distance_blocks(
-                tuple(op[cities] for op in city_rad),
-                tuple(op[y.present_cities] for op in city_rad),
-            ):
-                picks += dist.argmin(axis=1).tolist()
-            y.nearest = dict(zip(cities, [y.present_cities[i] for i in picks]))
+            sources = np.fromiter(cities, dtype=np.intp, count=len(cities))
+            pops = np.array(y.present_cities)
+            nearest = np.concatenate([
+                dist.argmin(axis=1) for dist in _distance_blocks(
+                    tuple(op[sources] for op in city_rad),
+                    tuple(op[pops] for op in city_rad),
+                )
+            ])
+            y.nearest = dict(zip(sources.tolist(), pops[nearest].tolist()))
 
     def _physical_interdomain_link(self, x: _AsSpec, y: _AsSpec) -> None:
         """Join a random PoP of x to y's nearest PoP (typical peering shape)."""
