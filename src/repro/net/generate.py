@@ -703,8 +703,9 @@ class GroundTruthGenerator:
             pop_a, pop_b = self._intra_pop_links(spec)
             backbone_a, backbone_b = self._backbone_links(spec)
             self._queue_as_links(spec.asn, pop_a + backbone_a, pop_b + backbone_b)
-        self._flush_links()
-        structural = self.topology.n_links
+        # Every link waits in the queue until generate appends them all at
+        # once (the topology's columns then grow once, to their size).
+        structural = len(self._link_keys)
         extra_budget = max(0, int(target_total - target_inter - structural))
         sizes = np.array([max(len(s.router_ids), 1) for s in specs], dtype=float)
         weights = sizes**1.1
