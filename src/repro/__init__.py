@@ -24,11 +24,23 @@ from repro.config import (
     default_scenario,
     small_scenario,
 )
-from repro.datasets import MappedDataset, PipelineResult, run_pipeline
 from repro.errors import ReproError
+from repro.lazy import lazy_exports
 from repro.runtime import ArtifactCache, Telemetry
 
 __version__ = "1.0.0"
+
+# Datasets and the pipeline that builds them resolve on first use:
+# importing ``repro``, as each of its subpackages does, must not load the
+# stage modules or scipy.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "MappedDataset": "repro.datasets.mapped",
+        "PipelineResult": "repro.datasets.pipeline",
+        "run_pipeline": "repro.datasets.pipeline",
+    },
+)
 
 __all__ = [
     "BgpConfig",

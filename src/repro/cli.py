@@ -61,10 +61,9 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.config import default_scenario, large_scenario, small_scenario
-from repro.core import experiments, report
-from repro.datasets.pipeline import PipelineResult
 from repro.errors import ReportError, ReproError
 from repro.obs import (
     MetricsRegistry,
@@ -84,11 +83,9 @@ from repro.obs import (
 from repro.obs import span as obs_span
 from repro.obs.report import DEFAULT_MIN_WALL_S, DEFAULT_WALL_THRESHOLD
 from repro.runtime import Telemetry
-from repro.sweep.aggregate import (
-    SWEEP_REPORT_SCHEMA,
-    diff_sweep_reports,
-    load_sweep_report,
-)
+
+if TYPE_CHECKING:
+    from repro.datasets.pipeline import PipelineResult
 
 _EXPERIMENT_NAMES = (
     "table1",
@@ -165,6 +162,8 @@ def _sampling_profiler(args: argparse.Namespace):
 
 
 def _render(name: str, result: PipelineResult, mapper: str) -> str:
+    from repro.core import experiments, report
+
     if name == "table1":
         return report.render_table1(experiments.table1(result))
     if name == "table3":
@@ -195,6 +194,11 @@ def _render(name: str, result: PipelineResult, mapper: str) -> str:
 
 def _run_main(argv: list[str]) -> int:
     """The ``repro run`` subcommand (also the bare-invocation default)."""
+    # The analyses and their renderers (used by ``_render``) load here, not
+    # at CLI import: no other subcommand runs the pipeline, and no module
+    # may compile between the first pipeline stage and the last table.
+    from repro.core import experiments, report  # noqa: F401
+
     parser = argparse.ArgumentParser(
         prog="repro run",
         description="Reproduce tables and figures of Lakhina et al. (IMC 2002)",
@@ -379,6 +383,12 @@ def _report_main(argv: list[str]) -> int:
         if args.command == "show":
             print(render_report(load_report(args.path)))
             return EXIT_OK
+        from repro.sweep.aggregate import (
+            SWEEP_REPORT_SCHEMA,
+            diff_sweep_reports,
+            load_sweep_report,
+        )
+
         schemas = [_peek_schema(args.old), _peek_schema(args.new)]
         if SWEEP_REPORT_SCHEMA in schemas:
             if schemas[0] != schemas[1]:

@@ -11,6 +11,7 @@ Benchmarks and notebooks can treat this as a one-call health check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,9 +22,11 @@ from repro.core.distance import (
     preference_function,
     sensitivity_limit,
 )
-from repro.datasets.pipeline import PipelineResult
 from repro.errors import AnalysisError
 from repro.geo.regions import STUDY_REGIONS
+
+if TYPE_CHECKING:
+    from repro.datasets.pipeline import PipelineResult
 
 
 @dataclass(frozen=True, slots=True)

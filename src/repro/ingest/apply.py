@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.datasets.mapped import MappedDataset
 from repro.errors import IngestError
 from repro.ingest.deltas import DeltaBatch
@@ -122,7 +123,7 @@ def patch_dataset(
         lo = np.minimum(end_a, end_b).astype(np.int64)
         hi = np.maximum(end_a, end_b).astype(np.int64)
         new_keys = lo * n_new + hi
-        if np.unique(new_keys).size != new_keys.size:
+        if distinct(new_keys).size != new_keys.size:
             raise IngestError("add_links contains a duplicate adjacency")
         if dataset.links.size:
             # Only an old link between two rows the batch links can
@@ -156,7 +157,7 @@ def patch_dataset(
         order, sorted_addresses, batch.move_addresses, what="move_addresses"
     )
     if moved_rows.size:
-        if np.unique(moved_rows).size != moved_rows.size:
+        if distinct(moved_rows).size != moved_rows.size:
             raise IngestError("move_addresses contains duplicates")
         lats[moved_rows] = batch.move_lats
         lons[moved_rows] = batch.move_lons
@@ -165,7 +166,7 @@ def patch_dataset(
         what="remap_addresses",
     )
     if remapped_rows.size:
-        if np.unique(remapped_rows).size != remapped_rows.size:
+        if distinct(remapped_rows).size != remapped_rows.size:
             raise IngestError("remap_addresses contains duplicates")
         asns[remapped_rows] = batch.remap_asns
 

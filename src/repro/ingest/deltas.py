@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.arrays import distinct
 from repro.errors import IngestError
 from repro.obs.report import hash_column
 
@@ -110,7 +111,7 @@ class DeltaBatch:
         if self.remap_asns.shape != self.remap_addresses.shape:
             raise IngestError("remap_asns is not parallel to remap_addresses")
         if self.add_addresses.size and (
-            np.unique(self.add_addresses).size != self.add_addresses.size
+            distinct(self.add_addresses).size != self.add_addresses.size
         ):
             raise IngestError("add_addresses contains duplicates")
         for name in ("add_lats", "add_lons", "move_lats", "move_lons"):

@@ -9,13 +9,7 @@ from repro.measure.artifacts import (
     drop_nodes,
 )
 from repro.measure.inventory import RawInventory
-from repro.measure.mercator import run_mercator
-from repro.measure.skitter import (
-    SkitterCampaign,
-    choose_monitors,
-    plan_campaign,
-    run_skitter,
-)
+from repro.lazy import lazy_exports
 
 __all__ = [
     "merge_members",
@@ -32,3 +26,17 @@ __all__ = [
     "plan_campaign",
     "run_skitter",
 ]
+
+# The campaign simulators route over the topology (scipy); the inventory
+# and delta-stream modules of this package are used by processes that never
+# measure, so the simulators load on first use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "run_mercator": "repro.measure.mercator",
+        "SkitterCampaign": "repro.measure.skitter",
+        "choose_monitors": "repro.measure.skitter",
+        "plan_campaign": "repro.measure.skitter",
+        "run_skitter": "repro.measure.skitter",
+    },
+)

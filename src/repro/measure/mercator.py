@@ -26,6 +26,7 @@ from repro.routing.forwarding import source_routed_paths
 from repro.routing.shortest_path import (
     ancestors_at_depth,
     largest_component,
+    routing_graph,
     shortest_path_tree,
     shortest_path_trees,
     tree_depths,
@@ -46,7 +47,7 @@ def run_mercator(
     Raises:
         MeasurementError: if the topology is too small to probe.
     """
-    graph = topology.routing_graph()
+    graph = routing_graph(topology)
     component = largest_component(graph)
     if component.size < 3:
         raise MeasurementError("topology too small for a Mercator campaign")

@@ -33,6 +33,7 @@ from repro.routing.shortest_path import (
     ancestor_closure,
     ancestors_at_depth,
     largest_component,
+    routing_graph,
     shortest_path_trees,
     tree_depths,
 )
@@ -59,7 +60,7 @@ def choose_monitors(
     Raises:
         MeasurementError: if the topology cannot host that many monitors.
     """
-    candidates = largest_component(topology.routing_graph()).tolist()
+    candidates = largest_component(routing_graph(topology)).tolist()
     if len(candidates) < n_monitors:
         raise MeasurementError(
             f"cannot place {n_monitors} monitors in a component of "
@@ -118,7 +119,7 @@ def run_skitter(
     for monitor in campaign.monitors:
         responds[monitor] = True
 
-    trees = shortest_path_trees(topology.routing_graph(), campaign.monitors)
+    trees = shortest_path_trees(routing_graph(topology), campaign.monitors)
     loopbacks = topology.router_loopbacks()
     none = np.empty(0, dtype=np.int64)
     destinations, nodes, pair_a, pair_b = [none], [none], [none], [none]

@@ -29,7 +29,7 @@ from repro.net.ip import (
     parse_address,
     prefix_mask,
 )
-from repro.net.topology import HOP_COST_MILES, Topology
+from repro.net.topology import Topology
 
 __all__ = [
     "AddressPlan",
@@ -53,6 +53,5 @@ __all__ = [
     "is_private",
     "parse_address",
     "prefix_mask",
-    "HOP_COST_MILES",
     "Topology",
 ]

@@ -112,9 +112,9 @@ def latency_matrix_sample(
         Array of shape ``(len(sources), len(targets))`` in milliseconds;
         ``inf`` marks unreachable pairs.
     """
-    from repro.routing.shortest_path import shortest_path_trees
+    from repro.routing.shortest_path import routing_graph, shortest_path_trees
 
-    graph = topology.routing_graph()
+    graph = routing_graph(topology)
     trees = shortest_path_trees(graph, list(sources))
     out = np.full((len(sources), len(targets)), np.inf)
     for i, tree in enumerate(trees):

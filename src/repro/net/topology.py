@@ -2,8 +2,10 @@
 
 A :class:`Topology` holds the planted Internet — ASes, routers, links,
 interfaces, hostnames — with consistency checks on every mutation and
-array/CSR views for the routing and measurement stages.  It deliberately
-knows nothing about how it was generated or how it will be measured.
+array views for the routing and measurement stages.  It deliberately
+knows nothing about how it was generated or how it will be measured
+(the routing graph is built from its columns by
+:func:`repro.routing.shortest_path.routing_graph`).
 
 Storage is column-oriented: router latitude/longitude/ASN/loopback
 arrays, link endpoint/interface arrays, and interface address/owner
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import numpy as np
-from scipy import sparse
 
 from repro.arrays import distinct
 from repro.errors import TopologyError
@@ -29,11 +30,6 @@ from repro.geo.coords import GeoPoint
 from repro.geo.distance import link_lengths_miles
 from repro.net.elements import AutonomousSystem
 from repro.obs.report import hash_column
-
-#: Extra routing cost per hop, in mile-equivalents; makes shortest paths
-#: prefer fewer hops among near-equal geographic alternatives, like IGP
-#: metrics do.
-HOP_COST_MILES = 50.0
 
 #: Initial capacity of a growable column.
 _MIN_CAPACITY = 16
@@ -552,24 +548,6 @@ class Topology:
     def interface_links(self) -> np.ndarray:
         """Link id per interface (-1 for loopbacks), insertion order."""
         return _readonly(self._i_link, self._n_interfaces)
-
-    def routing_graph(self, hop_cost: float = HOP_COST_MILES) -> sparse.csr_matrix:
-        """Symmetric CSR weight matrix for shortest-path routing.
-
-        Edge weight is geographic length plus a per-hop cost, a standard
-        latency-flavoured IGP metric.
-        """
-        if self._n_routers == 0:
-            raise TopologyError("cannot build a routing graph with no routers")
-        a = self._l_a[: self._n_links]
-        b = self._l_b[: self._n_links]
-        w = self.link_lengths() + hop_cost
-        rows = np.concatenate([a, b])
-        cols = np.concatenate([b, a])
-        data = np.concatenate([w, w])
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._n_routers, self._n_routers)
-        )
 
     def link_id(self, router_a: int, router_b: int) -> int:
         """Id of the link joining two routers, in either order.

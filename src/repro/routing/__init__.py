@@ -2,8 +2,10 @@
 
 from repro.routing.forwarding import source_routed_path, source_routed_paths
 from repro.routing.shortest_path import (
+    HOP_COST_MILES,
     PredecessorTree,
     largest_component,
+    routing_graph,
     shortest_path_tree,
     shortest_path_trees,
 )
@@ -11,8 +13,10 @@ from repro.routing.shortest_path import (
 __all__ = [
     "source_routed_path",
     "source_routed_paths",
+    "HOP_COST_MILES",
     "PredecessorTree",
     "largest_component",
+    "routing_graph",
     "shortest_path_tree",
     "shortest_path_trees",
 ]

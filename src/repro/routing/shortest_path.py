@@ -13,12 +13,21 @@ inherits from Skitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
+
+if TYPE_CHECKING:
+    from repro.net.topology import Topology
+
+#: Extra routing cost per hop, in mile-equivalents; makes shortest paths
+#: prefer fewer hops among near-equal geographic alternatives, like IGP
+#: metrics do.
+HOP_COST_MILES = 50.0
 
 #: scipy's sentinel for "no predecessor" (the source and unreachable nodes).
 NO_PREDECESSOR = -9999
@@ -68,6 +77,28 @@ class PredecessorTree:
                 hops.reverse()
                 return hops
         raise RoutingError("predecessor chain did not terminate (corrupt tree)")
+
+
+def routing_graph(
+    topology: Topology, hop_cost: float = HOP_COST_MILES
+) -> csr_matrix:
+    """Symmetric CSR weight matrix of a topology, for shortest-path routing.
+
+    Edge weight is geographic length plus a per-hop cost, a standard
+    latency-flavoured IGP metric.
+
+    Raises:
+        TopologyError: when the topology has no routers.
+    """
+    n = topology.n_routers
+    if n == 0:
+        raise TopologyError("cannot build a routing graph with no routers")
+    a, b = topology.link_endpoints()
+    w = topology.link_lengths() + hop_cost
+    rows = np.concatenate([a, b])
+    cols = np.concatenate([b, a])
+    data = np.concatenate([w, w])
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def shortest_path_tree(graph: csr_matrix, source: int) -> PredecessorTree:

@@ -22,11 +22,10 @@ query service:
 """
 
 from repro.errors import OverloadError, ServeError
+from repro.lazy import lazy_exports
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LruCache
-from repro.serve.client import ConnectError, QueryError, SnapshotClient
 from repro.serve.index import PartitionData, SnapshotIndex
-from repro.serve.retry import BackoffPolicy, call_with_retries
 from repro.serve.server import SnapshotServer
 
 __all__ = [
@@ -43,3 +42,16 @@ __all__ = [
     "SnapshotServer",
     "call_with_retries",
 ]
+
+# The client side (``urllib.request``, ``http.client``, ``email``) loads on
+# first use: servers, shards and the ingest writer never call out over HTTP.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "BackoffPolicy": "repro.serve.retry",
+        "call_with_retries": "repro.serve.retry",
+        "ConnectError": "repro.serve.client",
+        "QueryError": "repro.serve.client",
+        "SnapshotClient": "repro.serve.client",
+    },
+)

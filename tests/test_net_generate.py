@@ -103,9 +103,9 @@ class TestGeneratedTopology:
 
     def test_whole_graph_one_component(self, generated_small):
         topology, _, _ = generated_small
-        from repro.routing.shortest_path import largest_component
+        from repro.routing.shortest_path import largest_component, routing_graph
 
-        component = largest_component(topology.routing_graph())
+        component = largest_component(routing_graph(topology))
         assert component.size == topology.n_routers
 
     def test_hostnames_assigned_to_every_interface(self, generated_small):

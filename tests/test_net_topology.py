@@ -7,6 +7,7 @@ from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
 from repro.net.elements import AutonomousSystem
 from repro.net.topology import Topology, topology_digest
+from repro.routing.shortest_path import routing_graph
 
 from tests.conftest import build_toy_topology
 
@@ -160,7 +161,7 @@ class TestTopologyConstruction:
 
 class TestTopologyQueries:
     def test_neighbors(self, toy_topology):
-        graph = toy_topology.routing_graph()
+        graph = routing_graph(toy_topology)
         assert graph[1].indices.tolist() == [0, 2]
         assert graph[0].indices.tolist() == [1]
 
@@ -211,20 +212,20 @@ class TestTopologyQueries:
 
 class TestRoutingGraph:
     def test_symmetric_csr(self, toy_topology):
-        graph = toy_topology.routing_graph()
+        graph = routing_graph(toy_topology)
         dense = graph.toarray()
         assert np.allclose(dense, dense.T)
         assert dense[0, 1] > 0
 
     def test_hop_cost_added(self, toy_topology):
-        no_cost = toy_topology.routing_graph(hop_cost=0.0).toarray()
-        with_cost = toy_topology.routing_graph(hop_cost=100.0).toarray()
+        no_cost = routing_graph(toy_topology, hop_cost=0.0).toarray()
+        with_cost = routing_graph(toy_topology, hop_cost=100.0).toarray()
         nz = no_cost > 0
         assert np.allclose(with_cost[nz] - no_cost[nz], 100.0)
 
     def test_empty_topology_rejected(self):
         with pytest.raises(TopologyError):
-            Topology().routing_graph()
+            routing_graph(Topology())
 
 
 class TestValidate:

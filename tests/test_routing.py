@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 from repro.routing.forwarding import source_routed_path, source_routed_paths
 from repro.routing.shortest_path import (
     largest_component,
+    routing_graph,
     shortest_path_tree,
     shortest_path_trees,
 )
@@ -117,7 +118,7 @@ class TestLargestComponent:
 
 class TestSourceRoutedPath:
     def test_concatenates_legs(self, toy_topology):
-        graph = toy_topology.routing_graph()
+        graph = routing_graph(toy_topology)
         source_tree = shortest_path_tree(graph, 0)
         via_tree = shortest_path_tree(graph, 3)
         path = source_routed_path(via_tree, source_tree, 3, 5)
@@ -128,7 +129,7 @@ class TestSourceRoutedPath:
     def test_loop_trimmed(self, toy_topology):
         # source->via and via->target legs overlap on a chain topology;
         # the combined path must not revisit any router.
-        graph = toy_topology.routing_graph()
+        graph = routing_graph(toy_topology)
         source_tree = shortest_path_tree(graph, 0)
         via_tree = shortest_path_tree(graph, 4)
         path = source_routed_path(via_tree, source_tree, 4, 1)
@@ -136,14 +137,14 @@ class TestSourceRoutedPath:
         assert path[0] == 0 and path[-1] == 1
 
     def test_wrong_via_tree_raises(self, toy_topology):
-        graph = toy_topology.routing_graph()
+        graph = routing_graph(toy_topology)
         source_tree = shortest_path_tree(graph, 0)
         via_tree = shortest_path_tree(graph, 3)
         with pytest.raises(RoutingError):
             source_routed_path(via_tree, source_tree, 2, 5)
 
     def test_consecutive_hops_are_adjacent(self, toy_topology):
-        graph = toy_topology.routing_graph()
+        graph = routing_graph(toy_topology)
         source_tree = shortest_path_tree(graph, 0)
         via_tree = shortest_path_tree(graph, 5)
         path = source_routed_path(via_tree, source_tree, 5, 2)

@@ -21,6 +21,7 @@ from repro.net.ip import is_private, is_private_many
 from repro.routing.shortest_path import (
     ancestor_closure,
     ancestors_at_depth,
+    routing_graph,
     shortest_path_tree,
     tree_depths,
 )
@@ -43,7 +44,7 @@ class TestAdjacencyEquivalence:
         for a, b in zip(link_a.tolist(), link_b.tolist()):
             reference[a].add(b)
             reference[b].add(a)
-        graph = topology.routing_graph()
+        graph = routing_graph(topology)
         for rid in range(topology.n_routers):
             neighbors = graph.indices[graph.indptr[rid]:graph.indptr[rid + 1]]
             assert sorted(neighbors.tolist()) == sorted(reference[rid])
@@ -179,7 +180,7 @@ class TestNpzRoundTrip:
         restored = type(topology).from_npz(path)
         assert np.array_equal(restored.degrees(), topology.degrees())
         assert restored.link_interdomain()[restored.link_id(2, 3)]
-        graph = restored.routing_graph()
+        graph = routing_graph(restored)
         assert graph.shape == (topology.n_routers, topology.n_routers)
 
 
@@ -241,7 +242,7 @@ class TestValidateInvariants:
 @pytest.fixture(scope="module")
 def sample_tree(generated_small):
     topology, _, _ = generated_small
-    graph = topology.routing_graph()
+    graph = routing_graph(topology)
     source = int(np.argmax(topology.degrees()))
     return topology, shortest_path_tree(graph, source)
 
